@@ -416,12 +416,12 @@ func (m *Manager) SetLogger(l Logger) { m.logger = l }
 
 // SetUndo installs (or, with nil, clears) the open transaction's undo log:
 // while installed, every annotation mutation pushes a compensating closure.
-// Like the storage engine's hook, it is only touched under the engine-wide
-// exclusive statement lock.
+// Like the storage engine's hook, it is only touched by the write frame
+// holding the storage.ScopeWAL latch.
 func (m *Manager) SetUndo(u *undo.Log) { m.undo = u }
 
 // pushUndo records a compensating action when a transaction is open.
-func (m *Manager) pushUndo(fn func() error) {
+func (m *Manager) pushUndo(fn undo.Func) {
 	if m.undo != nil {
 		m.undo.Push(fn)
 	}

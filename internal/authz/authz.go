@@ -146,8 +146,8 @@ type Manager struct {
 // SetUndo installs (or, with nil, clears) the open transaction's undo log:
 // recorded approval operations and approval decisions then push their
 // inverse, so rolling back a monitored DML statement also retracts its
-// pending-operation entry. Only touched under the engine-wide exclusive
-// statement lock.
+// pending-operation entry. Only touched by the write frame holding the
+// storage.ScopeWAL latch.
 func (m *Manager) SetUndo(u *undo.Log) { m.undo = u }
 
 // NewManager builds an authorization manager over the storage engine. The
@@ -438,7 +438,7 @@ func (m *Manager) RecordOperation(user string, kind OpKind, table string, rowID 
 		return nil, err
 	}
 	if m.undo != nil {
-		m.undo.Push(func() error { m.removeOperation(op.ID); return nil })
+		m.undo.Push(undo.Func(func() error { m.removeOperation(op.ID); return nil }))
 	}
 	return op, nil
 }
@@ -534,7 +534,7 @@ func (m *Manager) Approve(opID int64, approver string) error {
 	op.Approver = approver
 	op.DecidedAt = m.clock()
 	if m.undo != nil {
-		m.undo.Push(func() error { m.revertDecision(op.ID); return nil })
+		m.undo.Push(undo.Func(func() error { m.revertDecision(op.ID); return nil }))
 	}
 	return nil
 }
@@ -574,7 +574,7 @@ func (m *Manager) Disapprove(opID int64, approver string) ([]int64, error) {
 	op.DecidedAt = m.clock()
 	m.mu.Unlock()
 	if m.undo != nil {
-		m.undo.Push(func() error { m.revertDecision(op.ID); return nil })
+		m.undo.Push(undo.Func(func() error { m.revertDecision(op.ID); return nil }))
 	}
 
 	tbl, err := m.eng.Table(op.Table)

@@ -467,42 +467,36 @@ func isRowKind(k wal.Kind) bool {
 	return k == wal.KindInsert || k == wal.KindUpdate || k == wal.KindDelete
 }
 
+// applyRow applies one side of a logged row change through the table's
+// idempotent applier: the after-image to redo it, the before-image to undo it
+// (an effect that never reached disk then leaves the state unchanged).
+func (db *DB) applyRow(rec wal.Record, undo bool) error {
+	tbl, err := db.eng.Table(rec.Table)
+	if err != nil {
+		return err
+	}
+	c, err := storage.DecodeChange(rec.Kind, rec.Payload)
+	if err != nil {
+		return err
+	}
+	if undo {
+		return tbl.Apply(c.RowID, c.Before)
+	}
+	return tbl.Apply(c.RowID, c.After)
+}
+
 // undoRecord reverts the effect of one row record from the before-image its
-// payload carries. It is idempotent and tolerant: a missing table (created
-// by the same doomed transaction) or an effect that never reached disk
-// leaves state unchanged. Non-row records are no-ops here.
+// payload carries, tolerating a missing table (created by the same doomed
+// transaction). Non-row records are no-ops here.
 func (db *DB) undoRecord(rec wal.Record) error {
 	if !isRowKind(rec.Kind) {
 		return nil
 	}
-	tbl, err := db.eng.Table(rec.Table)
+	err := db.applyRow(rec, true)
 	if errors.Is(err, catalog.ErrTableNotFound) {
 		return nil
 	}
-	if err != nil {
-		return err
-	}
-	switch rec.Kind {
-	case wal.KindInsert:
-		rowID, _, err := storage.DecodeStoredRow(rec.Payload)
-		if err != nil {
-			return err
-		}
-		return tbl.RecoverDelete(rowID)
-	case wal.KindUpdate:
-		rowID, oldRow, _, err := storage.DecodeUpdatePayload(rec.Payload)
-		if err != nil {
-			return err
-		}
-		return tbl.RecoverUpdate(rowID, oldRow)
-	case wal.KindDelete:
-		rowID, oldRow, err := storage.DecodeStoredRow(rec.Payload)
-		if err != nil {
-			return err
-		}
-		return tbl.RecoverInsert(rowID, oldRow)
-	}
-	return nil
+	return err
 }
 
 // applyRecord redoes one logical WAL record.
@@ -523,36 +517,8 @@ func (db *DB) applyRecord(rec wal.Record) error {
 			return err
 		}
 		return tbl.CreateIndex(string(rec.Payload))
-	case wal.KindInsert:
-		tbl, err := db.eng.Table(rec.Table)
-		if err != nil {
-			return err
-		}
-		rowID, row, err := storage.DecodeStoredRow(rec.Payload)
-		if err != nil {
-			return err
-		}
-		return tbl.RecoverInsert(rowID, row)
-	case wal.KindUpdate:
-		tbl, err := db.eng.Table(rec.Table)
-		if err != nil {
-			return err
-		}
-		rowID, _, newRow, err := storage.DecodeUpdatePayload(rec.Payload)
-		if err != nil {
-			return err
-		}
-		return tbl.RecoverUpdate(rowID, newRow)
-	case wal.KindDelete:
-		tbl, err := db.eng.Table(rec.Table)
-		if err != nil {
-			return err
-		}
-		rowID, _, err := storage.DecodeStoredRow(rec.Payload)
-		if err != nil {
-			return err
-		}
-		return tbl.RecoverDelete(rowID)
+	case wal.KindInsert, wal.KindUpdate, wal.KindDelete:
+		return db.applyRow(rec, false)
 	case wal.KindAnnotation:
 		a, err := annotation.DecodeAnnotationPayload(rec.Payload)
 		if err != nil {

@@ -58,8 +58,8 @@ func NewManager(eng *storage.Engine) *Manager {
 func (m *Manager) SetLogger(l Logger) { m.logger = l }
 
 // SetUndo installs (or, with nil, clears) the open transaction's undo log;
-// bitmap transitions then push their inverse. Only touched under the
-// engine-wide exclusive statement lock.
+// bitmap transitions then push their inverse. Only touched by the write
+// frame holding the storage.ScopeWAL latch.
 func (m *Manager) SetUndo(u *undo.Log) { m.undo = u }
 
 // markRecord is the WAL payload of one outdated-bitmap transition.
@@ -104,7 +104,7 @@ func (m *Manager) setMark(table string, rowID int64, col int, set bool) error {
 	// setMark only runs on a real transition, so the before-image is the
 	// opposite bit.
 	if m.undo != nil {
-		m.undo.Push(func() error { m.RecoverMark(table, rowID, col, !set); return nil })
+		m.undo.Push(undo.Func(func() error { m.RecoverMark(table, rowID, col, !set); return nil }))
 	}
 	return nil
 }

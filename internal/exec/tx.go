@@ -12,14 +12,18 @@ package exec
 // state (see internal/storage/mvcc.go), so a transaction's writes are
 // invisible to them until COMMIT by construction. Atomicity is two-layered:
 //
-//   - In memory, every applied mutation pushes a compensating closure onto
-//     the transaction's undo log (internal/undo); ROLLBACK — explicit, via
-//     a canceled context, or the implicit statement-level rollback when a
-//     statement fails mid-transaction — runs the closures in reverse.
+//   - In memory, every applied mutation records itself on the transaction's
+//     undo log (internal/undo) — a row change as the storage engine's change
+//     entry (the before-image snapshots also read), everything else as a
+//     compensating closure; ROLLBACK — explicit, via a canceled context, or
+//     the implicit statement-level rollback when a statement fails
+//     mid-transaction — reverts the log newest first, each row change by
+//     applying its before-image through storage.Table.Apply.
 //   - In the WAL, the transaction's records are framed by TxBegin/TxCommit
 //     (TxAbort on rollback); recovery redoes only committed frames and
-//     undoes, from the before-images the records carry, any effect of an
-//     uncommitted frame that reached disk through a buffer eviction.
+//     undoes, by applying the before-images the records carry through the
+//     same Table.Apply, any effect of an uncommitted frame that reached disk
+//     through a buffer eviction.
 //
 // Auto-commit statements run inside an implicit transaction built from the
 // same two pieces (see execAutoCommit in cursor.go), so a mid-statement
@@ -246,10 +250,7 @@ func (tx *Tx) Commit() error {
 	armed := tx.mark != nil
 	if err := log.CommitTx(); err != nil {
 		cerr := fmt.Errorf("exec: commit: %w", err)
-		if rbErr := tx.rollbackLocked(cerr); rbErr != nil && !errors.Is(rbErr, ErrTxDone) {
-			return errors.Join(cerr, rbErr)
-		}
-		return cerr
+		return errors.Join(cerr, tx.rollbackLocked(cerr))
 	}
 	tx.u.Reset()
 	var lsn uint64
@@ -380,10 +381,7 @@ func (tx *Tx) RollbackTo(name string) error {
 	}
 	if _, err := tx.sess.Eng.WAL().Append(wal.KindTxRollbackTo, "", []byte(key)); err != nil {
 		aerr := fmt.Errorf("exec: rollback to savepoint %s failed to log, transaction rolled back: %w", name, err)
-		if rbErr := tx.rollbackLocked(aerr); rbErr != nil {
-			return errors.Join(aerr, rbErr)
-		}
-		return aerr
+		return errors.Join(aerr, tx.rollbackLocked(aerr))
 	}
 	err := tx.u.RollbackTo(tx.saves[idx].mark)
 	tx.saves = tx.saves[:idx+1]
@@ -597,32 +595,27 @@ func (s *Session) execAutoCommit(ctx context.Context, stmt sqlparse.Statement, p
 	}
 	mark := s.Eng.BeginWrite()
 	res, err := s.execStmt(ctx, stmt, params)
+	if err == nil {
+		if err = log.CommitTx(); err != nil {
+			err = fmt.Errorf("exec: commit statement: %w", err)
+		}
+	}
 	if err != nil {
 		if rbErr := u.Rollback(); rbErr != nil {
 			err = errors.Join(err, fmt.Errorf("exec: statement rollback: %w", rbErr))
 		}
+		// Close the frame as aborted — after a failed commit too, so a
+		// transient append failure does not wedge every later statement on
+		// "frame already open"; if even the abort marker is lost, recovery
+		// treats the next frame's TxBegin as an implicit abort of this one.
 		_ = log.AbortTx()
-		s.Eng.EndWrite(mark)
-		s.installUndo(nil)
-		return nil, err
-	}
-	if cerr := log.CommitTx(); cerr != nil {
-		cerr = fmt.Errorf("exec: commit statement: %w", cerr)
-		if rbErr := u.Rollback(); rbErr != nil {
-			cerr = errors.Join(cerr, fmt.Errorf("exec: statement rollback: %w", rbErr))
-		}
-		// Close the frame as aborted so a transient append failure does not
-		// wedge every later statement on "frame already open"; if even the
-		// abort marker is lost, recovery treats the next frame's TxBegin as
-		// an implicit abort of this one.
-		_ = log.AbortTx()
-		s.Eng.EndWrite(mark)
-		s.installUndo(nil)
-		return nil, cerr
 	}
 	lsn := log.LastLSN()
 	s.Eng.EndWrite(mark)
 	s.installUndo(nil)
+	if err != nil {
+		return nil, err
+	}
 	// Release the latches before waiting on durability: the fsync is shared
 	// (group commit), and holding latches across it would serialize commits
 	// on the disk instead of on data conflicts.

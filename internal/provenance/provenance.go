@@ -139,8 +139,8 @@ func (m *Manager) SetClock(clock func() time.Time) { m.clock = clock }
 func (m *Manager) SetLogger(l annotation.Logger) { m.logger = l }
 
 // SetUndo installs (or, with nil, clears) the open transaction's undo log;
-// agent (de)registrations then push their inverse. Only touched under the
-// engine-wide exclusive statement lock. Provenance attachments are
+// agent (de)registrations then push their inverse. Only touched by the write
+// frame holding the storage.ScopeWAL latch. Provenance attachments are
 // annotations and are covered by the annotation manager's hook.
 func (m *Manager) SetUndo(u *undo.Log) { m.undo = u }
 
@@ -186,7 +186,7 @@ func (m *Manager) RegisterAgent(name string) error {
 	}
 	m.agents[strings.ToLower(name)] = true
 	if m.undo != nil {
-		m.undo.Push(func() error { m.RecoverAgent(name, false); return nil })
+		m.undo.Push(undo.Func(func() error { m.RecoverAgent(name, false); return nil }))
 	}
 	return nil
 }
@@ -203,7 +203,7 @@ func (m *Manager) UnregisterAgent(name string) error {
 	}
 	delete(m.agents, strings.ToLower(name))
 	if m.undo != nil {
-		m.undo.Push(func() error { m.RecoverAgent(name, true); return nil })
+		m.undo.Push(undo.Func(func() error { m.RecoverAgent(name, true); return nil }))
 	}
 	return nil
 }

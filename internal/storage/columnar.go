@@ -8,7 +8,7 @@ package storage
 // truth. Consistency is a two-part handshake:
 //
 //   - every heap mutation bumps Table.writeSeq and drops the cached pointer
-//     (Table.noteWrite); a ColData carries the writeSeq observed under the
+//     (Table.write); a ColData carries the writeSeq observed under the
 //     table's read lock while it was built, so ColData.WriteSeq ==
 //     Table.WriteSeq() proves the cache still mirrors the current heap;
 //   - the executor additionally asks the MVCC layer whether its snapshot

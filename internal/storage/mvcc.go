@@ -3,9 +3,10 @@ package storage
 // Multi-version row visibility: the mechanism that lets SELECT cursors read a
 // stable snapshot while writers mutate tables in place.
 //
-// The heap always holds the CURRENT row images. Every mutation made inside a
-// write frame additionally appends a versionEntry — the row's before-image —
-// to its table's version list. A Snapshot captures, at creation, the global
+// The heap always holds the CURRENT row images. Every row change made inside
+// a write frame additionally appends a versionEntry — the row's before-image,
+// which is also the frame's rollback entry for the change — to its table's
+// version list. A Snapshot captures, at creation, the global
 // version sequence and the set of write frames still in flight; a version
 // entry is invisible to the snapshot exactly when it was created after the
 // snapshot (seq > snap.seq) or by a frame the snapshot saw as unfinished.
@@ -40,15 +41,20 @@ type WriteMark struct {
 	endSeq atomic.Uint64
 }
 
-// versionEntry is one row before-image, appended (under t.mu) by the
-// mutation that overwrote it.
+// versionEntry is one recorded row change: the row's before-image (nil: the
+// row did not exist — an insert). The mutation appends it (under t.mu) to the
+// table's version list and pushes the same entry onto the frame's undo log;
+// it is immutable from then on.
 type versionEntry struct {
-	seq     uint64
-	mark    *WriteMark
-	rowID   int64
-	before  value.Row // the pre-mutation row; nil when existed is false
-	existed bool      // false: the row did not exist before (an insert)
+	seq    uint64
+	mark   *WriteMark
+	table  *Table
+	rowID  int64
+	before value.Row
 }
+
+// Undo reverts the change (undo.Action): the row goes back to its before-image.
+func (v *versionEntry) Undo() error { return v.table.Apply(v.rowID, v.before) }
 
 // BeginWrite opens a write frame: registers a mark in the active set and
 // installs it as the engine's current mark so mutations tag their version
@@ -150,29 +156,31 @@ func (t *Table) pruneVersions(bound uint64, force bool) {
 		t.versionsBase += uint64(n)
 		t.versionsDead += n
 		if t.versionsDead > len(t.versions) && t.versionsDead > 256 {
-			t.versions = append([]versionEntry(nil), t.versions...)
+			t.versions = append([]*versionEntry(nil), t.versions...)
 			t.versionsDead = 0
 		}
 	}
 	t.mu.Unlock()
 }
 
-// appendVersion records the before-image of a mutated row. Called with t.mu
-// held, by the mutation itself. Outside a write frame (recovery replay, WAL
-// rollback appliers, direct storage use in tests) there is no current mark
-// and nothing is recorded — no snapshots coexist with those paths.
-func (t *Table) appendVersion(rowID int64, before value.Row, existed bool) {
-	m := t.engine.curMark.Load()
+// recordChange records a live row change made inside a write frame, once, for
+// both its readers: snapshots take the before-image from the version list,
+// the frame's undo log rolls the change back from it. Called with t.mu held,
+// by the mutation itself. Table.Apply — redo, and every undo — records
+// nothing: outside a frame (recovery, direct storage use in tests) no
+// snapshot coexists with it, and inside one the row's original before-image
+// is already on the list.
+func (t *Table) recordChange(rowID int64, before value.Row) {
+	e := t.engine
+	m := e.curMark.Load()
 	if m == nil {
 		return
 	}
-	t.versions = append(t.versions, versionEntry{
-		seq:     t.engine.verSeq.Add(1),
-		mark:    m,
-		rowID:   rowID,
-		before:  before,
-		existed: existed,
-	})
+	v := &versionEntry{seq: e.verSeq.Add(1), mark: m, table: t, rowID: rowID, before: before}
+	t.versions = append(t.versions, v)
+	if e.undo != nil {
+		e.undo.Push(v)
+	}
 }
 
 // Snapshot is a stable read view of the whole engine: rows read through it
@@ -191,19 +199,14 @@ type Snapshot struct {
 	closed   bool
 }
 
-// overlayRow is the snapshot's view of one row that has changed since the
-// snapshot was taken.
-type overlayRow struct {
-	vals    value.Row
-	existed bool
-}
-
 // tableOverlay folds the invisible suffix of one table's version list into a
-// rowID-keyed map, advanced incrementally as the list grows.
+// rowID-keyed map of the rows that changed since the snapshot was taken, as
+// the snapshot sees them (nil: the row did not exist then), advanced
+// incrementally as the list grows.
 type tableOverlay struct {
 	init     bool
 	mergedTo uint64 // absolute version index merged through (versionsBase frame)
-	rows     map[int64]overlayRow
+	rows     map[int64]value.Row
 }
 
 // NewSnapshot pins a stable read view of the current committed state.
@@ -259,7 +262,7 @@ func (s *Snapshot) invisible(e *versionEntry) bool {
 func (s *Snapshot) overlayFor(t *Table) *tableOverlay {
 	ov := s.overlays[t]
 	if ov == nil {
-		ov = &tableOverlay{rows: make(map[int64]overlayRow)}
+		ov = &tableOverlay{rows: make(map[int64]value.Row)}
 		s.overlays[t] = ov
 	}
 	return ov
@@ -275,7 +278,7 @@ func (s *Snapshot) mergeLocked(ov *tableOverlay, t *Table) {
 		// First touch: the invisible entries form a suffix (frames are
 		// serialized); scan back to where it starts.
 		i := len(t.versions)
-		for i > 0 && s.invisible(&t.versions[i-1]) {
+		for i > 0 && s.invisible(t.versions[i-1]) {
 			i--
 		}
 		start = t.versionsBase + uint64(i)
@@ -292,16 +295,12 @@ func (s *Snapshot) mergeLocked(ov *tableOverlay, t *Table) {
 		}
 	}
 	for abs := start; abs < end; abs++ {
-		e := &t.versions[abs-t.versionsBase]
+		e := t.versions[abs-t.versionsBase]
 		if !s.invisible(e) {
 			continue
 		}
 		if _, ok := ov.rows[e.rowID]; !ok {
-			var vals value.Row
-			if e.before != nil {
-				vals = e.before.Clone()
-			}
-			ov.rows[e.rowID] = overlayRow{vals: vals, existed: e.existed}
+			ov.rows[e.rowID] = e.before
 		}
 	}
 	ov.mergedTo = end
@@ -317,23 +316,17 @@ func (s *Snapshot) Get(t *Table, rowID int64) (value.Row, error) {
 	s.mergeLocked(ov, t)
 	if r, ok := ov.rows[rowID]; ok {
 		t.mu.RUnlock()
-		if !r.existed {
+		if r == nil {
 			return nil, fmt.Errorf("%w: %s row %d", ErrRowNotFound, t.schema.Name, rowID)
 		}
-		return r.vals.Clone(), nil
+		return r.Clone(), nil
 	}
 	// Unchanged since the snapshot: the current heap image is the answer.
-	rid, ok := t.rowIndex[rowID]
-	if !ok {
-		t.mu.RUnlock()
-		return nil, fmt.Errorf("%w: %s row %d", ErrRowNotFound, t.schema.Name, rowID)
-	}
-	rec, err := t.file.Get(rid)
+	row, _, err := t.stored(rowID)
 	t.mu.RUnlock()
-	if err != nil {
-		return nil, err
+	if err == nil && row == nil {
+		err = fmt.Errorf("%w: %s row %d", ErrRowNotFound, t.schema.Name, rowID)
 	}
-	_, row, err := decodeStored(rec)
 	return row, err
 }
 
@@ -353,7 +346,7 @@ func (s *Snapshot) RowIDs(t *Table) []int64 {
 	}
 	t.mu.RUnlock()
 	for id, r := range ov.rows {
-		if r.existed {
+		if r != nil {
 			ids = append(ids, id)
 		}
 	}
@@ -379,7 +372,7 @@ func (s *Snapshot) AugmentRowIDs(t *Table, ids []int64) []int64 {
 	merged := make([]int64, 0, len(ids)+len(ov.rows))
 	merged = append(merged, ids...)
 	for id, r := range ov.rows {
-		if r.existed {
+		if r != nil {
 			merged = append(merged, id)
 		}
 	}

@@ -70,10 +70,11 @@ type Engine struct {
 	// switched off during recovery, when mutations are themselves replayed
 	// from the log.
 	logging atomic.Bool
-	// undo, when non-nil, is the open write frame's undo log: every applied
-	// mutation pushes its compensating action. Write frames are serialized
-	// by the exclusive ScopeWAL latch (see lock.go), under which undo is
-	// installed and cleared, so plain field access is race-free.
+	// undo, when non-nil, is the open write frame's undo log: every row
+	// change pushes its version entry, every DDL a compensating closure.
+	// Write frames are serialized by the exclusive ScopeWAL latch (see
+	// lock.go), under which undo is installed and cleared, so plain field
+	// access is race-free.
 	undo *undo.Log
 
 	// locks hands out the per-table write latches and the quiesce lock.
@@ -99,14 +100,15 @@ func (e *Engine) Locks() *LockManager { return e.locks }
 func (e *Engine) SetLogging(enabled bool) { e.logging.Store(enabled) }
 
 // SetUndo installs (or, with nil, clears) the undo log of the open
-// transaction. While installed, every mutation — row DML, DDL, index builds
-// — pushes a compensating closure capturing its before-image, which is what
-// ROLLBACK (and the implicit rollback of a failed auto-commit statement)
-// runs. The caller must hold ScopeWAL, which serializes write frames.
+// transaction. While installed, every row change of the write frame pushes
+// its version entry and every DDL statement and index build a compensating
+// closure — what ROLLBACK (and the implicit rollback of a failed auto-commit
+// statement) runs. The caller must hold ScopeWAL, which serializes frames.
 func (e *Engine) SetUndo(u *undo.Log) { e.undo = u }
 
-// pushUndo records a compensating action when a transaction is open.
-func (e *Engine) pushUndo(fn func() error) {
+// pushUndo records a DDL statement's compensating action when a transaction
+// is open.
+func (e *Engine) pushUndo(fn undo.Func) {
 	if e.undo != nil {
 		e.undo.Push(fn)
 	}
@@ -243,7 +245,8 @@ func (e *Engine) DropTable(name string) error {
 	return nil
 }
 
-// reattach restores a dropped table object — the undo of DropTable.
+// reattach registers a table object under its schema, tolerating a catalog
+// that already knows it — the undo of DropTable and the redo of CreateTable.
 func (e *Engine) reattach(t *Table) error {
 	if err := e.cat.CreateTable(t.schema); err != nil && !errors.Is(err, catalog.ErrTableExists) {
 		return err
@@ -315,13 +318,15 @@ type Table struct {
 	// slice but snapshot overlays address entries by absolute position.
 	// versionsDead counts pruned entries still pinned by the backing array,
 	// driving the amortized compaction in pruneVersions.
-	versions     []versionEntry
+	versions     []*versionEntry
 	versionsBase uint64
 	versionsDead int
 
-	// writeSeq counts heap mutations of this table; the columnar scan cache
-	// (columnar.go) is tagged with the count at build time and discarded the
-	// moment it no longer matches. colMu serializes cache builds so two
+	// writeSeq counts heap mutations of this table (Table.write bumps it);
+	// the columnar scan cache (columnar.go) is tagged with the count at build
+	// time and discarded the moment it no longer matches — the count only
+	// ever advances, so a cache tagged with an older one can never be
+	// mistaken for current. colMu serializes cache builds so two
 	// concurrent analytic queries don't both pay the O(rows) construction.
 	writeSeq atomic.Uint64
 	colCache atomic.Pointer[ColData]
@@ -332,15 +337,6 @@ type Table struct {
 	// incrementally by the mutation paths afterwards; Stats rebuilds it
 	// exactly once the drift threshold is crossed.
 	stats *stats.Table
-}
-
-// noteWrite invalidates the columnar scan cache after any heap mutation.
-// It is called from every path that changes stored rows (insert, update,
-// delete, and their recovery/undo appliers); writeSeq only ever advances, so
-// a cache tagged with an older count can never be mistaken for current.
-func (t *Table) noteWrite() {
-	t.writeSeq.Add(1)
-	t.colCache.Store(nil)
 }
 
 // WriteSeq exposes the mutation count so the executor can verify a columnar
@@ -389,45 +385,6 @@ func decodeStored(rec []byte) (int64, value.Row, error) {
 	return full[0].Int(), full[1:], nil
 }
 
-// DecodeStoredRow decodes the self-describing row format used for heap
-// records and row-mutation WAL payloads: the RowID followed by the row
-// values. Recovery uses it to replay logged mutations.
-func DecodeStoredRow(rec []byte) (int64, value.Row, error) { return decodeStored(rec) }
-
-// EncodeUpdatePayload frames a KindUpdate WAL payload: the length-prefixed
-// after-image followed by the before-image, both in the stored-row format.
-// Redo needs the new values; transactional crash recovery needs the old ones
-// to undo an uncommitted update whose page already reached disk.
-func EncodeUpdatePayload(rowID int64, oldRow, newRow value.Row) []byte {
-	newRec := encodeStored(rowID, newRow)
-	oldRec := encodeStored(rowID, oldRow)
-	out := binary.AppendUvarint(make([]byte, 0, len(newRec)+len(oldRec)+4), uint64(len(newRec)))
-	out = append(out, newRec...)
-	out = append(out, oldRec...)
-	return out
-}
-
-// DecodeUpdatePayload parses a KindUpdate WAL payload into the RowID and the
-// before- and after-images of the row.
-func DecodeUpdatePayload(payload []byte) (rowID int64, oldRow, newRow value.Row, err error) {
-	newLen, n := binary.Uvarint(payload)
-	if n <= 0 || uint64(len(payload)-n) < newLen {
-		return 0, nil, nil, fmt.Errorf("storage: malformed update payload")
-	}
-	rowID, newRow, err = decodeStored(payload[n : n+int(newLen)])
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	oldID, oldRow, err := decodeStored(payload[n+int(newLen):])
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	if oldID != rowID {
-		return 0, nil, nil, fmt.Errorf("storage: update payload images disagree on RowID (%d vs %d)", rowID, oldID)
-	}
-	return rowID, oldRow, newRow, nil
-}
-
 func rowIDBytes(rowID int64) []byte {
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], uint64(rowID))
@@ -438,10 +395,7 @@ func rowIDFromBytes(b []byte) int64 {
 	return int64(binary.BigEndian.Uint64(b))
 }
 
-// Insert validates, coerces and stores a row, returning its RowID. The
-// logical WAL record is appended after validation but before the in-memory
-// apply (write-ahead order): a mutation is committed the moment it reaches
-// the log, and recovery redoes it if the crash hits before the heap write.
+// Insert validates, coerces and stores a row, returning its RowID.
 func (t *Table) Insert(row value.Row) (int64, error) {
 	coerced, err := t.schema.CoerceRow(row)
 	if err != nil {
@@ -449,58 +403,28 @@ func (t *Table) Insert(row value.Row) (int64, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.schema.PrimaryKey != "" {
-		pkIdx := t.schema.ColumnIndex(t.schema.PrimaryKey)
-		pkTree := t.indexes[strings.ToLower(t.schema.PrimaryKey)]
-		if pkTree != nil && !coerced[pkIdx].IsNull() {
-			key := coerced[pkIdx].EncodeKey(nil)
-			if pkTree.Contains(key) {
-				return 0, fmt.Errorf("%w: %s = %s", ErrDuplicateKey, t.schema.PrimaryKey, coerced[pkIdx])
-			}
-		}
+	if err := t.checkPrimaryKey(nil, coerced); err != nil {
+		return 0, err
 	}
 	rowID := t.nextRow
-	rec := encodeStored(rowID, coerced)
-	// Every LOGICAL failure (schema mismatch, duplicate key, oversized
-	// record) is ruled out before logging, so a WAL record never describes
-	// a statement the caller saw rejected. A PHYSICAL failure during the
-	// apply (a pager I/O error on eviction) can still follow the append;
-	// the statement then errors, but the record stands and recovery redoes
-	// it — logged means committed, exactly as if the process had crashed
-	// between the append and the apply.
-	if len(rec) > heap.MaxRecordSize {
-		return 0, fmt.Errorf("%w: %d bytes", heap.ErrRecordTooLarge, len(rec))
-	}
-	if err := t.engine.appendLog(wal.KindInsert, t.schema.Name, rec); err != nil {
-		return 0, err
-	}
-	if err := t.applyInsert(rowID, coerced); err != nil {
-		return 0, err
-	}
-	t.appendVersion(rowID, nil, false)
-	t.engine.pushUndo(func() error { return t.RecoverDelete(rowID) })
-	return rowID, nil
+	return rowID, t.mutate(Change{RowID: rowID, After: coerced}, nil, encodeStored(rowID, coerced))
 }
 
-// applyInsert stores coerced at rowID and maintains the indexes. The caller
-// must hold t.mu and have validated the row.
-func (t *Table) applyInsert(rowID int64, coerced value.Row) error {
-	rid, err := t.file.Insert(encodeStored(rowID, coerced))
-	if err != nil {
-		return err
+// checkPrimaryKey rejects a row whose primary key another row already holds.
+// old is the image being replaced (nil for an insert): keeping one's own key
+// is not a duplicate. The caller must hold t.mu.
+func (t *Table) checkPrimaryKey(old, row value.Row) error {
+	if t.schema.PrimaryKey == "" {
+		return nil
 	}
-	t.noteWrite()
-	t.stats.NoteInsert(coerced)
-	if rowID >= t.nextRow {
-		t.nextRow = rowID + 1
+	pkIdx := t.schema.ColumnIndex(t.schema.PrimaryKey)
+	pkTree := t.indexes[strings.ToLower(t.schema.PrimaryKey)]
+	pk := row[pkIdx]
+	if pkTree == nil || pk.IsNull() || (old != nil && pk.Equal(old[pkIdx])) {
+		return nil
 	}
-	t.rowIndex[rowID] = rid
-	for col, tree := range t.indexes {
-		idx := t.schema.ColumnIndex(col)
-		if idx < 0 || coerced[idx].IsNull() {
-			continue
-		}
-		tree.Insert(coerced[idx].EncodeKey(nil), rowIDBytes(rowID))
+	if pkTree.Contains(pk.EncodeKey(nil)) {
+		return fmt.Errorf("%w: %s = %s", ErrDuplicateKey, t.schema.PrimaryKey, pk)
 	}
 	return nil
 }
@@ -510,17 +434,11 @@ func (t *Table) applyInsert(rowID int64, coerced value.Row) error {
 // and the heap file itself is only safe to read while no writer holds mu.
 func (t *Table) Get(rowID int64) (value.Row, error) {
 	t.mu.RLock()
-	rid, ok := t.rowIndex[rowID]
-	if !ok {
-		t.mu.RUnlock()
-		return nil, fmt.Errorf("%w: %s row %d", ErrRowNotFound, t.schema.Name, rowID)
-	}
-	rec, err := t.file.Get(rid)
+	row, _, err := t.stored(rowID)
 	t.mu.RUnlock()
-	if err != nil {
-		return nil, err
+	if err == nil && row == nil {
+		err = fmt.Errorf("%w: %s row %d", ErrRowNotFound, t.schema.Name, rowID)
 	}
-	_, row, err := decodeStored(rec)
 	return row, err
 }
 
@@ -545,62 +463,17 @@ func (t *Table) Update(rowID int64, row value.Row) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rid, ok := t.rowIndex[rowID]
-	if !ok {
+	old, oldRec, err := t.stored(rowID)
+	if err != nil {
+		return err
+	}
+	if old == nil {
 		return fmt.Errorf("%w: %s row %d", ErrRowNotFound, t.schema.Name, rowID)
 	}
-	rec, err := t.file.Get(rid)
-	if err != nil {
+	if err := t.checkPrimaryKey(old, coerced); err != nil {
 		return err
 	}
-	_, old, err := decodeStored(rec)
-	if err != nil {
-		return err
-	}
-	if t.schema.PrimaryKey != "" {
-		pkIdx := t.schema.ColumnIndex(t.schema.PrimaryKey)
-		pkTree := t.indexes[strings.ToLower(t.schema.PrimaryKey)]
-		if pkTree != nil && !coerced[pkIdx].IsNull() && !coerced[pkIdx].Equal(old[pkIdx]) {
-			key := coerced[pkIdx].EncodeKey(nil)
-			if pkTree.Contains(key) {
-				return fmt.Errorf("%w: %s = %s", ErrDuplicateKey, t.schema.PrimaryKey, coerced[pkIdx])
-			}
-		}
-	}
-	newRec := encodeStored(rowID, coerced)
-	if len(newRec) > heap.MaxRecordSize {
-		return fmt.Errorf("%w: %d bytes", heap.ErrRecordTooLarge, len(newRec))
-	}
-	// The WAL payload carries the after-image AND the before-image: redo
-	// replays the new values, and crash recovery rolls an uncommitted
-	// update back from the old ones even when the dirtied page was flushed
-	// by a buffer eviction before the crash.
-	if err := t.engine.appendLog(wal.KindUpdate, t.schema.Name, EncodeUpdatePayload(rowID, old, coerced)); err != nil {
-		return err
-	}
-	newRID, err := t.file.Update(rid, newRec)
-	if err != nil {
-		return err
-	}
-	t.noteWrite()
-	t.stats.NoteUpdate(old, coerced)
-	t.rowIndex[rowID] = newRID
-	for col, tree := range t.indexes {
-		idx := t.schema.ColumnIndex(col)
-		if idx < 0 {
-			continue
-		}
-		if !old[idx].IsNull() {
-			_ = tree.Delete(old[idx].EncodeKey(nil), rowIDBytes(rowID))
-		}
-		if !coerced[idx].IsNull() {
-			tree.Insert(coerced[idx].EncodeKey(nil), rowIDBytes(rowID))
-		}
-	}
-	before := old.Clone()
-	t.appendVersion(rowID, old.Clone(), true)
-	t.engine.pushUndo(func() error { return t.RecoverUpdate(rowID, before) })
-	return nil
+	return t.mutate(Change{RowID: rowID, Before: old, After: coerced}, oldRec, encodeStored(rowID, coerced))
 }
 
 // UpdateColumn updates a single cell, leaving the rest of the row unchanged.
@@ -613,47 +486,22 @@ func (t *Table) UpdateColumn(rowID int64, column string, v value.Value) error {
 	if err != nil {
 		return err
 	}
-	updated := row.Clone()
-	updated[idx] = v
-	return t.Update(rowID, updated)
+	row[idx] = v // Get returned a private copy
+	return t.Update(rowID, row)
 }
 
 // Delete removes the row with the given RowID.
 func (t *Table) Delete(rowID int64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rid, ok := t.rowIndex[rowID]
-	if !ok {
+	old, oldRec, err := t.stored(rowID)
+	if err != nil {
+		return err
+	}
+	if old == nil {
 		return fmt.Errorf("%w: %s row %d", ErrRowNotFound, t.schema.Name, rowID)
 	}
-	rec, err := t.file.Get(rid)
-	if err != nil {
-		return err
-	}
-	_, old, err := decodeStored(rec)
-	if err != nil {
-		return err
-	}
-	if err := t.engine.appendLog(wal.KindDelete, t.schema.Name, encodeStored(rowID, old)); err != nil {
-		return err
-	}
-	if err := t.file.Delete(rid); err != nil {
-		return err
-	}
-	t.noteWrite()
-	t.stats.NoteDelete(old)
-	delete(t.rowIndex, rowID)
-	for col, tree := range t.indexes {
-		idx := t.schema.ColumnIndex(col)
-		if idx < 0 || old[idx].IsNull() {
-			continue
-		}
-		_ = tree.Delete(old[idx].EncodeKey(nil), rowIDBytes(rowID))
-	}
-	before := old.Clone()
-	t.appendVersion(rowID, old.Clone(), true)
-	t.engine.pushUndo(func() error { return t.RecoverInsert(rowID, before) })
-	return nil
+	return t.mutate(Change{RowID: rowID, Before: old}, oldRec, nil)
 }
 
 // Scan calls fn for every live row in RowID order. Iteration stops early when
@@ -943,9 +791,10 @@ func (t *Table) FreshenStats() {
 // checkpoint records, per table, the heap page list, the next RowID and the
 // indexed columns (HeapPages/NextRowID/IndexColumns); reopening a database
 // reattaches each table to its pages (AttachTable) and then replays the WAL
-// tail through the Recover* appliers, which are idempotent: heap pages may
-// have been flushed after the checkpoint (buffer evictions happen at any
-// time), so a replayed record may find its effect already on disk.
+// tail — row records through Table.Apply, DDL through the Recover* appliers
+// below — all idempotent: heap pages may have been flushed after the
+// checkpoint (buffer evictions happen at any time), so a replayed record may
+// find its effect already on disk.
 
 // HeapPages returns the page IDs backing the table's heap file, in order.
 func (t *Table) HeapPages() []pager.PageID {
@@ -1074,21 +923,10 @@ func (e *Engine) AttachTable(schema *catalog.Schema, pages []pager.PageID, nextR
 	if err != nil {
 		return nil, fmt.Errorf("storage: attach %s: %w", schema.Name, err)
 	}
-	t := &Table{
-		engine:   e,
-		schema:   schema,
-		file:     file,
-		rowIndex: make(map[int64]heap.RID),
-		indexes:  make(map[string]*btree.Tree),
-		nextRow:  nextRow,
-	}
-	cols := append([]string(nil), indexCols...)
-	if schema.PrimaryKey != "" {
-		cols = append(cols, schema.PrimaryKey)
-	}
-	for _, col := range cols {
-		key := strings.ToLower(col)
-		if _, ok := t.indexes[key]; !ok {
+	t := e.newTable(schema) // with the primary-key index
+	t.file, t.nextRow = file, nextRow
+	for _, col := range indexCols {
+		if key := strings.ToLower(col); t.indexes[key] == nil {
 			t.indexes[key] = btree.New(btree.DefaultOrder)
 		}
 	}
@@ -1102,13 +940,7 @@ func (e *Engine) AttachTable(schema *catalog.Schema, pages []pager.PageID, nextR
 		if rowID >= t.nextRow {
 			t.nextRow = rowID + 1
 		}
-		for col, tree := range t.indexes {
-			idx := schema.ColumnIndex(col)
-			if idx < 0 || idx >= len(row) || row[idx].IsNull() {
-				continue
-			}
-			tree.Insert(row[idx].EncodeKey(nil), rowIDBytes(rowID))
-		}
+		t.reindex(rowID, nil, row)
 		return true
 	})
 	if scanErr != nil {
@@ -1134,14 +966,10 @@ func (e *Engine) RecoverCreateTable(schema *catalog.Schema) (*Table, error) {
 	if ok {
 		return existing, nil
 	}
-	if err := e.cat.CreateTable(schema); err != nil && !errors.Is(err, catalog.ErrTableExists) {
+	t := e.newTable(schema)
+	if err := e.reattach(t); err != nil {
 		return nil, err
 	}
-	t := e.newTable(schema)
-	e.mu.Lock()
-	e.tables[strings.ToLower(schema.Name)] = t
-	e.mu.Unlock()
-	e.version.Add(1)
 	return t, nil
 }
 
@@ -1155,103 +983,6 @@ func (e *Engine) RecoverDropTable(name string) error {
 	delete(e.tables, strings.ToLower(name))
 	e.mu.Unlock()
 	e.version.Add(1)
-	return nil
-}
-
-// RecoverInsert replays a logged insertion at its original RowID. When the
-// row is already present — its page was flushed after the record was logged
-// — the stored values are overwritten with the logged ones instead.
-func (t *Table) RecoverInsert(rowID int64, row value.Row) error {
-	coerced, err := t.schema.CoerceRow(row)
-	if err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.rowIndex[rowID]; ok {
-		return t.applyUpdate(rowID, coerced)
-	}
-	return t.applyInsert(rowID, coerced)
-}
-
-// RecoverUpdate replays a logged update, inserting the row when the original
-// version never reached the heap.
-func (t *Table) RecoverUpdate(rowID int64, row value.Row) error {
-	coerced, err := t.schema.CoerceRow(row)
-	if err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.rowIndex[rowID]; !ok {
-		return t.applyInsert(rowID, coerced)
-	}
-	return t.applyUpdate(rowID, coerced)
-}
-
-// applyUpdate rewrites the stored row at rowID with coerced and fixes up the
-// indexes. The caller must hold t.mu; the row must exist.
-func (t *Table) applyUpdate(rowID int64, coerced value.Row) error {
-	rid := t.rowIndex[rowID]
-	rec, err := t.file.Get(rid)
-	if err != nil {
-		return err
-	}
-	_, old, err := decodeStored(rec)
-	if err != nil {
-		return err
-	}
-	newRID, err := t.file.Update(rid, encodeStored(rowID, coerced))
-	if err != nil {
-		return err
-	}
-	t.noteWrite()
-	t.stats.NoteUpdate(old, coerced)
-	t.rowIndex[rowID] = newRID
-	for col, tree := range t.indexes {
-		idx := t.schema.ColumnIndex(col)
-		if idx < 0 {
-			continue
-		}
-		if idx < len(old) && !old[idx].IsNull() {
-			_ = tree.Delete(old[idx].EncodeKey(nil), rowIDBytes(rowID))
-		}
-		if !coerced[idx].IsNull() {
-			tree.Insert(coerced[idx].EncodeKey(nil), rowIDBytes(rowID))
-		}
-	}
-	return nil
-}
-
-// RecoverDelete replays a logged deletion, tolerating an already-absent row.
-func (t *Table) RecoverDelete(rowID int64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	rid, ok := t.rowIndex[rowID]
-	if !ok {
-		return nil
-	}
-	rec, err := t.file.Get(rid)
-	if err != nil {
-		return err
-	}
-	_, old, err := decodeStored(rec)
-	if err != nil {
-		return err
-	}
-	if err := t.file.Delete(rid); err != nil {
-		return err
-	}
-	t.noteWrite()
-	t.stats.NoteDelete(old)
-	delete(t.rowIndex, rowID)
-	for col, tree := range t.indexes {
-		idx := t.schema.ColumnIndex(col)
-		if idx < 0 || idx >= len(old) || old[idx].IsNull() {
-			continue
-		}
-		_ = tree.Delete(old[idx].EncodeKey(nil), rowIDBytes(rowID))
-	}
 	return nil
 }
 

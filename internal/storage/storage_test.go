@@ -376,31 +376,6 @@ func TestIndexRangeBounds(t *testing.T) {
 	}
 }
 
-func TestUpdatePayloadRoundTrip(t *testing.T) {
-	oldRow := value.Row{value.NewText("a"), value.NewInt(1)}
-	newRow := value.Row{value.NewText("b"), value.NewInt(2)}
-	payload := EncodeUpdatePayload(7, oldRow, newRow)
-	rowID, gotOld, gotNew, err := DecodeUpdatePayload(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rowID != 7 {
-		t.Errorf("rowID = %d", rowID)
-	}
-	if !gotOld[0].Equal(oldRow[0]) || !gotOld[1].Equal(oldRow[1]) {
-		t.Errorf("before-image %v, want %v", gotOld, oldRow)
-	}
-	if !gotNew[0].Equal(newRow[0]) || !gotNew[1].Equal(newRow[1]) {
-		t.Errorf("after-image %v, want %v", gotNew, newRow)
-	}
-	// Truncated or garbage payloads must error, not panic.
-	for _, bad := range [][]byte{nil, {0x80}, payload[:3], payload[:len(payload)-2]} {
-		if _, _, _, err := DecodeUpdatePayload(bad); err == nil {
-			t.Errorf("DecodeUpdatePayload(%v) succeeded on malformed input", bad)
-		}
-	}
-}
-
 func TestEngineUndoHooksRevertMutations(t *testing.T) {
 	eng := NewMemoryEngine()
 	u := undo.New()
@@ -427,10 +402,80 @@ func TestEngineUndoHooksRevertMutations(t *testing.T) {
 	}
 	// With the hook cleared, mutations stop pushing undo actions.
 	eng.SetUndo(nil)
-	if _, err := eng.CreateTable(geneSchema("Gene2")); err != nil {
+	tbl, err = eng.CreateTable(geneSchema("Gene2"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if u.Len() != 0 {
 		t.Errorf("cleared undo hook still recorded %d actions", u.Len())
+	}
+
+	// A write frame's recorded row changes revert it: the entries the frame
+	// put on the undo log are the version entries a snapshot reads, and
+	// rolling them back restores the rows, the indexes and the statistics.
+	keep, err := tbl.Insert(geneRow("JW1", "x", "AC"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, err := tbl.Insert(geneRow("JW2", "z", "TT"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.CreateIndex("GName"); err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Stats() == nil {
+		t.Fatal("no statistics")
+	}
+	before := dumpScan(t, tbl)
+	snap := eng.NewSnapshot()
+	defer snap.Close()
+
+	eng.SetUndo(u)
+	mark := eng.BeginWrite()
+	added, err := tbl.Insert(geneRow("JW3", "w", "GG"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Update(added, geneRow("JW3", "v", "GGG")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Update(keep, geneRow("JW1", "y", "GT")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Delete(gone); err != nil {
+		t.Fatal(err)
+	}
+	if u.Len() != 4 || len(tbl.versions) != 4 {
+		t.Fatalf("frame recorded %d undo entries and %d version entries, want 4 and 4", u.Len(), len(tbl.versions))
+	}
+	if err := u.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.versions) != 4 {
+		t.Errorf("rolling back recorded %d further version entries", len(tbl.versions)-4)
+	}
+	eng.SetUndo(nil)
+	eng.EndWrite(mark)
+	if got := dumpScan(t, tbl); got != before {
+		t.Errorf("after rollback:\n%s\nwant:\n%s", got, before)
+	}
+	if problems := tbl.CheckIntegrity(); len(problems) != 0 {
+		t.Errorf("integrity after rollback: %v", problems)
+	}
+	if ids, err := tbl.IndexLookup("GName", value.NewText("x")); err != nil || len(ids) != 1 || ids[0] != keep {
+		t.Errorf("index lookup of the restored name = %v (%v), want [%d]", ids, err, keep)
+	}
+	if cur := tbl.CurrentStats(); cur == nil || cur.Rows != 2 {
+		t.Errorf("statistics after rollback: %+v, want 2 rows", cur)
+	}
+	// The snapshot opened before the frame saw the same two rows throughout.
+	for _, id := range []int64{keep, gone} {
+		if _, err := snap.Get(tbl, id); err != nil {
+			t.Errorf("snapshot lost row %d: %v", id, err)
+		}
+	}
+	if _, err := snap.Get(tbl, added); !errors.Is(err, ErrRowNotFound) {
+		t.Errorf("snapshot sees the rolled-back insert: %v", err)
 	}
 }

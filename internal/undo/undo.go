@@ -1,39 +1,49 @@
 // Package undo implements the in-memory undo log behind bdbms transactions.
 //
-// Every mutating subsystem — the storage engine (heap rows, indexes, DDL),
-// the annotation manager (annotation cells, archive flags, annotation
-// tables), the dependency manager (outdated marks), the provenance manager
-// (agent registry) and the authorization manager (the approval op log) —
-// exposes a SetUndo hook. While a transaction (explicit BEGIN..COMMIT or the
-// implicit transaction wrapped around every auto-commit statement) is open,
-// each applied mutation pushes a compensating closure capturing its
-// before-image. ROLLBACK runs the stack in reverse; ROLLBACK TO SAVEPOINT
-// runs and discards only the entries pushed after the savepoint's mark.
+// While a transaction (explicit BEGIN..COMMIT or the implicit transaction
+// wrapped around every auto-commit statement) is open, every applied mutation
+// pushes an Action that reverts it, in one sequence across subsystems. A row
+// change pushes the storage engine's version entry — the before-image MVCC
+// snapshots read is the rollback record too. Mutations of memory-resident
+// state — DDL, the annotation manager (annotation cells, archive flags,
+// annotation tables), the dependency manager (outdated marks), the provenance
+// manager (agent registry) and the authorization manager (the approval op
+// log) — push a compensating closure (Func) through their SetUndo hook.
+// ROLLBACK runs the log in reverse; ROLLBACK TO SAVEPOINT runs and discards
+// only the entries pushed after the savepoint's mark.
 //
 // The log is purely in-memory: it reverts the live state of the process.
 // Crash atomicity is the write-ahead log's job — recovery undoes uncommitted
 // transactions from the before-images carried in the WAL records themselves
-// (see internal/core). Execution is serialized by the engine-wide statement
-// lock, so a Log is only ever touched by one statement at a time and needs
-// no locking of its own.
+// (see internal/core). A Log belongs to one write frame, and the
+// storage.ScopeWAL latch serializes write frames, so a Log is only ever
+// touched by one statement at a time and needs no locking of its own.
 package undo
 
 import "errors"
 
-// Log is the undo stack of one open transaction. The zero value is ready to
+// Action reverts one applied mutation. Undo must revert state directly
+// (through the idempotent appliers), never through the logging mutators:
+// running the undo log must not grow the WAL or the undo log itself.
+type Action interface{ Undo() error }
+
+// Func is a compensating closure as an Action.
+type Func func() error
+
+// Undo runs the closure.
+func (f Func) Undo() error { return f() }
+
+// Log is the undo log of one open transaction. The zero value is ready to
 // use.
 type Log struct {
-	entries []func() error
+	entries []Action
 }
 
 // New returns an empty undo log.
 func New() *Log { return &Log{} }
 
-// Push records the compensating action of one applied mutation. Actions must
-// revert state directly (through the Recover* appliers), never through the
-// logging mutators: running the undo log must not grow the WAL or the undo
-// log itself.
-func (l *Log) Push(fn func() error) { l.entries = append(l.entries, fn) }
+// Push records the action reverting one applied mutation.
+func (l *Log) Push(a Action) { l.entries = append(l.entries, a) }
 
 // Len returns the number of recorded actions. A savepoint is just a
 // remembered Len.
@@ -52,7 +62,7 @@ func (l *Log) RollbackTo(mark int) error {
 	}
 	var errs []error
 	for i := len(l.entries) - 1; i >= mark; i-- {
-		if err := l.entries[i](); err != nil {
+		if err := l.entries[i].Undo(); err != nil {
 			errs = append(errs, err)
 		}
 	}

@@ -10,7 +10,7 @@ func TestRollbackRunsNewestFirstAndEmpties(t *testing.T) {
 	var order []int
 	for i := 1; i <= 3; i++ {
 		i := i
-		l.Push(func() error { order = append(order, i); return nil })
+		l.Push(Func(func() error { order = append(order, i); return nil }))
 	}
 	if l.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", l.Len())
@@ -33,7 +33,7 @@ func TestRollbackRunsNewestFirstAndEmpties(t *testing.T) {
 func TestRollbackToMarkKeepsEarlierEntries(t *testing.T) {
 	var l Log // the zero value works
 	var order []int
-	push := func(i int) { l.Push(func() error { order = append(order, i); return nil }) }
+	push := func(i int) { l.Push(Func(func() error { order = append(order, i); return nil })) }
 	push(1)
 	mark := l.Len()
 	push(2)
@@ -60,9 +60,9 @@ func TestRollbackJoinsErrorsButRunsEverything(t *testing.T) {
 	l := New()
 	e1, e2 := errors.New("first"), errors.New("second")
 	ran := 0
-	l.Push(func() error { ran++; return e1 })
-	l.Push(func() error { ran++; return nil })
-	l.Push(func() error { ran++; return e2 })
+	l.Push(Func(func() error { ran++; return e1 }))
+	l.Push(Func(func() error { ran++; return nil }))
+	l.Push(Func(func() error { ran++; return e2 }))
 	err := l.Rollback()
 	if ran != 3 {
 		t.Fatalf("%d actions ran, want all 3 despite errors", ran)
@@ -75,7 +75,7 @@ func TestRollbackJoinsErrorsButRunsEverything(t *testing.T) {
 func TestResetDiscardsWithoutRunning(t *testing.T) {
 	l := New()
 	ran := false
-	l.Push(func() error { ran = true; return nil })
+	l.Push(Func(func() error { ran = true; return nil }))
 	l.Reset()
 	if l.Len() != 0 {
 		t.Fatalf("Len after Reset = %d", l.Len())
