@@ -12,7 +12,7 @@ package exec
 // adapts batches back to execRow (values + origins, exactly what scanIter
 // emits), so joins, sorts, set ops, spill and annotation decoration are
 // untouched. Grouped aggregation additionally consumes batches directly when
-// no decoration work intervenes (group.go).
+// no ANNOTATION clause or AWHERE intervenes (group.go).
 //
 // The planner falls back to the row scan transparently whenever batching
 // does not apply — see tryBatchScan for the exact rules.
@@ -30,6 +30,11 @@ import (
 // fuzzer asserts it moved, so the batched path cannot silently stop being
 // exercised.
 var batchScans atomic.Int64
+
+// batchMarkedAggs counts aggregations that consumed batches of a table with
+// outdated marks; the fuzzer asserts it moved too, so that combination stays
+// compared against the row path.
+var batchMarkedAggs atomic.Int64
 
 // bvec is the executor's view of one chunk column: the storage vector with
 // dictionary codes and validity expanded into flat byte vectors.
@@ -144,7 +149,9 @@ func (it *batchScanIter) nextBatch() (*batch, bool, error) {
 		}
 		chunk := it.cd.Chunks[it.ci]
 		it.ci++
-		if it.never {
+		if it.never || chunk.Rows() == 0 {
+			// An empty chunk has no selection to narrow (otherSel addresses
+			// the buffer's first element).
 			continue
 		}
 		it.loadChunk(chunk)

@@ -346,12 +346,18 @@ func (s *Session) buildSelectIter(ctx context.Context, sel *sqlparse.SelectStmt,
 			return nil, nil, closers, err
 		}
 		// Vectorized aggregation: when the input is the batch scan adapter and
-		// nothing between scan and aggregation does per-row work (no
-		// annotation decoration, no AWHERE), consume column vectors directly.
-		if d, ok := it.(*decorateIter); ok && !d.dec.anyWork && d.awhere == nil {
+		// nothing between scan and aggregation needs the row boxed (no
+		// ANNOTATION clause, no AWHERE), consume column vectors directly.
+		// Outdated marks do not need it: the aggregation attaches them itself,
+		// to the marked rows only.
+		if d, ok := it.(*decorateIter); ok && !d.dec.wantAnns && d.awhere == nil {
 			if b, ok := d.in.(*batchRowsIter); ok {
 				g.batches = b.src
 				g.annWidth = d.dec.totalCols
+				// A batch scan is the plan's only source.
+				if as := &d.dec.plans[0]; as.bm != nil {
+					g.marks = as
+				}
 			}
 		}
 		it = g

@@ -2,12 +2,15 @@ package exec
 
 // Property-based SQL equivalence fuzzing: a seeded generator produces random
 // schemas, data and SELECTs (filters, joins, GROUP BY, ORDER BY, set
-// operations, ANNOTATION/AWHERE/FILTER clauses) and asserts that the three
-// execution paths — the planned iterator pipeline, the prepared-statement
-// path with `?` parameters, and the NoOptimize naive reference — return
-// identical rows AND identical propagated annotations. Seeds are fixed, so
-// the suite is deterministic in CI; a failure prints the full reproducing
-// A-SQL script.
+// operations, ANNOTATION/AWHERE/FILTER clauses) and asserts that the
+// execution paths — the planned iterator pipeline with and without
+// vectorization, the prepared-statement path with `?` parameters, and the
+// NoOptimize naive reference — return identical rows AND identical propagated
+// annotations. Generated INSERT/UPDATE/DELETE statements and rolled-back
+// transactions run between the queries, under dependency rules that leave
+// outdated marks, so the vectorized path is compared while it reads a patched
+// columnar mirror of a marked table. Seeds are fixed, so the suite is
+// deterministic in CI; a failure prints the full reproducing A-SQL script.
 
 import (
 	"fmt"
@@ -15,6 +18,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"bdbms/internal/dependency"
+	"bdbms/internal/storage"
 )
 
 // fuzzColumn describes one generated column.
@@ -31,6 +37,7 @@ type fuzzTable struct {
 	indexed []string
 	annTabs []string
 	rows    int
+	nextPK  int // next unused primary-key value (and INSERT counter)
 }
 
 func (ft *fuzzTable) colsOfType(typ string) []string {
@@ -43,10 +50,51 @@ func (ft *fuzzTable) colsOfType(typ string) []string {
 	return out
 }
 
-// fuzzCase is one generated database plus its workload.
+// fuzzCase is one generated database plus its workload. setup grows as the
+// workload runs: every DML statement executed between queries is appended, so
+// it always reproduces the database a failing query ran against.
 type fuzzCase struct {
 	setup  []string
 	tables []*fuzzTable
+}
+
+// fuzzRules are the dependency rules every fuzz database runs under (they
+// have no A-SQL spelling, so reproScript names them in a comment): an UPDATE
+// of the source column leaves an outdated mark on the target cell of the row.
+var fuzzRules = []struct{ table, source, target string }{
+	{"T1", "B", "D"},
+	{"T2", "R", "S"},
+}
+
+// genValue draws one literal for column c of ft; i is the row's ordinal, which
+// a primary-key column takes as its value.
+func genValue(r *rand.Rand, ft *fuzzTable, c fuzzColumn, i int) string {
+	if c.name == ft.pk {
+		return fmt.Sprint(i + 1)
+	}
+	if r.Intn(10) == 0 {
+		return "NULL"
+	}
+	switch c.typ {
+	case "INT":
+		return fmt.Sprint(r.Intn(10))
+	case "FLOAT":
+		return pick(r, []string{"-2.5", "0.0", "1.25", "3.5", "7.75"})
+	case "TEXT":
+		return "'" + pick(r, fuzzTexts) + "'"
+	default:
+		return pick(r, []string{"TRUE", "FALSE"})
+	}
+}
+
+// genInsert renders an INSERT of one fresh row into ft.
+func genInsert(r *rand.Rand, ft *fuzzTable) string {
+	vals := make([]string, len(ft.cols))
+	for j, c := range ft.cols {
+		vals[j] = genValue(r, ft, c, ft.nextPK)
+	}
+	ft.nextPK++
+	return fmt.Sprintf("INSERT INTO %s VALUES (%s)", ft.name, strings.Join(vals, ", "))
 }
 
 var fuzzTexts = []string{"alpha", "beta", "gamma", "delta", "omega"}
@@ -54,7 +102,9 @@ var fuzzTexts = []string{"alpha", "beta", "gamma", "delta", "omega"}
 func pick[T any](r *rand.Rand, xs []T) T { return xs[r.Intn(len(xs))] }
 
 // genCase generates the schema, data and annotations of one fuzz database.
-func genCase(r *rand.Rand) *fuzzCase {
+// A big case gives T1 a primary key and enough rows for four columnar
+// chunks, so writes between queries patch some chunks and share the rest.
+func genCase(r *rand.Rand, big bool) *fuzzCase {
 	fc := &fuzzCase{}
 	t1 := &fuzzTable{
 		name: "T1",
@@ -63,8 +113,11 @@ func genCase(r *rand.Rand) *fuzzCase {
 		},
 		rows: 15 + r.Intn(25),
 	}
-	if r.Intn(2) == 0 {
+	if r.Intn(2) == 0 || big {
 		t1.pk = "A"
+	}
+	if big {
+		t1.rows += 3 * storage.ColChunkRows
 	}
 	t2 := &fuzzTable{
 		name: "T2",
@@ -100,32 +153,9 @@ func genCase(r *rand.Rand) *fuzzCase {
 	}
 
 	// Data: small value domains so filters, joins and groups actually match.
-	genValue := func(ft *fuzzTable, c fuzzColumn, i int) string {
-		if c.name == ft.pk {
-			return fmt.Sprint(i + 1)
-		}
-		if r.Intn(10) == 0 {
-			return "NULL"
-		}
-		switch c.typ {
-		case "INT":
-			return fmt.Sprint(r.Intn(10))
-		case "FLOAT":
-			return pick(r, []string{"-2.5", "0.0", "1.25", "3.5", "7.75"})
-		case "TEXT":
-			return "'" + pick(r, fuzzTexts) + "'"
-		default:
-			return pick(r, []string{"TRUE", "FALSE"})
-		}
-	}
 	for _, ft := range fc.tables {
 		for i := 0; i < ft.rows; i++ {
-			vals := make([]string, len(ft.cols))
-			for j, c := range ft.cols {
-				vals[j] = genValue(ft, c, i)
-			}
-			fc.setup = append(fc.setup,
-				fmt.Sprintf("INSERT INTO %s VALUES (%s)", ft.name, strings.Join(vals, ", ")))
+			fc.setup = append(fc.setup, genInsert(r, ft))
 		}
 	}
 
@@ -405,9 +435,69 @@ func (g *queryGen) orderLimit(cols, allCols []string) (string, bool) {
 	return tail, ordered
 }
 
+// genDML generates the statements of one write step between two queries: an
+// INSERT, an UPDATE (half of them of a dependency rule's source column, so
+// marks accumulate) or a DELETE, one time in five wrapped in a transaction
+// that is rolled back. Predicates are either a primary-key point (one row,
+// one dirty chunk) or a generated comparison (anything up to the whole
+// table). A big case's first step deletes the whole second chunk of T1.
+func (g *queryGen) genDML(fc *fuzzCase, step int, big bool) []string {
+	if big && step == 0 {
+		return []string{fmt.Sprintf("DELETE FROM T1 WHERE A > %d AND A <= %d", storage.ColChunkRows, 2*storage.ColChunkRows)}
+	}
+	ft := pick(g.r, fc.tables)
+	where := func() string {
+		if ft.pk != "" && g.r.Intn(3) > 0 {
+			return fmt.Sprintf("%s = %d", ft.pk, 1+g.r.Intn(ft.nextPK))
+		}
+		in, _ := g.comparison(ft, false)
+		return in
+	}
+	var stmt string
+	switch g.r.Intn(6) {
+	case 0, 1:
+		stmt = genInsert(g.r, ft)
+	case 2:
+		// Deletes by comparison are narrowed so the tables do not drain.
+		cond := where()
+		if ft.pk == "" || !strings.HasPrefix(cond, ft.pk+" = ") {
+			cond += fmt.Sprintf(" AND %s = %d", ft.colsOfType("INT")[1], g.r.Intn(10))
+		}
+		stmt = fmt.Sprintf("DELETE FROM %s WHERE %s", ft.name, cond)
+	default:
+		var settable []fuzzColumn
+		for _, c := range ft.cols {
+			if c.name != ft.pk {
+				settable = append(settable, c)
+			}
+		}
+		col := pick(g.r, settable)
+		if g.r.Intn(2) == 0 {
+			for _, rule := range fuzzRules {
+				for _, c := range ft.cols {
+					if rule.table == ft.name && rule.source == c.name {
+						col = c
+					}
+				}
+			}
+		}
+		stmt = fmt.Sprintf("UPDATE %s SET %s = %s WHERE %s", ft.name, col.name, genValue(g.r, ft, col, 0), where())
+	}
+	if g.r.Intn(5) == 0 {
+		return []string{"BEGIN", stmt, "ROLLBACK"}
+	}
+	return []string{stmt}
+}
+
 // canonResult renders a result for comparison: columns, then each row's
 // values with its annotations (sorted per row for stability).
 func canonResult(res *Result) string {
+	return canon(res, true)
+}
+
+// canon renders a result; with sortAnns unset each row's annotations stay in
+// the order the executor attached them.
+func canon(res *Result, sortAnns bool) string {
 	var b strings.Builder
 	b.WriteString(strings.Join(res.Columns, ","))
 	for _, row := range res.Rows {
@@ -421,7 +511,9 @@ func canonResult(res *Result) string {
 		for _, a := range row.AnnotationsFlat() {
 			anns = append(anns, fmt.Sprintf("[%s~%s~%s]", a.AnnTable, a.Author, a.PlainBody()))
 		}
-		sort.Strings(anns)
+		if sortAnns {
+			sort.Strings(anns)
+		}
 		b.WriteString(strings.Join(anns, ""))
 	}
 	return b.String()
@@ -430,6 +522,9 @@ func canonResult(res *Result) string {
 // reproScript renders the full reproducing script for a failure report.
 func reproScript(fc *fuzzCase, query string) string {
 	var b strings.Builder
+	for _, rule := range fuzzRules {
+		fmt.Fprintf(&b, "-- under the non-executable dependency rule %s.%s -> %s.%s\n", rule.table, rule.source, rule.table, rule.target)
+	}
 	for _, s := range fc.setup {
 		b.WriteString(s)
 		b.WriteString(";\n")
@@ -450,13 +545,18 @@ func TestSQLEquivalenceFuzz(t *testing.T) {
 		queriesPerSeed = 15
 	}
 	batchScans.Store(0)
+	batchMarkedAggs.Store(0)
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			fuzzSeed(t, seed, queriesPerSeed, 0)
+			// Seed 3 (so -short keeps it) is the four-chunk case.
+			fuzzSeed(t, seed, queriesPerSeed, 0, seed == 3)
 		})
 	}
 	if batchScans.Load() == 0 {
 		t.Error("no generated query ran the vectorized scan; the batched path is untested")
+	}
+	if batchMarkedAggs.Load() == 0 {
+		t.Error("no generated aggregate consumed batches on a table with outdated marks")
 	}
 }
 
@@ -475,9 +575,11 @@ func TestSQLEquivalenceFuzzSpill(t *testing.T) {
 	}
 	spillEvents.Store(0)
 	batchScans.Store(0)
+	batchMarkedAggs.Store(0)
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed-%d-spill", seed), func(t *testing.T) {
-			fuzzSeed(t, seed, queriesPerSeed, 1)
+			// Seed 11 (so -short keeps it) is the four-chunk case.
+			fuzzSeed(t, seed, queriesPerSeed, 1, seed == 11)
 		})
 	}
 	if spillEvents.Load() == 0 {
@@ -486,13 +588,16 @@ func TestSQLEquivalenceFuzzSpill(t *testing.T) {
 	if batchScans.Load() == 0 {
 		t.Error("spill-forcing seeds never ran the vectorized scan; batched aggregation never spilled")
 	}
+	if batchMarkedAggs.Load() == 0 {
+		t.Error("spill-forcing seeds never aggregated batches of a table with outdated marks")
+	}
 }
 
 // fuzzSeed runs one generated database + workload with the given spill
-// budget (0 = default).
-func fuzzSeed(t *testing.T, seed int64, queriesPerSeed, spillBudget int) {
+// budget (0 = default): queries with write steps between them.
+func fuzzSeed(t *testing.T, seed int64, queriesPerSeed, spillBudget int, big bool) {
 	r := rand.New(rand.NewSource(seed))
-	fc := genCase(r)
+	fc := genCase(r, big)
 	s := newSession(t)
 	s.User = "admin"
 	s.SpillBudget = spillBudget
@@ -501,9 +606,29 @@ func fuzzSeed(t *testing.T, seed int64, queriesPerSeed, spillBudget int) {
 			t.Fatalf("setup %q: %v", stmt, err)
 		}
 	}
-	rejected := 0
+	for _, rule := range fuzzRules {
+		if _, err := s.Dep.AddRule(dependency.Rule{
+			Sources: []dependency.ColumnRef{{Table: rule.table, Column: rule.source}},
+			Targets: []dependency.ColumnRef{{Table: rule.table, Column: rule.target}},
+			Proc:    dependency.Procedure{Name: "fuzz rule", Executable: false},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rejected, writeSteps := 0, 0
 	for q := 0; q < queriesPerSeed; q++ {
 		g := &queryGen{r: r}
+		if q > 0 && r.Intn(3) > 0 {
+			// Its own generator: DML predicates must not leave bind arguments
+			// behind for the query's prepared form.
+			for _, stmt := range (&queryGen{r: r}).genDML(fc, writeSteps, big) {
+				if _, err := s.Exec(stmt); err != nil {
+					t.Fatalf("seed %d before query %d: %q: %v\nrepro script:\n%s", seed, q, stmt, err, reproScript(fc, stmt))
+				}
+				fc.setup = append(fc.setup, stmt)
+			}
+			writeSteps++
+		}
 		inline, prepared := g.genQuery(fc)
 
 		s.NoOptimize = true
@@ -563,6 +688,12 @@ func fuzzSeed(t *testing.T, seed int64, queriesPerSeed, spillBudget int) {
 			t.Fatalf("seed %d query %d: NoVectorize planned != naive\nquery: %s\n got: %s\nwant: %s\nrepro script:\n%s",
 				seed, q, inline, got, want, reproScript(fc, inline))
 		}
+		// The two planned paths must also attach annotations in the same
+		// order (batched aggregation folds outdated marks itself).
+		if got, want := canon(planned, false), canon(rowPath, false); got != want {
+			t.Fatalf("seed %d query %d: vectorized and row-at-a-time annotation order differ\nquery: %s\n got: %s\nwant: %s\nrepro script:\n%s",
+				seed, q, inline, got, want, reproScript(fc, inline))
+		}
 		if got := canonResult(prepRes); got != want {
 			t.Fatalf("seed %d query %d: prepared != naive\nquery: %s\nargs: %v\n got: %s\nwant: %s\nrepro script:\n%s",
 				seed, q, prepared, g.args, got, want, reproScript(fc, prepared))
@@ -581,6 +712,19 @@ func fuzzSeed(t *testing.T, seed int64, queriesPerSeed, spillBudget int) {
 	if rejected > queriesPerSeed/2 {
 		t.Errorf("seed %d: %d/%d queries rejected; generator has drifted from the grammar",
 			seed, rejected, queriesPerSeed)
+	}
+	if big {
+		// The point of the big case: scans after a write read a mirror that
+		// was patched, not rebuilt.
+		t1, err := s.Eng.Table("T1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := t1.ColumnarStats(); st.Patches == 0 || len(t1.ColumnarData().Chunks) < 3 {
+			t.Errorf("seed %d: T1 mirror of %d chunks cost %+v; no generation was patched", seed, len(t1.ColumnarData().Chunks), st)
+		} else {
+			t.Logf("seed %d: T1 mirror cost %+v over %d write steps", seed, st, writeSteps)
+		}
 	}
 }
 

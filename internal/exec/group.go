@@ -286,12 +286,15 @@ type groupAggIter struct {
 
 	// batches, when set, feeds the aggregation column vectors directly
 	// (consumeBatches) instead of pulling adapted rows from in. The cursor
-	// sets it only when nothing between the scan and the aggregation does
-	// per-row work (no annotation decoration, no AWHERE); annWidth is the
-	// decorator's total column count, so buckets carry the same empty
-	// annotation layout the row path would attach.
+	// sets it only when nothing between the scan and the aggregation needs
+	// boxed rows (no ANNOTATION clause, no AWHERE); annWidth is the
+	// decorator's total column count, so buckets carry the same annotation
+	// layout the row path would attach, and marks, when the scanned table has
+	// outdated cells, is its decoration plan: consumeBatches attaches to each
+	// marked row the marks the decorator would have.
 	batches  *batchScanIter
 	annWidth int
+	marks    *annSource
 
 	started bool
 	next    func() (*groupBucket, bool, error)
@@ -441,6 +444,20 @@ func (g *groupAggIter) groupKeyBytes(vals value.Row) []byte {
 	return g.keyBuf
 }
 
+// foldAnns unions one member's annotations into its resident group's,
+// charging the growth to the spill budget.
+func (g *groupAggIter) foldAnns(b *groupBucket, anns [][]*annotation.Annotation) {
+	grown := 0
+	for c := range b.anns {
+		if c < len(anns) && len(anns[c]) > 0 {
+			before := len(b.anns[c])
+			b.anns[c] = unionAnnotations(b.anns[c], anns[c])
+			grown += (len(b.anns[c]) - before) * 8
+		}
+	}
+	g.grouper.grow(grown)
+}
+
 func (g *groupAggIter) consume() error {
 	first := true
 	for {
@@ -464,16 +481,7 @@ func (g *groupAggIter) consume() error {
 		delta := false
 		switch {
 		case b != nil:
-			// Resident group: fold this member's annotations in.
-			grown := 0
-			for c := range b.anns {
-				if c < len(r.anns) && len(r.anns[c]) > 0 {
-					before := len(b.anns[c])
-					b.anns[c] = unionAnnotations(b.anns[c], r.anns[c])
-					grown += (len(b.anns[c]) - before) * 8
-				}
-			}
-			g.grouper.grow(grown)
+			g.foldAnns(b, r.anns)
 		case !g.grouper.overflowing():
 			b = &groupBucket{
 				vals: r.values,
@@ -514,11 +522,16 @@ func (g *groupAggIter) consume() error {
 // consumeBatches is the vectorized twin of consume: it folds column vectors
 // into the same spillable hash table, building group keys without boxing and
 // updating INT/FLOAT SUM/AVG accumulators straight from the typed vectors.
-// Group formation, first-seen order, NULL handling, error surfacing and spill
-// behaviour are identical to the row path — the fuzzer runs both and diffs.
+// Group formation, first-seen order, NULL handling, outdated marks, error
+// surfacing and spill behaviour are identical to the row path — the fuzzer
+// runs both and diffs.
 func (g *groupAggIter) consumeBatches() error {
 	bs := g.batches
 	off := bs.src.offset
+	marks := g.marks
+	if marks != nil {
+		batchMarkedAggs.Add(1)
+	}
 	first := true
 	for {
 		b, ok, err := bs.nextBatch()
@@ -542,25 +555,40 @@ func (g *groupAggIter) consumeBatches() error {
 				}
 				g.keyBuf = b.vecs[idx-off].appendKeyString(g.keyBuf, i)
 			}
+			// The row's annotations: nil, standing for annWidth empty cells,
+			// unless the row carries outdated marks.
+			var anns [][]*annotation.Annotation
+			if marks != nil && marks.bm.RowOutdated(b.rowIDs[i]) {
+				anns = make([][]*annotation.Annotation, g.annWidth)
+				marks.appendOutdated(anns, b.rowIDs[i])
+			}
 			bkt := g.grouper.lookup(g.keyBuf)
 			delta := false
-			if bkt == nil {
-				if !g.grouper.overflowing() {
-					bkt = &groupBucket{
-						vals: b.rowValues(i),
-						anns: make([][]*annotation.Annotation, g.annWidth),
-						aggs: make([]aggState, len(g.specs)),
-					}
-					g.grouper.insert(string(g.keyBuf), bkt)
-				} else {
-					// Frozen table: spill this observation as a delta record.
-					// The representative row rides along only until the key's
-					// first delta is on disk; batched input carries no
-					// annotations to fold.
-					delta = true
-					bkt = g.resetDelta()
-					if !g.grouper.flushedBefore(g.keyBuf) {
-						bkt.vals = b.rowValues(i)
+			switch {
+			case bkt != nil:
+				if anns != nil {
+					g.foldAnns(bkt, anns)
+				}
+			case !g.grouper.overflowing():
+				if anns == nil {
+					anns = make([][]*annotation.Annotation, g.annWidth)
+				}
+				bkt = &groupBucket{
+					vals: b.rowValues(i),
+					anns: anns,
+					aggs: make([]aggState, len(g.specs)),
+				}
+				g.grouper.insert(string(g.keyBuf), bkt)
+			default:
+				// Frozen table: spill this observation as a delta record, as
+				// consume does. Empty annotation cells fold to nothing, so only
+				// the record carrying the representative row spells them out.
+				delta = true
+				bkt = g.resetDelta()
+				bkt.anns = anns
+				if !g.grouper.flushedBefore(g.keyBuf) {
+					bkt.vals = b.rowValues(i)
+					if anns == nil {
 						bkt.anns = make([][]*annotation.Annotation, g.annWidth)
 					}
 				}

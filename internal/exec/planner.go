@@ -729,6 +729,9 @@ type decorator struct {
 	plans     []annSource
 	totalCols int
 	anyWork   bool
+	// wantAnns is set when some source has an ANNOTATION clause; without it
+	// the only decoration work there can be is outdated marks.
+	wantAnns bool
 }
 
 // newDecorator resolves the decoration plan of each source.
@@ -742,7 +745,7 @@ func (s *Session) newDecorator(sources []*sourcePlan) *decorator {
 			numCols: src.numCols,
 		}
 		if len(src.ref.Annotations) > 0 {
-			as.want = true
+			as.want, d.wantAnns = true, true
 			if src.ref.Annotations[0] != "*" {
 				as.filter.AnnTables = src.ref.Annotations
 			}
@@ -779,18 +782,24 @@ func (d *decorator) decorate(r *execRow) {
 			}
 		}
 		if as.bm != nil && as.bm.RowOutdated(rowID) {
-			for c := 0; c < as.numCols; c++ {
-				if as.bm.IsSet(rowID, c) {
-					r.anns[as.offset+c] = append(r.anns[as.offset+c], &annotation.Annotation{
-						AnnTable:  OutdatedAnnTable,
-						UserTable: as.name,
-						Author:    "system:dependency-tracker",
-						Body: fmt.Sprintf("<Annotation>OUTDATED: %s.%s of row %d needs re-verification</Annotation>",
-							as.name, as.colNames[c], rowID),
-						Regions: []annotation.Region{annotation.CellRegion(as.name, rowID, c)},
-					})
-				}
-			}
+			as.appendOutdated(r.anns, rowID)
+		}
+	}
+}
+
+// appendOutdated appends to anns, one row's annotation cells, a synthetic
+// annotation for each outdated cell of the source's row rowID.
+func (as *annSource) appendOutdated(anns [][]*annotation.Annotation, rowID int64) {
+	for c := 0; c < as.numCols; c++ {
+		if as.bm.IsSet(rowID, c) {
+			anns[as.offset+c] = append(anns[as.offset+c], &annotation.Annotation{
+				AnnTable:  OutdatedAnnTable,
+				UserTable: as.name,
+				Author:    "system:dependency-tracker",
+				Body: fmt.Sprintf("<Annotation>OUTDATED: %s.%s of row %d needs re-verification</Annotation>",
+					as.name, as.colNames[c], rowID),
+				Regions: []annotation.Region{annotation.CellRegion(as.name, rowID, c)},
+			})
 		}
 	}
 }

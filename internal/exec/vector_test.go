@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 
+	"bdbms/internal/dependency"
+	"bdbms/internal/storage"
 	"bdbms/internal/value"
 )
 
@@ -123,9 +125,9 @@ func TestSkewedGroupBySpillTinyBudget(t *testing.T) {
 }
 
 // TestVectorizedFallsBackOnStaleMirror pins the MVCC handshake: a snapshot
-// opened before a write must not consume the rebuilt columnar mirror, and a
-// write between mirror build and query must invalidate the cache — both
-// cases fall back to the row scan and stay correct.
+// opened before a write must not consume the mirror generation built after
+// it, and a write between mirror build and query must make the cached
+// generation stale — both cases fall back to the row scan and stay correct.
 func TestVectorizedFallsBackOnStaleMirror(t *testing.T) {
 	s := newSession(t)
 	mustExec(t, s, `CREATE TABLE Ev (ID INT NOT NULL PRIMARY KEY, G TEXT, V INT)`)
@@ -159,5 +161,124 @@ func TestVectorizedFallsBackOnStaleMirror(t *testing.T) {
 	res := execAll(t, s, `SELECT COUNT(*) FROM Ev`)
 	if got := res.Rows[0].Values[0].Int(); got != 9 {
 		t.Errorf("post-delete COUNT(*) = %d, want 9", got)
+	}
+}
+
+// TestVectorizedAggregateOverEmptiedChunk deletes every row of a middle
+// chunk and runs a kernel-filtered aggregate over what is left: the patched
+// mirror must have dropped the chunk, and the batch scan must pass over a
+// zero-row chunk if it ever meets one (its selection buffers have no first
+// element to address).
+func TestVectorizedAggregateOverEmptiedChunk(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, `CREATE TABLE Ev (ID INT NOT NULL PRIMARY KEY, G TEXT, V INT)`)
+	const n = 3*storage.ColChunkRows + 10
+	for i := 1; i <= n; i++ {
+		mustExec(t, s, fmt.Sprintf(`INSERT INTO Ev VALUES (%d, 'g%d', %d)`, i, i%3, i%7))
+	}
+	const query = `SELECT G, COUNT(*), SUM(V) FROM Ev WHERE V >= 1 GROUP BY G`
+	execAll(t, s, query) // warm the mirror
+	mustExec(t, s, fmt.Sprintf(`DELETE FROM Ev WHERE ID > %d AND ID <= %d`, storage.ColChunkRows, 2*storage.ColChunkRows))
+	tbl, err := s.Eng.Table("Ev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, scans := tbl.ColumnarStats(), batchScans.Load()
+	res := execAll(t, s, query)
+	if batchScans.Load() == scans {
+		t.Error("the aggregate after the delete did not run vectorized")
+	}
+	after := tbl.ColumnarStats()
+	if after.Patches != before.Patches+1 || after.FullBuilds != before.FullBuilds {
+		t.Errorf("mirror cost %+v -> %+v, want one patch", before, after)
+	}
+	var rows, want int64
+	for _, r := range res.Rows {
+		rows += r.Values[1].Int()
+	}
+	for i := 1; i <= n; i++ {
+		if (i <= storage.ColChunkRows || i > 2*storage.ColChunkRows) && i%7 >= 1 {
+			want++
+		}
+	}
+	if rows != want {
+		t.Errorf("aggregate counted %d rows with V >= 1, want %d", rows, want)
+	}
+	cd := tbl.ColumnarData()
+	if len(cd.Chunks) != 3 {
+		t.Fatalf("mirror has %d chunks after emptying one of four, want 3", len(cd.Chunks))
+	}
+
+	// The scan itself, handed zero-row chunks: first (no selection buffer
+	// exists yet) and between two real ones.
+	empty := &storage.ColChunk{Cols: make([]storage.ColVec, cd.NumCols)}
+	hollow := &storage.ColData{WriteSeq: cd.WriteSeq, NumCols: cd.NumCols,
+		Chunks: []*storage.ColChunk{empty, cd.Chunks[0], empty, cd.Chunks[1]}}
+	it := &batchScanIter{ctx: context.Background(), cd: hollow, kernels: []kernelPred{{slot: 2, eq: true, gt: true, f: 1}}}
+	got := 0
+	for {
+		b, ok, err := it.nextBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		got += len(b.sel)
+	}
+	kept := 0
+	for _, ch := range hollow.Chunks {
+		for _, v := range ch.Cols[2].Ints[:ch.Rows()] {
+			if v >= 1 {
+				kept++
+			}
+		}
+	}
+	if got != kept {
+		t.Errorf("scan over a hollow mirror selected %d rows, want %d", got, kept)
+	}
+}
+
+// TestBatchedAggregateCarriesOutdatedMarks pins the marks-on-the-batch-path
+// rule: outdated cells on the scanned table no longer push an aggregate off
+// the batch path, and the groups carry exactly the marks, in the order, the
+// row path attaches — resident, and spilled with a one-byte budget.
+func TestBatchedAggregateCarriesOutdatedMarks(t *testing.T) {
+	for _, budget := range []int{0, 1} {
+		s := newSession(t)
+		s.SpillBudget = budget
+		mustExec(t, s, `CREATE TABLE Gene (GID INT NOT NULL PRIMARY KEY, Family TEXT, Seq TEXT, Score INT)`)
+		for i := 1; i <= 60; i++ {
+			mustExec(t, s, fmt.Sprintf(`INSERT INTO Gene VALUES (%d, 'f%d', 'ACGT', %d)`, i, i%4, i))
+		}
+		if _, err := s.Dep.AddRule(dependency.Rule{
+			Sources: []dependency.ColumnRef{{Table: "Gene", Column: "Seq"}},
+			Targets: []dependency.ColumnRef{{Table: "Gene", Column: "Family"}},
+			Proc:    dependency.Procedure{Name: "family assignment", Executable: false},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		const query = `SELECT Family, COUNT(*), SUM(Score) FROM Gene GROUP BY Family`
+		execAll(t, s, query)
+		// Marks on a group's first member, on later members, and on none (f3).
+		mustExec(t, s, `UPDATE Gene SET Seq = 'TTTT' WHERE GID = 1 OR GID = 6 OR GID = 9 OR GID = 10 OR GID = 44`)
+		aggs := batchMarkedAggs.Load()
+		vec := execAll(t, s, query)
+		if batchMarkedAggs.Load() == aggs {
+			t.Errorf("budget %d: the aggregate over a marked table left the batch path", budget)
+		}
+		s.NoVectorize = true
+		row := mustExec(t, s, query)
+		s.NoVectorize = false
+		if got, want := canon(vec, false), canon(row, false); got != want {
+			t.Errorf("budget %d: batched marks differ from the row path's\n got: %s\nwant: %s", budget, got, want)
+		}
+		marks := 0
+		for _, r := range vec.Rows {
+			marks += len(r.AnnotationsFlat())
+		}
+		if marks != 5 {
+			t.Errorf("budget %d: groups carry %d outdated marks, want 5", budget, marks)
+		}
 	}
 }

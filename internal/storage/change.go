@@ -89,9 +89,9 @@ func (t *Table) stored(rowID int64) (value.Row, []byte, error) {
 // write is the one place table rows are written. c.Before must be the row's
 // current image and beforeRec the record holding it (from stored); write
 // makes the row c.After, stored as afterRec, keeping the row index, every
-// B+-tree, the statistics and the write sequence in step. A change that
-// leaves the stored bytes as they are (absent to absent, a row to the same
-// row) touches nothing. The caller must hold t.mu.
+// B+-tree, the statistics, the write sequence and the columnar mirror's dirty
+// list in step. A change that leaves the stored bytes as they are (absent to
+// absent, a row to the same row) touches nothing. The caller must hold t.mu.
 func (t *Table) write(c Change, beforeRec, afterRec []byte) error {
 	if bytes.Equal(beforeRec, afterRec) {
 		return nil
@@ -122,7 +122,7 @@ func (t *Table) write(c Change, beforeRec, afterRec []byte) error {
 		t.stats.NoteUpdate(c.Before, c.After)
 	}
 	t.writeSeq.Add(1)
-	t.colCache.Store(nil)
+	t.markColumnarDirty(c.RowID)
 	t.reindex(c.RowID, c.Before, c.After)
 	return nil
 }

@@ -323,14 +323,19 @@ type Table struct {
 	versionsDead int
 
 	// writeSeq counts heap mutations of this table (Table.write bumps it);
-	// the columnar scan cache (columnar.go) is tagged with the count at build
-	// time and discarded the moment it no longer matches — the count only
-	// ever advances, so a cache tagged with an older one can never be
-	// mistaken for current. colMu serializes cache builds so two
-	// concurrent analytic queries don't both pay the O(rows) construction.
+	// each generation of the columnar mirror (columnar.go) is tagged with the
+	// count it was built at — the count only ever advances, so a generation
+	// tagged with an older one can never be mistaken for current. colDirty
+	// lists the RowIDs written since colCache's generation, so the next scan
+	// rebuilds only their chunks; writers append to it under mu held
+	// exclusively, and the one builder colMu admits reads and clears it under
+	// mu.RLock, which excludes them. colMu also keeps two concurrent analytic
+	// queries from both paying for a build.
 	writeSeq atomic.Uint64
 	colCache atomic.Pointer[ColData]
 	colMu    sync.Mutex
+	colDirty []int64
+	colStats struct{ fullBuilds, patches, chunksRebuilt, dropped atomic.Uint64 }
 
 	// stats is the planner's statistics snapshot, guarded by mu. It is nil
 	// until the first Stats call (or checkpoint adoption) and maintained
