@@ -210,7 +210,7 @@ func (m *costModel) identity() []int {
 // pairs stay as post-join filters to preserve error behavior.
 func equiParts(ac analyzedConjunct, sources []*sourcePlan, slotSource []int, rightIdx int) (prefixSlot, rightSlot int, ok bool) {
 	bin, isBin := ac.expr.(*sqlparse.BinaryExpr)
-	if !isBin || bin.Op != "=" || len(ac.sources) != 2 {
+	if !isBin || bin.Op != "=" {
 		return 0, 0, false
 	}
 	lcol, lok := bin.Left.(*sqlparse.ColumnExpr)
@@ -218,7 +218,8 @@ func equiParts(ac analyzedConjunct, sources []*sourcePlan, slotSource []int, rig
 	if !lok || !rok {
 		return 0, 0, false
 	}
-	lslot, rslot := ac.slots[lcol], ac.slots[rcol]
+	lslot, _ := ac.slots.get(lcol)
+	rslot, _ := ac.slots.get(rcol)
 	if slotSource[lslot] == slotSource[rslot] {
 		return 0, 0, false
 	}
@@ -255,9 +256,9 @@ func (m *costModel) assignConjuncts(order []int, multi []analyzedConjunct) []ste
 	steps := make([]stepConjuncts, len(order)-1)
 	for _, ac := range multi {
 		maxPos := 0
-		for si := range ac.sources {
-			if pos[si] > maxPos {
-				maxPos = pos[si]
+		for _, c := range ac.slots {
+			if p := pos[m.slotSource[c.slot]]; p > maxPos {
+				maxPos = p
 			}
 		}
 		if _, _, ok := equiParts(ac, m.sources, m.slotSource, order[maxPos]); ok {
@@ -410,9 +411,9 @@ func (m *costModel) buildSteps(order []int, multi []analyzedConjunct, costBased 
 		return execOff[pos[si]] + (slot - m.sources[si].offset)
 	}
 	remap := func(ac analyzedConjunct) compiledPred {
-		slots := make(map[*sqlparse.ColumnExpr]int, len(ac.slots))
-		for col, slot := range ac.slots {
-			slots[col] = toExec(slot)
+		slots := make(colSlots, len(ac.slots))
+		for i, c := range ac.slots {
+			slots[i] = colSlot{col: c.col, slot: toExec(c.slot)}
 		}
 		return compiledPred{expr: ac.expr, slots: slots}
 	}

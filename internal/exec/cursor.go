@@ -10,6 +10,7 @@ import (
 
 	"bdbms/internal/annotation"
 	"bdbms/internal/authz"
+	"bdbms/internal/catalog"
 	"bdbms/internal/sqlparse"
 	"bdbms/internal/storage"
 	"bdbms/internal/value"
@@ -70,9 +71,9 @@ func (s *Session) Query(ctx context.Context, sql string, args ...any) (*Rows, er
 }
 
 // Prepare parses the statement once and returns a Stmt that re-binds its `?`
-// placeholders per execution. For streamable SELECTs the physical plan is
-// additionally cached across executions (invalidated by DDL), so a prepared
-// point query skips parsing and planning entirely.
+// placeholders per execution. For SELECT, UPDATE and DELETE the physical plan
+// is additionally cached across executions (invalidated by DDL), so a
+// prepared point query or point mutation skips parsing and planning entirely.
 func (s *Session) Prepare(sql string) (*Stmt, error) {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -98,14 +99,17 @@ type Stmt struct {
 	plan *stmtPlan
 }
 
-// stmtPlan is the cached physical plan of a prepared streamable SELECT,
+// stmtPlan is the plan of one SELECT, UPDATE or DELETE: the planned pipeline
+// that produces the statement's rows, plus the projection layout (SELECT) or
+// the SET target ordinals (UPDATE). A prepared statement caches it; it stays
 // valid while the schema version is unchanged.
 type stmtPlan struct {
 	version  uint64
 	sources  []*sourcePlan
 	bindings []binding
-	phys     *physicalPlan
+	phys     physicalPlan
 	items    []planItem
+	setCols  []int // column ordinal of each UPDATE SET clause, in clause order
 }
 
 // Text returns the statement's A-SQL source.
@@ -134,26 +138,44 @@ func (st *Stmt) Exec(args ...any) (*Result, error) {
 	return rows.materialize()
 }
 
-// cachedPlan returns the statement's physical plan, replanning when the
-// schema version moved. DDL can run concurrently with this check; a plan
-// cached against a version that moves immediately afterwards is still safe
-// to execute — it holds direct table references (dropped tables stay
-// readable through open snapshots) and index probes only ever produce
-// candidate supersets that the scan re-filters — it is merely stale, and the
-// next execution replans.
-func (st *Stmt) cachedPlan(s *Session, sel *sqlparse.SelectStmt) (*stmtPlan, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	v := s.Eng.SchemaVersion()
-	if st.plan != nil && st.plan.version == v {
-		return st.plan, nil
+// planOf returns the plan of a SELECT, UPDATE or DELETE: prep's cached plan
+// while the schema version holds, a fresh one otherwise (and always for an
+// unprepared statement). DDL can run concurrently with the version check of
+// a SELECT; a plan cached against a version that moves immediately
+// afterwards is still safe to execute — it holds direct table references
+// (dropped tables stay readable through open snapshots) and index probes
+// only ever produce candidate supersets that the scan re-filters — it is
+// merely stale, and the next execution replans. A mutation checks under its
+// table's write latch, which DDL on that table also needs.
+func (s *Session) planOf(stmt sqlparse.Statement, prep *Stmt) (*stmtPlan, error) {
+	if prep == nil {
+		return s.planStmt(stmt)
 	}
-	plan, err := s.planFor(sel)
+	prep.mu.Lock()
+	defer prep.mu.Unlock()
+	if prep.plan != nil && prep.plan.version == s.Eng.SchemaVersion() {
+		return prep.plan, nil
+	}
+	plan, err := s.planStmt(stmt)
 	if err != nil {
 		return nil, err
 	}
-	st.plan = plan
+	prep.plan = plan
 	return plan, nil
+}
+
+// planStmt plans one of the statements that pull rows from the pipeline.
+func (s *Session) planStmt(stmt sqlparse.Statement) (*stmtPlan, error) {
+	switch st := stmt.(type) {
+	case *sqlparse.SelectStmt:
+		return s.planFor(st)
+	case *sqlparse.UpdateStmt:
+		return s.planMutation(st.Table, st.Where, st.Set)
+	case *sqlparse.DeleteStmt:
+		return s.planMutation(st.Table, st.Where, nil)
+	default:
+		return nil, fmt.Errorf("%w: no plan for %T", ErrUnsupported, stmt)
+	}
 }
 
 // planFor resolves sources and builds the physical plan and projection
@@ -163,13 +185,47 @@ func (s *Session) planFor(sel *sqlparse.SelectStmt) (*stmtPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &stmtPlan{
+	plan := &stmtPlan{
 		version:  s.Eng.SchemaVersion(),
 		sources:  sources,
 		bindings: bindings,
-		phys:     s.planSelect(sel, sources, bindings, slotSource),
 		items:    resolveItems(sel, bindings),
-	}, nil
+	}
+	s.planSelect(&plan.phys, sel, sources, bindings, slotSource)
+	return plan, nil
+}
+
+// planMutation plans the read phase of an UPDATE or DELETE — the rows of
+// `FROM table WHERE where` — with the SELECT planner's own predicate
+// placement (pushDown), and resolves the SET targets to column ordinals, so
+// an unknown target fails the statement whether or not any row matches.
+func (s *Session) planMutation(table string, where sqlparse.Expr, set []sqlparse.SetClause) (*stmtPlan, error) {
+	sources, bindings, slotSource, err := s.resolveSources([]sqlparse.TableRef{{Table: table}})
+	if err != nil {
+		return nil, err
+	}
+	plan := &stmtPlan{version: s.Eng.SchemaVersion(), sources: sources, bindings: bindings}
+	s.pushDown(&plan.phys, where, sources, bindings, slotSource)
+	schema := sources[0].tbl.Schema()
+	for _, sc := range set {
+		idx := schema.ColumnIndex(sc.Column)
+		if idx < 0 {
+			return nil, fmt.Errorf("%w: %s.%s", catalog.ErrColumnNotFound, table, sc.Column)
+		}
+		plan.setCols = append(plan.setCols, idx)
+	}
+	return plan, nil
+}
+
+// planQuery checks the SELECT privilege on every FROM table and returns the
+// SELECT's plan.
+func (s *Session) planQuery(sel *sqlparse.SelectStmt, prep *Stmt) (*stmtPlan, error) {
+	for _, ref := range sel.From {
+		if err := s.require(ref.Table, authz.PrivSelect); err != nil {
+			return nil, err
+		}
+	}
+	return s.planOf(sel, prep)
 }
 
 // queryStmt routes a bound statement: transaction control goes to the
@@ -197,7 +253,7 @@ func (s *Session) queryStmt(ctx context.Context, stmt sqlparse.Statement, params
 	if sel, ok := stmt.(*sqlparse.SelectStmt); ok && !s.NoOptimize {
 		return s.queryStream(ctx, sel, params, prep)
 	}
-	res, err := s.execAutoCommit(ctx, stmt, params)
+	res, err := s.execAutoCommit(ctx, stmt, params, prep)
 	if err != nil {
 		return nil, err
 	}
@@ -268,25 +324,16 @@ func (it *limitIter) Next() (ARow, bool, error) {
 }
 
 // buildSelectIter assembles the full lazy pipeline of one SELECT (including
-// the right operand of a set operation, recursively). It returns the output
+// the right operand of a set operation, recursively): the row stage
+// (rowStage in planner.go) and, on top of it, the output stage — grouping,
+// projection, DISTINCT, set operation, ordering, LIMIT. It returns the output
 // iterator, the output column names and the cleanup hooks of any spill files
 // the blocking operators may create. applyLimit is set for nested operands,
 // whose LIMIT binds to their own level (a trailing LIMIT in a compound
 // statement parses into the rightmost SELECT); the top level leaves it to
 // the cursor.
 func (s *Session) buildSelectIter(ctx context.Context, sel *sqlparse.SelectStmt, params value.Row, prep *Stmt, applyLimit bool, snap *storage.Snapshot) (aRowIter, []string, []func(), error) {
-	for _, ref := range sel.From {
-		if err := s.require(ref.Table, authz.PrivSelect); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	var plan *stmtPlan
-	var err error
-	if prep != nil {
-		plan, err = prep.cachedPlan(s, sel)
-	} else {
-		plan, err = s.planFor(sel)
-	}
+	plan, err := s.planQuery(sel, prep)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -314,7 +361,7 @@ func (s *Session) buildSelectIter(ctx context.Context, sel *sqlparse.SelectStmt,
 	var orderedIDs []int64
 	sortElided := false
 	if len(orderKeys) > 0 && !outputOnly && snap != nil {
-		if col, ok := sortElisionColumn(sel, plan.phys, proj, orderKeys); ok {
+		if col, ok := sortElisionColumn(sel, &plan.phys, proj, orderKeys); ok {
 			src := plan.phys.sources[0]
 			ids, idErr := src.tbl.IndexOrderedRowIDs(col)
 			if idErr == nil && snap.SeesCurrentHeap(src.tbl) {
@@ -325,15 +372,9 @@ func (s *Session) buildSelectIter(ctx context.Context, sel *sqlparse.SelectStmt,
 	}
 
 	var closers []func()
-	it, err := s.buildPipeline(ctx, plan.phys, plan.bindings, params, snap, orderedIDs)
+	it, err := s.rowStage(ctx, plan, sel.AWhere, params, snap, orderedIDs)
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	it = &decorateIter{
-		in:     it,
-		dec:    s.newDecorator(plan.sources),
-		awhere: sel.AWhere,
-		params: params,
 	}
 
 	// Grouped aggregation, HAVING and AHAVING — the same clause order the
@@ -377,7 +418,7 @@ func (s *Session) buildSelectIter(ctx context.Context, sel *sqlparse.SelectStmt,
 		// Top-N beats a full sort when the limit undercuts the estimated
 		// input size; a LIMIT that would keep (nearly) everything sorts
 		// once instead of maintaining a same-sized heap.
-		if topNWins(sel.Limit, plan.phys) {
+		if topNWins(sel.Limit, &plan.phys) {
 			return newTopNIter(in, orderKeys, sel.Limit)
 		}
 		sf := &spillFile{}

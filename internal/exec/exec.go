@@ -31,7 +31,12 @@
 // and spill to temp files past it (spill.go); ORDER BY + LIMIT runs as a
 // Top-N heap with O(LIMIT) result memory.
 //
-// Session.NoOptimize bypasses all of this and runs the reference
+// The planned scan/join pipeline is also how every other statement finds the
+// rows it names: UPDATE and DELETE drain it for their read phase, and the
+// ON (SELECT ...) of ADD / ARCHIVE / RESTORE ANNOTATION pulls from it up to
+// the decorate stage; EXPLAIN renders the same plans.
+//
+// Session.NoOptimize bypasses all of this for SELECT and runs the reference
 // materialize-then-filter implementation; the plan-equivalence tests assert
 // both paths return identical rows, ordering and annotations.
 //
@@ -252,18 +257,21 @@ func (s *Session) ExecStmt(stmt sqlparse.Statement) (*Result, error) {
 }
 
 // execStmt dispatches a parsed statement. The caller must already hold the
-// appropriate session lock; params carry the bound placeholder arguments
-// (nil when the statement has none).
-func (s *Session) execStmt(ctx context.Context, stmt sqlparse.Statement, params value.Row) (*Result, error) {
+// statement's latches; params carry the bound placeholder arguments (nil
+// when the statement has none) and prep, when non-nil, is the prepared
+// statement being executed, whose cached plan UPDATE and DELETE reuse.
+func (s *Session) execStmt(ctx context.Context, stmt sqlparse.Statement, params value.Row, prep *Stmt) (*Result, error) {
 	switch st := stmt.(type) {
 	case *sqlparse.SelectStmt:
+		// Only a NoOptimize session gets here (queryStmt and Tx.queryStmt
+		// stream every other SELECT): this is the reference executor.
 		return s.execSelect(ctx, st, params)
 	case *sqlparse.InsertStmt:
 		return s.execInsert(ctx, st, params)
 	case *sqlparse.UpdateStmt:
-		return s.execUpdate(ctx, st, params)
+		return s.execUpdate(ctx, st, params, prep)
 	case *sqlparse.DeleteStmt:
-		return s.execDelete(ctx, st, params)
+		return s.execDelete(ctx, st, params, prep)
 	case *sqlparse.CreateTableStmt:
 		return s.execCreateTable(st)
 	case *sqlparse.DropTableStmt:
@@ -419,79 +427,81 @@ func (s *Session) execInsert(ctx context.Context, st *sqlparse.InsertStmt, param
 	return &Result{Affected: affected, Message: fmt.Sprintf("%d row(s) inserted", affected)}, nil
 }
 
-func (s *Session) execUpdate(ctx context.Context, st *sqlparse.UpdateStmt, params value.Row) (*Result, error) {
+func (s *Session) execUpdate(ctx context.Context, st *sqlparse.UpdateStmt, params value.Row, prep *Stmt) (*Result, error) {
 	if err := s.require(st.Table, authz.PrivUpdate); err != nil {
 		return nil, err
 	}
-	tbl, err := s.Eng.Table(st.Table)
+	plan, rows, err := s.mutationRows(ctx, st, params, prep)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := s.matchingRows(ctx, tbl, st.Where, params)
-	if err != nil {
-		return nil, err
+	tbl := plan.sources[0].tbl
+	changedCols := make([]string, len(st.Set))
+	for i, set := range st.Set {
+		changedCols[i] = set.Column
 	}
-	schema := tbl.Schema()
-	affected := 0
-	for _, rowID := range rows {
+	for _, r := range rows {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		oldRow, err := tbl.Get(rowID)
-		if err != nil {
-			return nil, err
-		}
+		rowID, oldRow := r.origins[0].rowID, r.values
 		newRow := oldRow.Clone()
-		var changedCols []string
-		for _, set := range st.Set {
-			idx := schema.ColumnIndex(set.Column)
-			if idx < 0 {
-				return nil, fmt.Errorf("%w: %s.%s", catalog.ErrColumnNotFound, st.Table, set.Column)
-			}
-			v, err := s.evalRowExpr(set.Value, tbl, rowID, oldRow, params)
+		for i, set := range st.Set {
+			v, err := s.evalRowExpr(set.Value, tbl, oldRow, params)
 			if err != nil {
 				return nil, err
 			}
-			newRow[idx] = v
-			changedCols = append(changedCols, set.Column)
+			newRow[plan.setCols[i]] = v
 		}
 		if err := tbl.Update(rowID, newRow); err != nil {
 			return nil, err
 		}
-		affected++
 		s.afterWrite(authz.OpUpdate, tbl, rowID, oldRow, newRow, changedCols)
 	}
-	return &Result{Affected: affected, Message: fmt.Sprintf("%d row(s) updated", affected)}, nil
+	return &Result{Affected: len(rows), Message: fmt.Sprintf("%d row(s) updated", len(rows))}, nil
 }
 
-func (s *Session) execDelete(ctx context.Context, st *sqlparse.DeleteStmt, params value.Row) (*Result, error) {
+func (s *Session) execDelete(ctx context.Context, st *sqlparse.DeleteStmt, params value.Row, prep *Stmt) (*Result, error) {
 	if err := s.require(st.Table, authz.PrivDelete); err != nil {
 		return nil, err
 	}
-	tbl, err := s.Eng.Table(st.Table)
+	plan, rows, err := s.mutationRows(ctx, st, params, prep)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := s.matchingRows(ctx, tbl, st.Where, params)
-	if err != nil {
-		return nil, err
-	}
-	affected := 0
-	for _, rowID := range rows {
+	tbl := plan.sources[0].tbl
+	cols := tbl.Schema().ColumnNames()
+	for _, r := range rows {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		oldRow, err := tbl.Get(rowID)
-		if err != nil {
-			return nil, err
-		}
+		rowID := r.origins[0].rowID
 		if err := tbl.Delete(rowID); err != nil {
 			return nil, err
 		}
-		affected++
-		s.afterWrite(authz.OpDelete, tbl, rowID, oldRow, nil, tbl.Schema().ColumnNames())
+		s.afterWrite(authz.OpDelete, tbl, rowID, r.values, nil, cols)
 	}
-	return &Result{Affected: affected, Message: fmt.Sprintf("%d row(s) deleted", affected)}, nil
+	return &Result{Affected: len(rows), Message: fmt.Sprintf("%d row(s) deleted", len(rows))}, nil
+}
+
+// mutationRows is the read phase of an UPDATE or DELETE: it plans the
+// statement (planOf — a prepared statement plans once) and drains the
+// planned pipeline for every matching (RowID, row) before the first write,
+// so no write ever goes through an open scan. The statement holds its
+// table's write latch, so the pipeline reads the current state (no snapshot)
+// and each row it returns is the row's before-image — the write phase does
+// not fetch it again. The scan honors context cancellation.
+func (s *Session) mutationRows(ctx context.Context, stmt sqlparse.Statement, params value.Row, prep *Stmt) (*stmtPlan, []execRow, error) {
+	plan, err := s.planOf(stmt, prep)
+	if err != nil {
+		return nil, nil, err
+	}
+	it, err := s.buildPipeline(ctx, &plan.phys, plan.bindings, params, nil, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows, err := drainIter(it)
+	return plan, rows, err
 }
 
 // afterWrite runs the cross-cutting concerns of a completed write: the
@@ -507,114 +517,6 @@ func (s *Session) afterWrite(kind authz.OpKind, tbl *storage.Table, rowID int64,
 	}
 }
 
-// matchingRows returns the RowIDs of tbl satisfying where (all rows when
-// nil). When the WHERE clause contains an equality or range conjunct on an
-// indexed column it probes the index through the same access paths the SELECT
-// planner uses — a point UPDATE/DELETE then touches a handful of rows instead
-// of scanning the table, which matters doubly for mutations because their read
-// phase runs under the table's write latch. The full scan — still a DML
-// statement's long read phase — honors context cancellation, checked
-// periodically.
-func (s *Session) matchingRows(ctx context.Context, tbl *storage.Table, where sqlparse.Expr, params value.Row) ([]int64, error) {
-	if out, ok, err := s.probeMatchingRows(ctx, tbl, where, params); ok || err != nil {
-		return out, err
-	}
-	var out []int64
-	var evalErr error
-	scanned := 0
-	scanErr := tbl.Scan(func(rowID int64, row value.Row) bool {
-		if scanned&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				evalErr = err
-				return false
-			}
-		}
-		scanned++
-		if where == nil {
-			out = append(out, rowID)
-			return true
-		}
-		v, err := s.evalRowExpr(where, tbl, rowID, row, params)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		if v.Type() == value.Bool && v.Bool() {
-			out = append(out, rowID)
-		}
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	return out, nil
-}
-
-// probeMatchingRows is the index-probe fast path of matchingRows. It feeds
-// the WHERE conjuncts that resolve entirely against tbl to the SELECT
-// planner's access-path chooser and, when that yields an index probe, fetches
-// the candidate RowIDs from the index and re-evaluates the full predicate per
-// candidate — the probe only has to produce a superset. ok is false when no
-// probe applies and the caller must fall back to the heap scan. Mutations
-// read the current table state under its write latch, so no snapshot
-// augmentation is involved.
-func (s *Session) probeMatchingRows(ctx context.Context, tbl *storage.Table, where sqlparse.Expr, params value.Row) (ids []int64, ok bool, err error) {
-	if where == nil {
-		return nil, false, nil
-	}
-	schema := tbl.Schema()
-	src := &sourcePlan{tbl: tbl}
-	for _, e := range splitAnd(where, nil) {
-		resolved := true
-		pure := walkColumns(e, func(col *sqlparse.ColumnExpr) {
-			if col.Table != "" && !strings.EqualFold(col.Table, tbl.Name()) {
-				resolved = false
-				return
-			}
-			if schema.ColumnIndex(col.Column) < 0 {
-				resolved = false
-			}
-		})
-		if pure && resolved {
-			src.preds = append(src.preds, compiledPred{expr: e})
-		}
-	}
-	s.chooseAccessPath(src)
-	if src.access.kind == accessFullScan {
-		return nil, false, nil
-	}
-	cands, err := s.scanRowIDs(src, params, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	out := make([]int64, 0, len(cands))
-	for i, rowID := range cands {
-		if i&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, false, err
-			}
-		}
-		row, err := tbl.Get(rowID)
-		if err != nil {
-			if errors.Is(err, storage.ErrRowNotFound) {
-				continue
-			}
-			return nil, false, err
-		}
-		v, err := s.evalRowExpr(where, tbl, rowID, row, params)
-		if err != nil {
-			return nil, false, err
-		}
-		if v.Type() == value.Bool && v.Bool() {
-			out = append(out, rowID)
-		}
-	}
-	return out, true, nil
-}
-
 // evalConst evaluates an expression with no row context (literals,
 // arithmetic over literals, and bound placeholders).
 func (s *Session) evalConst(e sqlparse.Expr, params value.Row) (value.Value, error) {
@@ -624,7 +526,7 @@ func (s *Session) evalConst(e sqlparse.Expr, params value.Row) (value.Value, err
 }
 
 // evalRowExpr evaluates an expression against a single table row.
-func (s *Session) evalRowExpr(e sqlparse.Expr, tbl *storage.Table, rowID int64, row value.Row, params value.Row) (value.Value, error) {
+func (s *Session) evalRowExpr(e sqlparse.Expr, tbl *storage.Table, row value.Row, params value.Row) (value.Value, error) {
 	schema := tbl.Schema()
 	return evalExpr(e, func(col *sqlparse.ColumnExpr) (value.Value, error) {
 		if col.Table != "" && !strings.EqualFold(col.Table, tbl.Name()) && !strings.EqualFold(col.Table, "ANN") {
@@ -640,10 +542,43 @@ func (s *Session) evalRowExpr(e sqlparse.Expr, tbl *storage.Table, rowID int64, 
 
 // --- annotation commands --------------------------------------------------------------
 
-// selectRegions runs the ON (SELECT ...) of an annotation command and
-// translates its output into storage regions of the target user table.
+// checkOnSelect enforces that the ON (SELECT ...) of an annotation command
+// is row-selecting: its select list, FROM (with ANNOTATION), WHERE and
+// AWHERE name a set of base-table cells. Clauses that would change which
+// rows are named are rejected rather than ignored; ORDER BY and FILTER are
+// accepted and have no effect on a set of cells.
+func checkOnSelect(sel *sqlparse.SelectStmt) error {
+	var clause string
+	switch {
+	case sel.SetOp != sqlparse.SetNone:
+		clause = "a set operation (UNION/INTERSECT/EXCEPT)"
+	case sel.Distinct:
+		clause = "DISTINCT"
+	case sel.Limit >= 0:
+		clause = "LIMIT"
+	case len(sel.GroupBy) > 0 || sel.Having != nil || sel.AHaving != nil:
+		clause = "GROUP BY / HAVING / AHAVING"
+	case hasAggregate(sel.Items):
+		clause = "an aggregate"
+	default:
+		return nil
+	}
+	return fmt.Errorf("%w: %s in ON (SELECT ...); the select must name base-table rows", ErrUnsupported, clause)
+}
+
+// selectRegions runs the ON (SELECT ...) of an annotation command — the row
+// stage of the planned pipeline, over the current state under the command's
+// latches — and translates the rows and the select list into storage regions
+// of the target user table.
 func (s *Session) selectRegions(ctx context.Context, sel *sqlparse.SelectStmt, userTable string, params value.Row) ([]annotation.Region, error) {
-	plan, err := s.buildSelect(ctx, sel, params)
+	if err := checkOnSelect(sel); err != nil {
+		return nil, err
+	}
+	plan, err := s.planQuery(sel, nil)
+	if err != nil {
+		return nil, err
+	}
+	it, err := s.rowStage(ctx, plan, sel.AWhere, params, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -656,7 +591,14 @@ func (s *Session) selectRegions(ctx context.Context, sel *sqlparse.SelectStmt, u
 	// Collect the RowIDs contributed by the target table and the ordinals of
 	// the projected columns that belong to it.
 	rowIDs := map[int64]bool{}
-	for _, r := range plan.rows {
+	for {
+		r, ok, err := it.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
 		for _, o := range r.origins {
 			if strings.EqualFold(o.table, userTable) {
 				rowIDs[o.rowID] = true

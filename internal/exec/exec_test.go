@@ -2,11 +2,14 @@ package exec
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"bdbms/internal/annotation"
 	"bdbms/internal/authz"
+	"bdbms/internal/catalog"
 	"bdbms/internal/dependency"
 	"bdbms/internal/provenance"
 	"bdbms/internal/storage"
@@ -531,4 +534,110 @@ func containsBody(bodies []string, sub string) bool {
 
 func itoa(n int64) string {
 	return strings.TrimSpace(value.NewInt(n).String())
+}
+
+// annotatedRows returns, per GID, how many annotations of table Curation the
+// row's Score cell carries.
+func annotatedRows(t *testing.T, s *Session) map[string]int {
+	t.Helper()
+	out := map[string]int{}
+	for _, r := range mustExec(t, s, `SELECT GID, Score FROM Gene ANNOTATION(Curation)`).Rows {
+		for _, a := range r.Anns[1] {
+			if a.AnnTable == "Curation" { // not the fixture's outdated marks
+				out[r.Values[0].Text()]++
+			}
+		}
+	}
+	return out
+}
+
+// TestOnSelectRowSelecting pins the grammar of the ON (SELECT ...) of the
+// annotation commands: the select names base-table cells, so every clause
+// that would change WHICH rows are named is rejected (the parent commit
+// silently ignored them and annotated rows the statement did not name),
+// while the shapes docs/SQL.md documents keep working.
+func TestOnSelectRowSelecting(t *testing.T) {
+	s := newSession(t)
+	buildJoinFixture(t, s, 10, 10)
+	mustExec(t, s, `ARCHIVE ANNOTATION FROM Gene.Curation ON (SELECT * FROM Gene)`)
+	mustExec(t, s, `DROP ANNOTATION TABLE Curation ON Gene`)
+	mustExec(t, s, `CREATE ANNOTATION TABLE Curation ON Gene`)
+
+	rejected := []struct{ on, clause string }{
+		{`SELECT Score FROM Gene LIMIT 1`, "LIMIT"},
+		{`SELECT DISTINCT Score FROM Gene`, "DISTINCT"},
+		{`SELECT Score FROM Gene WHERE GID = 'G001' UNION SELECT Score FROM Gene WHERE GID = 'G002'`, "set operation"},
+		{`SELECT Score FROM Gene INTERSECT SELECT Score FROM Gene`, "set operation"},
+		{`SELECT Score FROM Gene EXCEPT SELECT Score FROM Gene WHERE GID = 'G001'`, "set operation"},
+		{`SELECT GName FROM Gene GROUP BY GName`, "GROUP BY"},
+		{`SELECT COUNT(*) FROM Gene`, "aggregate"},
+		{`SELECT GName FROM Gene ANNOTATION(Curation) GROUP BY GName HAVING COUNT(*) > 1 AHAVING ANN.AUTHOR = 'alice'`, "HAVING"},
+	}
+	for _, tc := range rejected {
+		for _, cmd := range []string{
+			`ADD ANNOTATION TO Gene.Curation VALUE '<Annotation>x</Annotation>' ON (%s)`,
+			`ARCHIVE ANNOTATION FROM Gene.Curation ON (%s)`,
+			`RESTORE ANNOTATION FROM Gene.Curation ON (%s)`,
+		} {
+			sql := strings.Replace(cmd, "%s", tc.on, 1)
+			_, err := s.Exec(sql)
+			if !errors.Is(err, ErrUnsupported) || !strings.Contains(err.Error(), tc.clause) {
+				t.Errorf("%s\n  err = %v, want ErrUnsupported naming %q", sql, err, tc.clause)
+			}
+		}
+	}
+	if got := annotatedRows(t, s); len(got) != 0 {
+		t.Fatalf("rejected ON-selects annotated rows: %v", got)
+	}
+
+	// Accepted: column list and *, WHERE, ANNOTATION + AWHERE, a join (only
+	// the target table's origins count), and ORDER BY / FILTER, which cannot
+	// change a set of cells.
+	mustExec(t, s, `ADD ANNOTATION TO Gene.Curation VALUE '<Annotation>first</Annotation>'
+		ON (SELECT Score FROM Gene WHERE GID = 'G001' OR GID = 'G002' ORDER BY Score DESC)`)
+	mustExec(t, s, `ADD ANNOTATION TO Gene.Curation VALUE '<Annotation>second</Annotation>'
+		ON (SELECT * FROM Gene ANNOTATION(Curation) AWHERE ANN.VALUE LIKE '%first%' FILTER ANN.AUTHOR = 'nobody')`)
+	mustExec(t, s, `ADD ANNOTATION TO Gene.Curation VALUE '<Annotation>joined</Annotation>'
+		ON (SELECT g.Score, p.PLen FROM Gene g, Protein p WHERE g.GID = p.GID AND g.GID = 'G003')`)
+	want := map[string]int{"G001": 2, "G002": 2}
+	if res := mustExec(t, s, `SELECT PID FROM Protein WHERE GID = 'G003'`); len(res.Rows) > 0 {
+		want["G003"] = 1
+	}
+	if got := annotatedRows(t, s); !reflect.DeepEqual(got, want) {
+		t.Errorf("annotated Score cells = %v, want %v", got, want)
+	}
+	res := mustExec(t, s, `ARCHIVE ANNOTATION FROM Gene.Curation ON (SELECT Score FROM Gene WHERE GID = 'G001')`)
+	if res.Affected != 2 {
+		t.Errorf("ARCHIVE over one row archived %d annotation(s), want 2", res.Affected)
+	}
+	res = mustExec(t, s, `RESTORE ANNOTATION FROM Gene.Curation ON (SELECT * FROM Gene ORDER BY GID)`)
+	if res.Affected != 2 {
+		t.Errorf("RESTORE over every row restored %d annotation(s), want 2", res.Affected)
+	}
+}
+
+// TestUpdateSetValidation: an unknown SET target fails the statement with
+// catalog.ErrColumnNotFound whether or not the WHERE clause matches a row,
+// bare and prepared, and nothing is written. (The parent commit resolved the
+// SET list per matched row and reported "0 row(s) updated" on no match.)
+func TestUpdateSetValidation(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, `CREATE TABLE G (ID INT NOT NULL PRIMARY KEY, Score INT)`)
+	mustExec(t, s, `INSERT INTO G VALUES (1, 10), (2, 20)`)
+	for _, id := range []int{999, 1} {
+		_, err := s.Exec(fmt.Sprintf(`UPDATE G SET Score = 0, Nope = 1 WHERE ID = %d`, id))
+		if !errors.Is(err, catalog.ErrColumnNotFound) {
+			t.Errorf("bare UPDATE with ID = %d: err = %v, want catalog.ErrColumnNotFound", id, err)
+		}
+		st, err := s.Prepare(`UPDATE G SET Score = 0, Nope = ? WHERE ID = ?`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Exec(1, id); !errors.Is(err, catalog.ErrColumnNotFound) {
+			t.Errorf("prepared UPDATE with ID = %d: err = %v, want catalog.ErrColumnNotFound", id, err)
+		}
+	}
+	if got := fingerprint(mustExec(t, s, `SELECT * FROM G`)); got != "ID,Score\nINT:1|INT:10\nINT:2|INT:20\n" {
+		t.Errorf("a rejected UPDATE wrote:\n%s", got)
+	}
 }

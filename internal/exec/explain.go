@@ -5,7 +5,8 @@ package exec
 // column). EXPLAIN never executes its target; for a SELECT it runs the real
 // planner — the same planFor the cursor layer uses, so the explanation can
 // never diverge from execution — and renders the join pipeline in execution
-// order with the cost model's row estimates, then the post-join stages.
+// order with the cost model's row estimates, then the post-join stages. An
+// UPDATE or DELETE renders the pipeline of its read phase the same way.
 //
 // The rendering is byte-stable for a fixed database state; the goldens under
 // testdata/explain pin it. Two dynamic decisions are rendered statically:
@@ -81,30 +82,8 @@ func (s *Session) explainSelectLines(sel *sqlparse.SelectStmt) ([]string, error)
 			return nil, err
 		}
 	}
-	phys := plan.phys
-	var lines []string
-	for i, si := range phys.execOrder() {
-		src := phys.sources[si]
-		if i == 0 {
-			lines = append(lines, fmt.Sprintf("%s%s rows~%d%s",
-				scanDesc(src), filterMark(len(src.preds) > 0), roundRows(phys.srcRows[si]), noStatsMark(phys, si)))
-			continue
-		}
-		step := phys.steps[i-1]
-		op := "NestedLoop"
-		if len(step.leftKey) > 0 {
-			op = "HashJoin"
-		}
-		lines = append(lines, fmt.Sprintf("%s(%s%s)%s rows~%d%s",
-			op, src.tbl.Name(), describeScan(src), filterMark(len(step.post) > 0),
-			roundRows(phys.stepRows[i-1]), noStatsMark(phys, si)))
-	}
-	if phys.reordered {
-		lines = append(lines, "Restore(syntactic order)")
-	}
-	if len(phys.residual) > 0 {
-		lines = append(lines, "Residual")
-	}
+	phys := &plan.phys
+	lines := pipelineLines(phys)
 	if sel.AWhere != nil {
 		lines = append(lines, "AWhere")
 	}
@@ -162,44 +141,48 @@ func (s *Session) explainSelectLines(sel *sqlparse.SelectStmt) ([]string, error)
 	return lines, nil
 }
 
-// explainMutation renders the access path an UPDATE or DELETE would use to
-// find its matching rows — the same chooser probeMatchingRows feeds, so the
-// explanation shows whether the mutation probes an index or scans the heap.
+// pipelineLines renders the planned FROM/WHERE pipeline — scans, joins,
+// restore, residual — one line per operator in execution order. Every
+// statement that pulls rows from the pipeline (SELECT, UPDATE, DELETE)
+// explains its source with it.
+func pipelineLines(phys *physicalPlan) []string {
+	var lines []string
+	for i, si := range phys.execOrder() {
+		src := phys.sources[si]
+		if i == 0 {
+			lines = append(lines, fmt.Sprintf("%s%s rows~%d%s",
+				scanDesc(src), filterMark(len(src.preds) > 0), roundRows(phys.srcRows[si]), noStatsMark(phys, si)))
+			continue
+		}
+		step := phys.steps[i-1]
+		op := "NestedLoop"
+		if len(step.leftKey) > 0 {
+			op = "HashJoin"
+		}
+		lines = append(lines, fmt.Sprintf("%s(%s%s)%s rows~%d%s",
+			op, src.tbl.Name(), describeScan(src), filterMark(len(step.post) > 0),
+			roundRows(phys.stepRows[i-1]), noStatsMark(phys, si)))
+	}
+	if phys.reordered {
+		lines = append(lines, "Restore(syntactic order)")
+	}
+	if len(phys.residual) > 0 {
+		lines = append(lines, "Residual")
+	}
+	return lines
+}
+
+// explainMutation renders the read phase of an UPDATE or DELETE: the plan of
+// `SELECT * FROM table WHERE where`, pushed down by the same pushDown the
+// mutation executes with and costed for the rows~N estimate (EXPLAIN holds
+// no latch, so reading the statistics is free here).
 func (s *Session) explainMutation(verb, table string, where sqlparse.Expr) (string, error) {
-	tbl, err := s.Eng.Table(table)
+	plan, err := s.planFor(&sqlparse.SelectStmt{From: []sqlparse.TableRef{{Table: table}}, Where: where, Limit: -1})
 	if err != nil {
 		return "", err
 	}
-	schema := tbl.Schema()
-	src := &sourcePlan{tbl: tbl, numCols: len(schema.Columns)}
-	if where != nil {
-		for _, e := range splitAnd(where, nil) {
-			resolved := true
-			pure := walkColumns(e, func(col *sqlparse.ColumnExpr) {
-				if col.Table != "" && !strings.EqualFold(col.Table, tbl.Name()) {
-					resolved = false
-					return
-				}
-				if schema.ColumnIndex(col.Column) < 0 {
-					resolved = false
-				}
-			})
-			if pure && resolved {
-				src.preds = append(src.preds, compiledPred{expr: e})
-			}
-		}
-	}
-	s.chooseAccessPath(src)
-	st := s.tableStats(tbl)
-	rows := float64(tbl.RowCount())
-	mark := " [no stats]"
-	if st != nil {
-		m := s.newCostModel([]*sourcePlan{src}, nil)
-		rows = m.est[0]
-		mark = ""
-	}
-	return fmt.Sprintf("%s(%s)\n  via %s%s rows~%d%s",
-		verb, tbl.Name(), scanDesc(src), filterMark(len(src.preds) > 0), roundRows(rows), mark), nil
+	return fmt.Sprintf("%s(%s)\n  via %s", verb, plan.sources[0].tbl.Name(),
+		strings.Join(pipelineLines(&plan.phys), "\n  ")), nil
 }
 
 func filterMark(filtered bool) string {

@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"bdbms/internal/dependency"
+	"bdbms/internal/sqlparse"
 	"bdbms/internal/storage"
 )
 
@@ -593,6 +594,44 @@ func TestSQLEquivalenceFuzzSpill(t *testing.T) {
 	}
 }
 
+// referenceMatchCount is the oracle for which rows a mutation touches: for an
+// UPDATE or DELETE it runs SELECT COUNT(*) FROM <table> WHERE <same
+// condition> through the NoOptimize reference executor, which shares no scan
+// code with the planned pipeline the mutation's read phase drains. Other
+// statements return -1.
+func referenceMatchCount(t *testing.T, s *Session, sql string) int {
+	t.Helper()
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		t.Fatalf("parse %q: %v", sql, err)
+	}
+	var table string
+	var where sqlparse.Expr
+	switch st := stmt.(type) {
+	case *sqlparse.UpdateStmt:
+		table, where = st.Table, st.Where
+	case *sqlparse.DeleteStmt:
+		table, where = st.Table, st.Where
+	default:
+		return -1
+	}
+	s.NoOptimize = true
+	defer func() { s.NoOptimize = false }()
+	res, err := s.ExecStmt(&sqlparse.SelectStmt{
+		Items: []sqlparse.SelectItem{{Expr: &sqlparse.AggregateExpr{Func: "COUNT", Star: true}}},
+		From:  []sqlparse.TableRef{{Table: table}},
+		Where: where,
+		Limit: -1,
+	})
+	if err != nil {
+		t.Fatalf("reference count for %q: %v", sql, err)
+	}
+	if len(res.Rows) == 0 {
+		return 0 // an aggregate over no rows yields no group
+	}
+	return int(res.Rows[0].Values[0].Int())
+}
+
 // fuzzSeed runs one generated database + workload with the given spill
 // budget (0 = default): queries with write steps between them.
 func fuzzSeed(t *testing.T, seed int64, queriesPerSeed, spillBudget int, big bool) {
@@ -622,8 +661,14 @@ func fuzzSeed(t *testing.T, seed int64, queriesPerSeed, spillBudget int, big boo
 			// Its own generator: DML predicates must not leave bind arguments
 			// behind for the query's prepared form.
 			for _, stmt := range (&queryGen{r: r}).genDML(fc, writeSteps, big) {
-				if _, err := s.Exec(stmt); err != nil {
+				want := referenceMatchCount(t, s, stmt)
+				res, err := s.Exec(stmt)
+				if err != nil {
 					t.Fatalf("seed %d before query %d: %q: %v\nrepro script:\n%s", seed, q, stmt, err, reproScript(fc, stmt))
+				}
+				if want >= 0 && res.Affected != want {
+					t.Fatalf("seed %d before query %d: %q affected %d row(s), the reference executor counts %d\nrepro script:\n%s",
+						seed, q, stmt, res.Affected, want, reproScript(fc, stmt))
 				}
 				fc.setup = append(fc.setup, stmt)
 			}

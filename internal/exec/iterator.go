@@ -16,9 +16,8 @@ import (
 // a time from table scans through filters and joins, so a query never
 // materializes the cross product of its FROM tables the way the naive
 // executor does. Rows carry only values and origins while inside the
-// pipeline; annotations and outdated marks are attached lazily, after
-// filtering, by Session.decorateRows (or per row by decorateIter when the
-// query streams through a cursor).
+// pipeline; annotations and outdated marks are attached lazily, to the rows
+// that survive filtering, by decorateIter (rowStage in planner.go).
 //
 // Scan and join iterators check the query context on every Next call, so a
 // canceled context aborts a long-running scan or join with ctx.Err()
@@ -39,7 +38,26 @@ type rowIter interface {
 // a prepared statement reuse the compiled predicate across executions.
 type compiledPred struct {
 	expr  sqlparse.Expr
-	slots map[*sqlparse.ColumnExpr]int
+	slots colSlots
+}
+
+// colSlots maps the column references of one conjunct to value slots. A
+// conjunct has a handful of references, so a scanned slice is both smaller
+// and faster per row than a map.
+type colSlots []colSlot
+
+type colSlot struct {
+	col  *sqlparse.ColumnExpr
+	slot int
+}
+
+func (cs colSlots) get(col *sqlparse.ColumnExpr) (int, bool) {
+	for _, c := range cs {
+		if c.col == col {
+			return c.slot, true
+		}
+	}
+	return 0, false
 }
 
 // eval evaluates the predicate against a row whose values start at the given
@@ -47,7 +65,7 @@ type compiledPred struct {
 // inside a single-table scan).
 func (p compiledPred) eval(vals value.Row, offset int, params value.Row) (bool, error) {
 	v, err := evalExpr(p.expr, func(col *sqlparse.ColumnExpr) (value.Value, error) {
-		slot, ok := p.slots[col]
+		slot, ok := p.slots.get(col)
 		if !ok {
 			return value.Value{}, errUnresolvedSlot
 		}

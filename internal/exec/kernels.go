@@ -57,7 +57,7 @@ func compileKernel(s *Session, p compiledPred, src *sourcePlan, schema *catalog.
 	if !ok {
 		return kernelPred{}, kernelNo
 	}
-	slot, ok := p.slots[colExpr]
+	slot, ok := p.slots.get(colExpr)
 	if !ok {
 		return kernelPred{}, kernelNo
 	}

@@ -254,21 +254,19 @@ func walkColumns(e sqlparse.Expr, fn func(*sqlparse.ColumnExpr)) bool {
 
 // analyzedConjunct is one WHERE conjunct with resolved column slots.
 type analyzedConjunct struct {
-	expr    sqlparse.Expr
-	slots   map[*sqlparse.ColumnExpr]int
-	sources map[int]bool // source indexes referenced
-	maxSrc  int
+	expr  sqlparse.Expr
+	slots colSlots
+	// minSrc and maxSrc bound the source indexes the conjunct references;
+	// they are equal for a single-source conjunct (both 0 for a constant
+	// one, which is pushed into the first scan).
+	minSrc, maxSrc int
 }
 
 // analyzeConjunct resolves the conjunct's columns against the full binding
 // list. ok is false when the conjunct cannot be planned (aggregate or
 // resolution failure) and must run as a naive residual.
 func analyzeConjunct(e sqlparse.Expr, bindings []binding, slotSource []int) (analyzedConjunct, bool) {
-	ac := analyzedConjunct{
-		expr:    e,
-		slots:   make(map[*sqlparse.ColumnExpr]int),
-		sources: make(map[int]bool),
-	}
+	ac := analyzedConjunct{expr: e}
 	resolved := true
 	pure := walkColumns(e, func(col *sqlparse.ColumnExpr) {
 		idx, _, err := resolveColumn(bindings, col)
@@ -276,12 +274,14 @@ func analyzeConjunct(e sqlparse.Expr, bindings []binding, slotSource []int) (ana
 			resolved = false
 			return
 		}
-		ac.slots[col] = idx
 		src := slotSource[idx]
-		ac.sources[src] = true
+		if len(ac.slots) == 0 || src < ac.minSrc {
+			ac.minSrc = src
+		}
 		if src > ac.maxSrc {
 			ac.maxSrc = src
 		}
+		ac.slots = append(ac.slots, colSlot{col: col, slot: idx})
 	})
 	return ac, pure && resolved
 }
@@ -390,44 +390,49 @@ func indexProbeValue(colType value.Type, v value.Value) (probe value.Value, exac
 
 // --- planning ------------------------------------------------------------------------------
 
-// planSelect builds the physical FROM/WHERE plan. bindings and slotSource
-// describe the global value-slot layout (slotSource[i] = source index of
-// slot i).
-func (s *Session) planSelect(st *sqlparse.SelectStmt, sources []*sourcePlan, bindings []binding, slotSource []int) *physicalPlan {
-	plan := &physicalPlan{sources: sources}
-	if len(sources) == 0 {
-		// FROM is mandatory in the grammar; a programmatically built
-		// statement with no sources yields no rows, so WHERE is moot.
-		return plan
-	}
-
-	var conjuncts []analyzedConjunct
-	if st.Where != nil {
-		for _, e := range splitAnd(st.Where, nil) {
-			ac, ok := analyzeConjunct(e, bindings, slotSource)
-			if !ok {
-				plan.residual = append(plan.residual, e)
-				continue
-			}
-			conjuncts = append(conjuncts, ac)
-		}
-	}
-
-	// Push single-table conjuncts into their scans.
+// pushDown is the placement half of planning, shared by every statement
+// that names rows with a predicate: it splits WHERE into conjuncts, pushes
+// the single-source ones into their scans and picks each source's access
+// path, filling plan. The multi-source conjuncts come back for the join
+// planner; whatever cannot be compiled stays on the plan as a residual.
+// bindings and slotSource describe the global value-slot layout
+// (slotSource[i] = source index of slot i). A single-source plan is
+// executable once pushDown returns — nothing in it is chosen by cost — which
+// is how a mutation plans its read phase under its table's write latch
+// without touching the statistics (Table.Stats may rebuild them with a heap
+// scan).
+func (s *Session) pushDown(plan *physicalPlan, where sqlparse.Expr, sources []*sourcePlan, bindings []binding, slotSource []int) []analyzedConjunct {
+	plan.sources = sources
 	var multi []analyzedConjunct
-	for _, ac := range conjuncts {
-		if len(ac.sources) <= 1 {
-			src := sources[ac.maxSrc]
-			src.preds = append(src.preds, compiledPred{expr: ac.expr, slots: ac.slots})
-			continue
+	if where != nil {
+		for _, e := range splitAnd(where, nil) {
+			ac, ok := analyzeConjunct(e, bindings, slotSource)
+			switch {
+			case !ok:
+				plan.residual = append(plan.residual, e)
+			case ac.minSrc == ac.maxSrc:
+				src := sources[ac.maxSrc]
+				src.preds = append(src.preds, compiledPred{expr: ac.expr, slots: ac.slots})
+			default:
+				multi = append(multi, ac)
+			}
 		}
-		multi = append(multi, ac)
 	}
-
-	// Choose index access paths from the pushed predicates.
 	for _, src := range sources {
 		s.chooseAccessPath(src)
 	}
+	return multi
+}
+
+// planSelect builds the physical FROM/WHERE plan of a SELECT: pushDown, then
+// the cost model's estimates, join order and join steps.
+func (s *Session) planSelect(plan *physicalPlan, st *sqlparse.SelectStmt, sources []*sourcePlan, bindings []binding, slotSource []int) {
+	if len(sources) == 0 {
+		// FROM is mandatory in the grammar; a programmatically built
+		// statement with no sources yields no rows, so WHERE is moot.
+		return
+	}
+	multi := s.pushDown(plan, st.Where, sources, bindings, slotSource)
 
 	// Estimate per-source cardinalities from the table statistics and choose
 	// the join order by cost (cost.go); the syntactic order is kept unless a
@@ -453,7 +458,6 @@ func (s *Session) planSelect(st *sqlparse.SelectStmt, sources []*sourcePlan, bin
 		}
 	}
 	plan.steps, plan.stepRows, plan.estRows = m.buildSteps(order, multi, !s.NoReorder)
-	return plan
 }
 
 // chooseAccessPath picks an index probe for the source from its pushed
@@ -562,26 +566,28 @@ func columnTypeAt(sources []*sourcePlan, slotSource []int, slot int) value.Type 
 }
 
 // resolveSources builds the source plans and the global value-slot layout
-// (bindings plus slot -> source mapping) for a FROM list. Both the executor
-// (buildSelect) and explainSelect derive the layout from here so plan
-// explanation can never diverge from plan execution.
+// (bindings plus slot -> source mapping) for a FROM list. Every planning
+// entry point (planFor, planMutation — and so EXPLAIN) and the reference
+// executor derive the layout from here, so plan explanation can never
+// diverge from plan execution.
 func (s *Session) resolveSources(from []sqlparse.TableRef) ([]*sourcePlan, []binding, []int, error) {
-	var sources []*sourcePlan
-	var bindings []binding
-	var slotSource []int
+	sources := make([]*sourcePlan, len(from))
 	offset := 0
 	for si, ref := range from {
 		tbl, err := s.Eng.Table(ref.Table)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		cols := tbl.Schema().Columns
-		sources = append(sources, &sourcePlan{ref: ref, tbl: tbl, offset: offset, numCols: len(cols)})
-		for i, col := range cols {
-			bindings = append(bindings, binding{table: tbl.Name(), alias: ref.Alias, column: col.Name, colIdx: i})
+		sources[si] = &sourcePlan{ref: ref, tbl: tbl, offset: offset, numCols: len(tbl.Schema().Columns)}
+		offset += sources[si].numCols
+	}
+	bindings := make([]binding, 0, offset)
+	slotSource := make([]int, 0, offset)
+	for si, src := range sources {
+		for i, col := range src.tbl.Schema().Columns {
+			bindings = append(bindings, binding{table: src.tbl.Name(), alias: src.ref.Alias, column: col.Name, colIdx: i})
 			slotSource = append(slotSource, si)
 		}
-		offset += len(cols)
 	}
 	return sources, bindings, slotSource, nil
 }
@@ -639,15 +645,22 @@ func (s *Session) scanRowIDs(src *sourcePlan, params value.Row, snap *storage.Sn
 }
 
 // buildPipeline assembles the iterator tree of the planned FROM/WHERE
-// pipeline (scans, joins, post-join filters and residual conjuncts). Both
-// the materializing runPlan and the streaming cursor pull from it. Sources
-// are scanned and joined in the plan's execution order; a reordered plan
-// restores the syntactic layout and row order before the residual filter.
-// orderedIDs, when non-nil, is a pre-captured index-ordered RowID list for
-// the (single) source — the sort-elision path of buildSelectIter — and
-// bypasses the vectorized batch scan, which only reads in RowID order.
+// pipeline (scans, joins, post-join filters and residual conjuncts). It is
+// the only producer of a statement's base rows: SELECT cursors and the
+// ON (SELECT ...) of the annotation commands pull from it through rowStage;
+// UPDATE and DELETE drain it directly for their read phase, with snap == nil
+// — the current state under the table's write latch — which also keeps them
+// off the batch scan. Sources are scanned and joined in the plan's execution
+// order; a reordered plan restores the syntactic layout and row order before
+// the residual filter. orderedIDs, when non-nil, is a pre-captured
+// index-ordered RowID list for the (single) source — the sort-elision path
+// of buildSelectIter — and bypasses the vectorized batch scan, which only
+// reads in RowID order.
 func (s *Session) buildPipeline(ctx context.Context, plan *physicalPlan, bindings []binding, params value.Row, snap *storage.Snapshot, orderedIDs []int64) (rowIter, error) {
-	first := plan.sources[plan.execOrder()[0]]
+	first := plan.sources[0]
+	if plan.order != nil {
+		first = plan.sources[plan.order[0]]
+	}
 	var it rowIter
 	if orderedIDs != nil {
 		it = &scanIter{ctx: ctx, src: first, ids: orderedIDs, params: params, snap: snap}
@@ -694,17 +707,18 @@ func (s *Session) buildPipeline(ctx context.Context, plan *physicalPlan, binding
 	return it, nil
 }
 
-// runPlan executes the pipeline and returns the surviving rows (values and
-// origins only; annotations are attached later by decorateRows).
-func (s *Session) runPlan(ctx context.Context, plan *physicalPlan, bindings []binding, params value.Row) ([]execRow, error) {
-	if len(plan.sources) == 0 {
-		return nil, nil
-	}
-	it, err := s.buildPipeline(ctx, plan, bindings, params, nil, nil)
+// rowStage is the row half of a SELECT: the planned pipeline, then
+// decoration (annotations and outdated marks, attached to survivors only)
+// and AWHERE. Its rows still carry their (table, RowID) origins and the full
+// FROM layout; the output stage of buildSelectIter (grouping, projection,
+// DISTINCT, set operations, ordering, LIMIT) consumes them for a cursor,
+// selectRegions consumes them as the address of an annotation command.
+func (s *Session) rowStage(ctx context.Context, plan *stmtPlan, awhere sqlparse.Expr, params value.Row, snap *storage.Snapshot, orderedIDs []int64) (rowIter, error) {
+	it, err := s.buildPipeline(ctx, &plan.phys, plan.bindings, params, snap, orderedIDs)
 	if err != nil {
 		return nil, err
 	}
-	return drainIter(it)
+	return &decorateIter{in: it, dec: s.newDecorator(plan.sources), awhere: awhere, params: params}, nil
 }
 
 // annSource is the per-source decoration plan: which annotation tables the
@@ -801,21 +815,5 @@ func (as *annSource) appendOutdated(anns [][]*annotation.Annotation, rowID int64
 				Regions: []annotation.Region{annotation.CellRegion(as.name, rowID, c)},
 			})
 		}
-	}
-}
-
-// decorateRows attaches, per surviving row, the annotations requested by each
-// source's ANNOTATION clause and the dependency manager's outdated marks.
-// Doing this after the filter/join pipeline — instead of at scan time like
-// the naive executor — means annotation lookups run once per result row, not
-// once per scanned row. The per-table bitmap is fetched once (not per cell)
-// and skipped entirely when it has no set bits.
-func (s *Session) decorateRows(rows []execRow, sources []*sourcePlan) {
-	if len(rows) == 0 {
-		return
-	}
-	d := s.newDecorator(sources)
-	for i := range rows {
-		d.decorate(&rows[i])
 	}
 }

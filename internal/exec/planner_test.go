@@ -252,3 +252,114 @@ func TestIndexScanAfterMutations(t *testing.T) {
 		t.Errorf("range after churn = %d rows, want 3", len(res.Rows))
 	}
 }
+
+// TestMutationPlanShapes is the one-path invariant: for every WHERE shape,
+// EXPLAIN UPDATE, EXPLAIN DELETE and EXPLAIN SELECT * render the same
+// pipeline — access path, pushed-filter mark, estimate, residual — because
+// all three are the rendering of one plan, not three re-derivations of it.
+func TestMutationPlanShapes(t *testing.T) {
+	s := newSession(t)
+	buildJoinFixture(t, s, 10, 10)
+	// pipelineOf runs an EXPLAIN (prepared, so `?` shapes bind) and returns
+	// the pipeline lines: a SELECT's up to its Project line, a mutation's
+	// below its verb line with the indent and the "via " lead stripped.
+	pipelineOf := func(sql string, args []any) string {
+		t.Helper()
+		st, err := s.Prepare(sql)
+		if err != nil {
+			t.Fatalf("prepare %q: %v", sql, err)
+		}
+		res, err := st.Exec(args...)
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		var lines []string
+		for _, r := range res.Rows {
+			line := r.Values[0].Text()
+			if strings.HasPrefix(line, "Project(") {
+				break
+			}
+			if strings.HasPrefix(line, "Update(") || strings.HasPrefix(line, "Delete(") {
+				continue
+			}
+			lines = append(lines, strings.TrimPrefix(strings.TrimPrefix(line, "  "), "via "))
+		}
+		return strings.Join(lines, "\n")
+	}
+	for _, tc := range []struct {
+		where string
+		args  []any
+		want  string
+	}{
+		{` WHERE GID = 'G001'`, nil, "IndexScan(Gene.GID =) filter rows~1"},
+		{` WHERE Score > 3 AND Score < 9`, nil, "IndexScan(Gene.Score range) filter"},
+		{` WHERE GID = ?`, []any{"G001"}, "IndexScan(Gene.GID = ?) filter rows~1"},
+		{` WHERE GName = 'name1' AND Score >= 0`, nil, "IndexScan(Gene.Score range) filter"},
+		{` WHERE GName = 'name1'`, nil, "SeqScan(Gene) filter"},
+		{` WHERE Nope > 50`, nil, "SeqScan(Gene) rows~10\nResidual"},
+		{``, nil, "SeqScan(Gene) rows~10"},
+	} {
+		sel := pipelineOf(`EXPLAIN SELECT * FROM Gene`+tc.where, tc.args)
+		if !strings.HasPrefix(sel, tc.want) {
+			t.Errorf("SELECT%s pipeline = %q, want prefix %q", tc.where, sel, tc.want)
+		}
+		if upd := pipelineOf(`EXPLAIN UPDATE Gene SET GName = 'x'`+tc.where, tc.args); upd != sel {
+			t.Errorf("UPDATE%s pipeline = %q, SELECT's = %q", tc.where, upd, sel)
+		}
+		if del := pipelineOf(`EXPLAIN DELETE FROM Gene`+tc.where, tc.args); del != sel {
+			t.Errorf("DELETE%s pipeline = %q, SELECT's = %q", tc.where, del, sel)
+		}
+	}
+}
+
+// TestPreparedMutationPlanCache: a prepared UPDATE/DELETE plans once and
+// keeps its plan across executions, and DDL invalidates it — the same
+// statement switches from a heap scan to the new index after CREATE INDEX.
+func TestPreparedMutationPlanCache(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, `CREATE TABLE T (ID INT NOT NULL PRIMARY KEY, Score INT, V TEXT)`)
+	for i := 0; i < 30; i++ {
+		mustExec(t, s, fmt.Sprintf(`INSERT INTO T VALUES (%d, %d, 'v')`, i, i%10))
+	}
+	upd, err := s.Prepare(`UPDATE T SET V = ? WHERE Score = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	del, err := s.Prepare(`DELETE FROM T WHERE Score = ? AND ID >= ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(st *Stmt, wantShape string, wantAffected int, args ...any) *stmtPlan {
+		t.Helper()
+		res, err := st.Exec(args...)
+		if err != nil {
+			t.Fatalf("%s %v: %v", st.Text(), args, err)
+		}
+		if res.Affected != wantAffected {
+			t.Errorf("%s %v affected %d row(s), want %d", st.Text(), args, res.Affected, wantAffected)
+		}
+		if st.plan == nil {
+			t.Fatalf("%s: no plan cached on the prepared statement", st.Text())
+		}
+		if got := st.plan.phys.String(); got != wantShape {
+			t.Errorf("%s plan = %q, want %q", st.Text(), got, wantShape)
+		}
+		return st.plan
+	}
+	first := run(upd, "SeqScan(T) -> Filter", 3, "a", 4)
+	if again := run(upd, "SeqScan(T) -> Filter", 3, "b", 5); again != first {
+		t.Error("second execution of the prepared UPDATE replanned without DDL")
+	}
+	run(del, "SeqScan(T) -> Filter", 1, 4, 20)
+
+	mustExec(t, s, `CREATE INDEX ON T (Score)`)
+	if after := run(upd, "IndexScan(T.Score = ?) -> Filter", 3, "c", 6); after == first {
+		t.Error("prepared UPDATE kept its pre-DDL plan")
+	}
+	run(del, "IndexScan(T.Score = ?) -> Filter", 2, 5, 10)
+	got := fingerprint(mustExec(t, s, `SELECT ID, V FROM T WHERE Score >= 4 AND Score <= 6 ORDER BY ID`))
+	want := "ID,V\nINT:4|TEXT:a\nINT:5|TEXT:b\nINT:6|TEXT:c\nINT:14|TEXT:a\nINT:16|TEXT:c\nINT:26|TEXT:c\n"
+	if got != want {
+		t.Errorf("rows after prepared mutations:\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -55,14 +55,16 @@ type planItem struct {
 	sourceCol   int
 }
 
-// selectPlan carries the intermediate state of one SELECT evaluation.
+// selectPlan carries the intermediate state of one SELECT evaluation in the
+// reference executor.
 type selectPlan struct {
 	bindings []binding
 	rows     []execRow
 	items    []planItem
 }
 
-// execSelect evaluates an A-SQL SELECT and produces the final result.
+// execSelect evaluates an A-SQL SELECT with the reference executor and
+// produces the final, fully materialized result.
 func (s *Session) execSelect(ctx context.Context, st *sqlparse.SelectStmt, params value.Row) (*Result, error) {
 	plan, err := s.buildSelect(ctx, st, params)
 	if err != nil {
@@ -128,16 +130,13 @@ func (s *Session) execSelect(ctx context.Context, st *sqlparse.SelectStmt, param
 	return &Result{Columns: cols, Rows: rows}, nil
 }
 
-// buildSelect evaluates FROM / WHERE / AWHERE / GROUP BY / HAVING / AHAVING /
-// FILTER, leaving projection to the caller (the annotation commands reuse the
-// pre-projection rows to compute regions).
-//
-// FROM and WHERE normally run through the planner and the streaming iterator
-// pipeline (planner.go / iterator.go): single-table WHERE conjuncts are
-// pushed into the scans, indexed conjuncts probe the B+-tree, and equi-join
-// conjuncts drive hash joins. Session.NoOptimize forces the naive
-// materialize-then-filter path, kept as the semantic reference for the
-// plan-equivalence tests.
+// buildSelect is the reference executor's FROM / WHERE / AWHERE / GROUP BY /
+// HAVING / AHAVING / FILTER: every table loaded with its annotations, the
+// full cross product materialized, then each clause applied to the whole row
+// set in turn, leaving projection to execSelect. It shares no scan, join or
+// grouping code with the planned pipeline — that independence is what makes
+// it the oracle of the equivalence fuzzers — and only a Session.NoOptimize
+// SELECT runs it.
 func (s *Session) buildSelect(ctx context.Context, st *sqlparse.SelectStmt, params value.Row) (*selectPlan, error) {
 	plan := &selectPlan{}
 
@@ -147,22 +146,12 @@ func (s *Session) buildSelect(ctx context.Context, st *sqlparse.SelectStmt, para
 			return nil, err
 		}
 	}
-	sources, bindings, slotSource, err := s.resolveSources(st.From)
+	sources, bindings, _, err := s.resolveSources(st.From)
 	if err != nil {
 		return nil, err
 	}
 	plan.bindings = bindings
-
-	var rows []execRow
-	if s.NoOptimize {
-		rows, err = s.buildRowsNaive(ctx, st, plan.bindings, sources, params)
-	} else {
-		phys := s.planSelect(st, sources, plan.bindings, slotSource)
-		rows, err = s.runPlan(ctx, phys, plan.bindings, params)
-		if err == nil {
-			s.decorateRows(rows, sources)
-		}
-	}
+	rows, err := s.buildRowsNaive(ctx, st, plan.bindings, sources, params)
 	if err != nil {
 		return nil, err
 	}
@@ -230,14 +219,13 @@ func (s *Session) buildSelect(ctx context.Context, st *sqlparse.SelectStmt, para
 	}
 
 	plan.rows = rows
-	// Resolve projection items (used both by project and by selectRegions).
 	plan.items = resolveItems(st, plan.bindings)
 	return plan, nil
 }
 
 // resolveItems resolves the SELECT list against the binding layout. It is
-// shared by the materializing path (buildSelect) and the streaming cursor,
-// so both project identically.
+// shared by the reference executor and the planned pipeline (planFor), so
+// both project identically.
 func resolveItems(st *sqlparse.SelectStmt, bindings []binding) []planItem {
 	var items []planItem
 	for _, item := range st.Items {

@@ -26,7 +26,7 @@ package exec
 //     through a buffer eviction.
 //
 // Auto-commit statements run inside an implicit transaction built from the
-// same two pieces (see execAutoCommit in cursor.go), so a mid-statement
+// same two pieces (see execAutoCommit below), so a mid-statement
 // error or context cancellation rolls the statement back instead of leaving
 // half-applied state — multi-row INSERTs, UPDATE cascades and annotation
 // side effects included.
@@ -459,9 +459,9 @@ func (tx *Tx) queryStmt(ctx context.Context, stmt sqlparse.Statement, params val
 	var res *Result
 	var err error
 	if readOnlyStmt(stmt) {
-		res, err = s.execStmt(ctx, stmt, params)
+		res, err = s.execStmt(ctx, stmt, params, prep)
 	} else {
-		res, err = tx.execMutationLocked(ctx, stmt, params)
+		res, err = tx.execMutationLocked(ctx, stmt, params, prep)
 	}
 	if err != nil {
 		return nil, err
@@ -481,7 +481,7 @@ func (tx *Tx) queryStmt(ctx context.Context, stmt sqlparse.Statement, params val
 // recovery to discard the statement's WAL records. If that marker cannot be
 // written, committing would resurrect the partial statement — so the whole
 // transaction is rolled back instead.
-func (tx *Tx) execMutationLocked(ctx context.Context, stmt sqlparse.Statement, params value.Row) (*Result, error) {
+func (tx *Tx) execMutationLocked(ctx context.Context, stmt sqlparse.Statement, params value.Row, prep *Stmt) (*Result, error) {
 	s := tx.sess
 	// Latch the statement's tables before touching the WAL scope: writers
 	// on the same table serialize on the table latch first, keeping the
@@ -496,7 +496,7 @@ func (tx *Tx) execMutationLocked(ctx context.Context, stmt sqlparse.Statement, p
 	log := s.Eng.WAL()
 	mark := tx.u.Len()
 	recsBefore := log.FrameRecords()
-	res, err := s.execStmt(ctx, stmt, params)
+	res, err := s.execStmt(ctx, stmt, params, prep)
 	if err == nil {
 		return res, nil
 	}
@@ -569,14 +569,17 @@ func (s *Session) execTxControl(ctx context.Context, stmt sqlparse.Statement) (s
 // statements never deadlock each other), undo hooks installed, WAL frame
 // armed lazily (a statement that logs nothing leaves no trace), committed
 // on success and fully rolled back — memory and, via recovery, disk — on
-// any error, including context cancellation mid-write. Read-only statements
-// skip all of it: SHOW PENDING reads the internally-locked approval state,
-// and a NoOptimize SELECT reads the current heap (its per-row reads are
-// individually consistent; naive-executor sessions are single-actor by
+// any error, including context cancellation mid-write. prep is the prepared
+// statement being executed, if any; UPDATE and DELETE take their cached plan
+// from it. Read-only statements skip all of the above: EXPLAIN only plans,
+// SHOW PENDING reads the internally-locked approval state, and a SELECT
+// arrives here only from a NoOptimize session (queryStmt streams the rest)
+// and runs the reference executor over the current heap (its per-row reads
+// are individually consistent; reference sessions are single-actor by
 // construction).
-func (s *Session) execAutoCommit(ctx context.Context, stmt sqlparse.Statement, params value.Row) (*Result, error) {
+func (s *Session) execAutoCommit(ctx context.Context, stmt sqlparse.Statement, params value.Row, prep *Stmt) (*Result, error) {
 	if readOnlyStmt(stmt) {
-		return s.execStmt(ctx, stmt, params)
+		return s.execStmt(ctx, stmt, params, prep)
 	}
 	locker := s.Eng.Locks().NewLocker()
 	defer locker.ReleaseAll()
@@ -594,7 +597,7 @@ func (s *Session) execAutoCommit(ctx context.Context, stmt sqlparse.Statement, p
 		return nil, err
 	}
 	mark := s.Eng.BeginWrite()
-	res, err := s.execStmt(ctx, stmt, params)
+	res, err := s.execStmt(ctx, stmt, params, prep)
 	if err == nil {
 		if err = log.CommitTx(); err != nil {
 			err = fmt.Errorf("exec: commit statement: %w", err)
