@@ -277,7 +277,7 @@ func (it *batchScanIter) applyRowPreds(sel []int32) ([]int32, error) {
 // INT/FLOAT/TEXT/SEQUENCE columns become typed kernels, everything else
 // evaluates row-wise per batch with identical semantics.
 func (s *Session) tryBatchScan(ctx context.Context, src *sourcePlan, params value.Row, snap *storage.Snapshot) *batchScanIter {
-	if s.NoVectorize || snap == nil || src.access.kind != accessFullScan {
+	if s.NoVectorize || snap == nil || !src.access.fullScan() {
 		return nil
 	}
 	cd := src.tbl.ColumnarData()

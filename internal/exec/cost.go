@@ -122,18 +122,18 @@ func (m *costModel) predSelectivity(src *sourcePlan, st *stats.Table, e sqlparse
 		}
 		return eqSelectivityNoStats
 	}
-	if st == nil || ci >= len(st.Cols) || !st.Cols[ci].HasRange || containsPlaceholder(ce) {
+	if st == nil || ci >= len(st.Cols) || !st.Cols[ci].HasRange {
 		return defaultSelectivity
 	}
+	// A bound that takes its value from a `?` has none yet and fails here.
 	cv, err := m.s.evalConst(ce, nil)
 	if err != nil {
 		return defaultSelectivity
 	}
-	f, numeric := numericBound(cv)
-	if !numeric {
+	if classOf(cv.Type()) != classNumeric {
 		return defaultSelectivity
 	}
-	c := st.Cols[ci]
+	f, c := cv.Float(), st.Cols[ci]
 	width := c.Max - c.Min
 	if width <= 0 {
 		// Single-valued (or never rebuilt) range: a comparison against it
@@ -150,17 +150,6 @@ func (m *costModel) predSelectivity(src *sourcePlan, st *stats.Table, e sqlparse
 		return defaultSelectivity
 	}
 	return math.Min(math.Max(frac, 0), 1)
-}
-
-func numericBound(v value.Value) (float64, bool) {
-	switch v.Type() {
-	case value.Int:
-		return float64(v.Int()), true
-	case value.Float:
-		return v.Float(), true
-	default:
-		return 0, false
-	}
 }
 
 func columnDistinct(st *stats.Table, ci int) float64 {
@@ -187,19 +176,10 @@ func (m *costModel) slotDistinct(slot int) float64 {
 // readCost is the cost of producing a source's rows once: a full scan reads
 // the whole table, an index probe reads only the estimated survivors.
 func (m *costModel) readCost(si int) float64 {
-	if m.sources[si].access.kind == accessFullScan {
+	if m.sources[si].access.fullScan() {
 		return m.base[si]
 	}
 	return m.est[si]
-}
-
-// identity returns the syntactic execution order.
-func (m *costModel) identity() []int {
-	order := make([]int, len(m.sources))
-	for i := range order {
-		order[i] = i
-	}
-	return order
 }
 
 // equiParts recognizes `a.col = b.col` conjuncts where one side resolves to
@@ -317,7 +297,7 @@ func (m *costModel) orderCost(order []int, multi []analyzedConjunct) float64 {
 // FROM lists, greedily beyond maxExhaustiveSources. The syntactic order is
 // the baseline and survives unless a candidate is strictly cheaper.
 func (m *costModel) chooseOrder(multi []analyzedConjunct) []int {
-	best := m.identity()
+	best := identityOrder(len(m.sources))
 	bestCost := m.orderCost(best, multi)
 	consider := func(cand []int) {
 		if c := m.orderCost(cand, multi); c < bestCost {
@@ -326,7 +306,7 @@ func (m *costModel) chooseOrder(multi []analyzedConjunct) []int {
 		}
 	}
 	if len(m.sources) <= maxExhaustiveSources {
-		permute(m.identity(), 0, consider)
+		permute(identityOrder(len(m.sources)), 0, consider)
 	} else {
 		consider(m.greedyOrder(multi))
 	}
@@ -491,7 +471,7 @@ func (it *restoreIter) Next() (execRow, bool, error) {
 	if !it.done {
 		it.done = true
 		srcs := it.plan.sources
-		order := it.plan.execOrder()
+		order := it.plan.order
 		for {
 			r, ok, err := it.in.Next()
 			if err != nil {

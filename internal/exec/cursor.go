@@ -34,8 +34,9 @@ import (
 // resident cost is O(LIMIT). There is no eager fallback path.
 //
 // Prepared statements parse once and plan once: the physical plan is cached
-// on the Stmt and revalidated against the storage engine's schema version,
-// so re-executions skip both the parser and the planner and only re-bind the
+// on the Stmt and revalidated against the storage engine's schema version
+// (and, where cost chose something, the statistics it chose from), so
+// re-executions skip both the parser and the planner and only re-bind the
 // `?` parameters.
 
 // Query runs one A-SQL statement and returns a cursor over its result. args
@@ -72,7 +73,8 @@ func (s *Session) Query(ctx context.Context, sql string, args ...any) (*Rows, er
 
 // Prepare parses the statement once and returns a Stmt that re-binds its `?`
 // placeholders per execution. For SELECT, UPDATE and DELETE the physical plan
-// is additionally cached across executions (invalidated by DDL), so a
+// is additionally cached across executions (invalidated by DDL, and for a
+// join or an ORDER BY ... LIMIT by its tables' statistics moving), so a
 // prepared point query or point mutation skips parsing and planning entirely.
 func (s *Session) Prepare(sql string) (*Stmt, error) {
 	stmt, err := sqlparse.Parse(sql)
@@ -102,7 +104,9 @@ type Stmt struct {
 // stmtPlan is the plan of one SELECT, UPDATE or DELETE: the planned pipeline
 // that produces the statement's rows, plus the projection layout (SELECT) or
 // the SET target ordinals (UPDATE). A prepared statement caches it; it stays
-// valid while the schema version is unchanged.
+// valid while the schema version is unchanged and the statistics its costed
+// choices were made from still stand (statsMoved). Nothing writes to a plan
+// once it is built: concurrent executions of one Stmt share it.
 type stmtPlan struct {
 	version  uint64
 	sources  []*sourcePlan
@@ -110,6 +114,35 @@ type stmtPlan struct {
 	phys     physicalPlan
 	items    []planItem
 	setCols  []int // column ordinal of each UPDATE SET clause, in clause order
+	// costed marks a plan in which the cost model chose something: a join
+	// (order, hash or nested loop) or an ORDER BY ... LIMIT (Top-N or sort).
+	costed bool
+	// right is the plan of a set operation's right operand, planned with its
+	// parent so that it is cached and invalidated with it.
+	right *stmtPlan
+}
+
+// statsMoved reports whether a choice the cost model made somewhere in the
+// plan rests on statistics that have since been rebuilt (a rebuild resets
+// Mods and re-bases BaseRows), or have drifted far enough that the next
+// reader rebuilds them: planning again would then read different numbers. A
+// plan that cost chose nothing in is never stale.
+func (p *stmtPlan) statsMoved() bool {
+	for ; p != nil; p = p.right {
+		if !p.costed {
+			continue
+		}
+		for i, seen := range p.phys.tstats {
+			if seen == nil {
+				continue
+			}
+			cur := p.sources[i].tbl.CurrentStats()
+			if cur == nil || cur.Drifted() || cur.BaseRows != seen.BaseRows || cur.Mods < seen.Mods {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Text returns the statement's A-SQL source.
@@ -139,8 +172,10 @@ func (st *Stmt) Exec(args ...any) (*Result, error) {
 }
 
 // planOf returns the plan of a SELECT, UPDATE or DELETE: prep's cached plan
-// while the schema version holds, a fresh one otherwise (and always for an
-// unprepared statement). DDL can run concurrently with the version check of
+// while the schema version and the statistics behind it hold, a fresh one
+// otherwise (and always for an unprepared statement) — so a statement
+// prepared before its tables were loaded gets the plan a literal statement
+// would get after. DDL can run concurrently with the version check of
 // a SELECT; a plan cached against a version that moves immediately
 // afterwards is still safe to execute — it holds direct table references
 // (dropped tables stay readable through open snapshots) and index probes
@@ -153,7 +188,7 @@ func (s *Session) planOf(stmt sqlparse.Statement, prep *Stmt) (*stmtPlan, error)
 	}
 	prep.mu.Lock()
 	defer prep.mu.Unlock()
-	if prep.plan != nil && prep.plan.version == s.Eng.SchemaVersion() {
+	if prep.plan != nil && prep.plan.version == s.Eng.SchemaVersion() && !prep.plan.statsMoved() {
 		return prep.plan, nil
 	}
 	plan, err := s.planStmt(stmt)
@@ -179,7 +214,7 @@ func (s *Session) planStmt(stmt sqlparse.Statement) (*stmtPlan, error) {
 }
 
 // planFor resolves sources and builds the physical plan and projection
-// layout of a SELECT.
+// layout of a SELECT and, below it, of the right operand of its set operation.
 func (s *Session) planFor(sel *sqlparse.SelectStmt) (*stmtPlan, error) {
 	sources, bindings, slotSource, err := s.resolveSources(sel.From)
 	if err != nil {
@@ -190,8 +225,14 @@ func (s *Session) planFor(sel *sqlparse.SelectStmt) (*stmtPlan, error) {
 		sources:  sources,
 		bindings: bindings,
 		items:    resolveItems(sel, bindings),
+		costed:   len(sources) > 1 || (sel.Limit >= 0 && len(sel.OrderBy) > 0),
 	}
 	s.planSelect(&plan.phys, sel, sources, bindings, slotSource)
+	if sel.SetOp != sqlparse.SetNone {
+		if plan.right, err = s.planFor(sel.SetRight); err != nil {
+			return nil, err
+		}
+	}
 	return plan, nil
 }
 
@@ -217,12 +258,14 @@ func (s *Session) planMutation(table string, where sqlparse.Expr, set []sqlparse
 	return plan, nil
 }
 
-// planQuery checks the SELECT privilege on every FROM table and returns the
-// SELECT's plan.
+// planQuery checks the SELECT privilege on every FROM table, those of a set
+// operation's operands included, and returns the SELECT's plan.
 func (s *Session) planQuery(sel *sqlparse.SelectStmt, prep *Stmt) (*stmtPlan, error) {
-	for _, ref := range sel.From {
-		if err := s.require(ref.Table, authz.PrivSelect); err != nil {
-			return nil, err
+	for q := sel; q != nil; q = q.SetRight {
+		for _, ref := range q.From {
+			if err := s.require(ref.Table, authz.PrivSelect); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return s.planOf(sel, prep)
@@ -288,7 +331,11 @@ func (s *Session) buildStream(ctx context.Context, sel *sqlparse.SelectStmt, par
 	// The top level's LIMIT is enforced lazily by Rows.limit (so an
 	// unordered LIMIT stops pulling early); nested operands apply theirs
 	// inside buildSelectIter.
-	ait, cols, closers, err := s.buildSelectIter(ctx, sel, params, prep, false, snap)
+	plan, err := s.planQuery(sel, prep)
+	if err != nil {
+		return nil, err
+	}
+	ait, cols, closers, err := s.buildSelectIter(ctx, sel, plan, params, false, snap)
 	if err != nil {
 		for _, c := range closers {
 			c()
@@ -332,11 +379,7 @@ func (it *limitIter) Next() (ARow, bool, error) {
 // whose LIMIT binds to their own level (a trailing LIMIT in a compound
 // statement parses into the rightmost SELECT); the top level leaves it to
 // the cursor.
-func (s *Session) buildSelectIter(ctx context.Context, sel *sqlparse.SelectStmt, params value.Row, prep *Stmt, applyLimit bool, snap *storage.Snapshot) (aRowIter, []string, []func(), error) {
-	plan, err := s.planQuery(sel, prep)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+func (s *Session) buildSelectIter(ctx context.Context, sel *sqlparse.SelectStmt, plan *stmtPlan, params value.Row, applyLimit bool, snap *storage.Snapshot) (aRowIter, []string, []func(), error) {
 	// Projection layout and order plan are resolved before the pipeline is
 	// built: unknown-column errors surface from Query itself (like the
 	// reference executor's), and the sort-elision check below needs the
@@ -345,6 +388,7 @@ func (s *Session) buildSelectIter(ctx context.Context, sel *sqlparse.SelectStmt,
 	outputOnly := sel.Distinct || sel.SetOp != sqlparse.SetNone
 	var orderKeys []orderKey
 	if len(sel.OrderBy) > 0 {
+		var err error
 		orderKeys, err = buildOrderPlan(sel.OrderBy, proj.cols, plan.bindings, outputOnly)
 		if err != nil {
 			return nil, nil, nil, err
@@ -442,7 +486,7 @@ func (s *Session) buildSelectIter(ctx context.Context, sel *sqlparse.SelectStmt,
 			a = newDistinctIter(a, s.spillBudget(), sf)
 		}
 		if sel.SetOp != sqlparse.SetNone {
-			right, _, rightClosers, err := s.buildSelectIter(ctx, sel.SetRight, params, nil, true, snap)
+			right, _, rightClosers, err := s.buildSelectIter(ctx, sel.SetRight, plan.right, params, true, snap)
 			closers = append(closers, rightClosers...)
 			if err != nil {
 				return nil, nil, closers, err

@@ -538,17 +538,39 @@ func TestConcurrentSessionsExec(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPlaceholderPlanShapes checks explain output for deferred probes.
+// TestPlaceholderPlanShapes checks explain output for probes whose bounds
+// come from the arguments: the access path is the literal spelling's, marked
+// with " ?".
 func TestPlaceholderPlanShapes(t *testing.T) {
 	s := newSession(t)
 	s.NoReorder = true // assert syntactic shapes; cost-based shapes have goldens
 	loadGenes(t, s, 10)
 	mustExec(t, s, `CREATE TABLE Protein (PID TEXT NOT NULL PRIMARY KEY, GID TEXT)`)
+	mustExec(t, s, `CREATE TABLE G (ID INT NOT NULL PRIMARY KEY, Score INT)`)
+	mustExec(t, s, `CREATE INDEX ON G (Score)`)
+	for i := 0; i < 30; i++ {
+		mustExec(t, s, fmt.Sprintf(`INSERT INTO G VALUES (%d, %d)`, i, i%7))
+	}
 	for _, tc := range []struct{ sql, want string }{
 		{`SELECT * FROM Gene WHERE GID = ?`, "IndexScan(Gene.GID = ?)"},
 		{`SELECT * FROM Gene WHERE Score = ?`, "SeqScan(Gene)"}, // unindexed: pushed filter only
 		{`SELECT * FROM Gene, Protein WHERE Gene.GID = Protein.GID AND Protein.PID = ?`,
 			"HashJoin(Protein via IndexScan(Protein.PID = ?))"},
+		{`SELECT * FROM G WHERE ID >= ? AND ID <= ?`, "IndexScan(G.ID range ?) filter"},
+		{`SELECT * FROM G WHERE ID < ?`, "IndexScan(G.ID range ?) filter"},
+		{`SELECT * FROM G WHERE ? < ID`, "IndexScan(G.ID range ?) filter"},
+		{`SELECT * FROM G WHERE ID > 2+?`, "IndexScan(G.ID range ?) filter"},
+		{`SELECT * FROM G WHERE ID >= 10 AND ID <= ?`, "IndexScan(G.ID range ?) filter"},
+		{`SELECT * FROM G WHERE ID >= 10 AND ID <= 20`, "IndexScan(G.ID range) filter"},
+		// The first equality on an indexed column wins, however it is spelled;
+		// a range never outranks an equality.
+		{`SELECT * FROM G WHERE ID = ? AND Score = 5`, "IndexScan(G.ID = ?) filter"},
+		{`SELECT * FROM G WHERE ID = 7 AND Score = ?`, "IndexScan(G.ID =) filter"},
+		{`SELECT * FROM G WHERE Score > 5 AND ID = ?`, "IndexScan(G.ID = ?) filter"},
+		{`SELECT * FROM G WHERE Score > ? AND ID < 3`, "IndexScan(G.Score range ?) filter"},
+		// A range over `?` is a probe, so there is no index order to elide the
+		// sort onto: the literal spelling's Top-N.
+		{`SELECT * FROM G WHERE ID >= ? ORDER BY ID LIMIT 5`, "IndexScan(G.ID range ?) filter rows~10\nProject(ID, Score)\nTopN(5: ID)"},
 	} {
 		stmt, err := sqlparse.Parse(tc.sql)
 		if err != nil {

@@ -61,22 +61,23 @@ func (s *Session) explainStmt(stmt sqlparse.Statement) (string, error) {
 // explainSelect renders the physical plan of a SELECT. The plan-shape tests
 // and the EXPLAIN goldens both consume this rendering.
 func (s *Session) explainSelect(sel *sqlparse.SelectStmt) (string, error) {
-	lines, err := s.explainSelectLines(sel)
+	plan, err := s.planFor(sel)
+	if err != nil {
+		return "", err
+	}
+	lines, err := s.explainSelectLines(sel, plan)
 	if err != nil {
 		return "", err
 	}
 	return strings.Join(lines, "\n"), nil
 }
 
-func (s *Session) explainSelectLines(sel *sqlparse.SelectStmt) ([]string, error) {
-	plan, err := s.planFor(sel)
-	if err != nil {
-		return nil, err
-	}
+func (s *Session) explainSelectLines(sel *sqlparse.SelectStmt, plan *stmtPlan) ([]string, error) {
 	proj := newProjector(s, plan.items, plan.bindings, nil)
 	outputOnly := sel.Distinct || sel.SetOp != sqlparse.SetNone
 	var orderKeys []orderKey
 	if len(sel.OrderBy) > 0 {
+		var err error
 		orderKeys, err = buildOrderPlan(sel.OrderBy, proj.cols, plan.bindings, outputOnly)
 		if err != nil {
 			return nil, err
@@ -112,7 +113,7 @@ func (s *Session) explainSelectLines(sel *sqlparse.SelectStmt) ([]string, error)
 			opName = "Intersect"
 		}
 		lines = append(lines, opName+":")
-		sub, err := s.explainSelectLines(sel.SetRight)
+		sub, err := s.explainSelectLines(sel.SetRight, plan.right)
 		if err != nil {
 			return nil, err
 		}
@@ -147,7 +148,7 @@ func (s *Session) explainSelectLines(sel *sqlparse.SelectStmt) ([]string, error)
 // explains its source with it.
 func pipelineLines(phys *physicalPlan) []string {
 	var lines []string
-	for i, si := range phys.execOrder() {
+	for i, si := range phys.order {
 		src := phys.sources[si]
 		if i == 0 {
 			lines = append(lines, fmt.Sprintf("%s%s rows~%d%s",
@@ -193,7 +194,7 @@ func filterMark(filtered bool) string {
 }
 
 func noStatsMark(p *physicalPlan, si int) string {
-	if si < len(p.noStats) && p.noStats[si] {
+	if si < len(p.tstats) && p.tstats[si] == nil {
 		return " [no stats]"
 	}
 	return ""

@@ -46,6 +46,9 @@ func TestExplainGoldens(t *testing.T) {
 		{"point_lookup", `EXPLAIN SELECT * FROM Gene WHERE GID = 'G001'`, false},
 		// Range predicate on a secondary index, estimated from Min/Max.
 		{"index_range", `EXPLAIN SELECT GName FROM Gene WHERE Score > 3 AND Score < 9`, false},
+		// The same range with its bounds left to the arguments: the same probe,
+		// marked " ?", estimated at the default selectivity.
+		{"index_range_param", `EXPLAIN SELECT GName FROM Gene WHERE Score > ? AND Score < ?`, false},
 		// Ascending ORDER BY on an indexed NOT NULL column: no Sort operator.
 		{"sort_elision", `EXPLAIN SELECT GID, Score FROM Gene ORDER BY GID`, false},
 		// ORDER BY + small LIMIT on an unindexed column: bounded heap.

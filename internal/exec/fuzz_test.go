@@ -15,6 +15,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -441,30 +442,38 @@ func (g *queryGen) orderLimit(cols, allCols []string) (string, bool) {
 // marks accumulate) or a DELETE, one time in five wrapped in a transaction
 // that is rolled back. Predicates are either a primary-key point (one row,
 // one dirty chunk) or a generated comparison (anything up to the whole
-// table). A big case's first step deletes the whole second chunk of T1.
-func (g *queryGen) genDML(fc *fuzzCase, step int, big bool) []string {
+// table). A big case's first step deletes the whole second chunk of T1. The
+// step comes back in an inline and a prepared spelling, like genQuery's; the
+// prepared mutation binds g.args (a primary-key point is always a `?`).
+func (g *queryGen) genDML(fc *fuzzCase, step int, big bool) (inline, prepared []string) {
 	if big && step == 0 {
-		return []string{fmt.Sprintf("DELETE FROM T1 WHERE A > %d AND A <= %d", storage.ColChunkRows, 2*storage.ColChunkRows)}
+		lo, hi := storage.ColChunkRows, 2*storage.ColChunkRows
+		g.args = []any{int64(lo), int64(hi)}
+		return []string{fmt.Sprintf("DELETE FROM T1 WHERE A > %d AND A <= %d", lo, hi)},
+			[]string{"DELETE FROM T1 WHERE A > ? AND A <= ?"}
 	}
 	ft := pick(g.r, fc.tables)
-	where := func() string {
+	where := func() (string, string) {
 		if ft.pk != "" && g.r.Intn(3) > 0 {
-			return fmt.Sprintf("%s = %d", ft.pk, 1+g.r.Intn(ft.nextPK))
+			n := 1 + g.r.Intn(ft.nextPK)
+			g.args = append(g.args, int64(n))
+			return fmt.Sprintf("%s = %d", ft.pk, n), ft.pk + " = ?"
 		}
-		in, _ := g.comparison(ft, false)
-		return in
+		return g.comparison(ft, false)
 	}
-	var stmt string
+	var head string // the statement up to its WHERE condition
+	var cond, prepCond string
 	switch g.r.Intn(6) {
 	case 0, 1:
-		stmt = genInsert(g.r, ft)
+		head = genInsert(g.r, ft)
 	case 2:
 		// Deletes by comparison are narrowed so the tables do not drain.
-		cond := where()
+		cond, prepCond = where()
 		if ft.pk == "" || !strings.HasPrefix(cond, ft.pk+" = ") {
-			cond += fmt.Sprintf(" AND %s = %d", ft.colsOfType("INT")[1], g.r.Intn(10))
+			narrow := fmt.Sprintf(" AND %s = %d", ft.colsOfType("INT")[1], g.r.Intn(10))
+			cond, prepCond = cond+narrow, prepCond+narrow
 		}
-		stmt = fmt.Sprintf("DELETE FROM %s WHERE %s", ft.name, cond)
+		head = fmt.Sprintf("DELETE FROM %s WHERE ", ft.name)
 	default:
 		var settable []fuzzColumn
 		for _, c := range ft.cols {
@@ -482,12 +491,15 @@ func (g *queryGen) genDML(fc *fuzzCase, step int, big bool) []string {
 				}
 			}
 		}
-		stmt = fmt.Sprintf("UPDATE %s SET %s = %s WHERE %s", ft.name, col.name, genValue(g.r, ft, col, 0), where())
+		head = fmt.Sprintf("UPDATE %s SET %s = %s WHERE ", ft.name, col.name, genValue(g.r, ft, col, 0))
+		cond, prepCond = where()
 	}
+	inline, prepared = []string{head + cond}, []string{head + prepCond}
 	if g.r.Intn(5) == 0 {
-		return []string{"BEGIN", stmt, "ROLLBACK"}
+		wrap := func(stmts []string) []string { return []string{"BEGIN", stmts[0], "ROLLBACK"} }
+		return wrap(inline), wrap(prepared)
 	}
-	return []string{stmt}
+	return inline, prepared
 }
 
 // canonResult renders a result for comparison: columns, then each row's
@@ -594,6 +606,45 @@ func TestSQLEquivalenceFuzzSpill(t *testing.T) {
 	}
 }
 
+var rowsEstimate = regexp.MustCompile(` rows~\d+`)
+
+// planShape renders the part of a statement's EXPLAIN that may not depend on
+// how its constants are spelled: every operator with its access path and
+// filter marks, with the ` ?` markers removed. What the cost model chooses
+// from its estimates is left out, because a bound that takes its value from
+// a `?` is estimated at the default selectivity: the syntactic join order is
+// pinned, the rows~N estimates are dropped, and Top-N and full sort read alike.
+func planShape(t *testing.T, s *Session, sql string) string {
+	t.Helper()
+	pinned := s.NoReorder
+	s.NoReorder = true
+	defer func() { s.NoReorder = pinned }()
+	res, err := s.Exec("EXPLAIN " + sql)
+	if err != nil {
+		t.Fatalf("EXPLAIN %s: %v", sql, err)
+	}
+	var b strings.Builder
+	for _, r := range res.Rows {
+		line := rowsEstimate.ReplaceAllString(strings.ReplaceAll(r.Values[0].Text(), " ?", ""), "")
+		if op := strings.TrimSpace(line); strings.HasPrefix(op, "TopN(") || strings.HasPrefix(op, "Sort(") {
+			line = "Order"
+		}
+		b.WriteString(line + "\n")
+	}
+	return b.String()
+}
+
+// samePlanShape is the invariant that a statement's plan does not depend on
+// the spelling of its constants: the inline and the `?` form of one generated
+// statement explain to the same shape.
+func samePlanShape(t *testing.T, s *Session, fc *fuzzCase, inline, prepared string) {
+	t.Helper()
+	if in, prep := planShape(t, s, inline), planShape(t, s, prepared); in != prep {
+		t.Fatalf("plan depends on how the constants are spelled\ninline:   %s\n%sprepared: %s\n%srepro script:\n%s",
+			inline, in, prepared, prep, reproScript(fc, "EXPLAIN "+prepared))
+	}
+}
+
 // referenceMatchCount is the oracle for which rows a mutation touches: for an
 // UPDATE or DELETE it runs SELECT COUNT(*) FROM <table> WHERE <same
 // condition> through the NoOptimize reference executor, which shares no scan
@@ -660,9 +711,24 @@ func fuzzSeed(t *testing.T, seed int64, queriesPerSeed, spillBudget int, big boo
 		if q > 0 && r.Intn(3) > 0 {
 			// Its own generator: DML predicates must not leave bind arguments
 			// behind for the query's prepared form.
-			for _, stmt := range (&queryGen{r: r}).genDML(fc, writeSteps, big) {
+			dg := &queryGen{r: r}
+			inl, prep := dg.genDML(fc, writeSteps, big)
+			for i, stmt := range inl {
 				want := referenceMatchCount(t, s, stmt)
-				res, err := s.Exec(stmt)
+				if want >= 0 {
+					samePlanShape(t, s, fc, stmt, prep[i])
+				}
+				// Every other write step runs in its prepared spelling, held to
+				// the same reference count.
+				var res *Result
+				var err error
+				if st, prepErr := s.Prepare(prep[i]); prepErr != nil {
+					err = prepErr
+				} else if writeSteps%2 == 1 && st.NumParams() > 0 {
+					res, err = st.Exec(dg.args...)
+				} else {
+					res, err = s.Exec(stmt)
+				}
 				if err != nil {
 					t.Fatalf("seed %d before query %d: %q: %v\nrepro script:\n%s", seed, q, stmt, err, reproScript(fc, stmt))
 				}
@@ -711,6 +777,7 @@ func fuzzSeed(t *testing.T, seed int64, queriesPerSeed, spillBudget int, big boo
 			t.Fatalf("seed %d query %d: planned %q: %v\nrepro script:\n%s",
 				seed, q, inline, plannedErr, reproScript(fc, inline))
 		}
+		samePlanShape(t, s, fc, inline, prepared)
 		stmt, err := s.Prepare(prepared)
 		if err != nil {
 			t.Fatalf("seed %d query %d: prepare %q: %v", seed, q, prepared, err)
@@ -976,6 +1043,7 @@ func TestJoinOrderEquivalenceFuzz(t *testing.T) {
 						seed, q, inline, got, want, reproScript(fc, inline))
 				}
 
+				samePlanShape(t, s, fc, inline, prepared)
 				stmt, err := s.Prepare(prepared)
 				if err != nil {
 					t.Fatalf("seed %d query %d: prepare %q: %v", seed, q, prepared, err)

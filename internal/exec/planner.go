@@ -10,6 +10,7 @@ import (
 	"bdbms/internal/annotation"
 	"bdbms/internal/dependency"
 	"bdbms/internal/sqlparse"
+	"bdbms/internal/stats"
 	"bdbms/internal/storage"
 	"bdbms/internal/value"
 )
@@ -19,9 +20,10 @@ import (
 // where in the pipeline it runs:
 //
 //   - single-table conjuncts are pushed below the join into the table scan;
-//     when such a conjunct is an equality or range comparison against a
-//     constant on an indexed column (primary key or CREATE INDEX column),
-//     the scan probes the B+-tree instead of walking the heap;
+//     when such a conjunct compares an indexed column (primary key or CREATE
+//     INDEX column) with a column-free operand — a literal, a `?`, or an
+//     expression over them — the scan probes the B+-tree instead of walking
+//     the heap;
 //   - equality conjuncts between columns of two different tables become the
 //     keys of a hash equi-join; sources with no connecting equality fall
 //     back to a block nested-loop cross join;
@@ -70,30 +72,30 @@ func classOf(t value.Type) compareClass {
 	}
 }
 
-// accessKind selects how a source's RowIDs are produced.
-type accessKind int
-
-const (
-	accessFullScan accessKind = iota
-	accessIndexEq
-	accessIndexRange
-	// accessIndexEqParam is an equality probe whose comparison value contains
-	// a placeholder: the probe key is computed from the bound parameters at
-	// execution time, so a prepared statement keeps its index plan across
-	// re-executions with different arguments.
-	accessIndexEqParam
-)
-
-// accessPath describes the index probe of one source, when it has one.
-type accessPath struct {
-	kind     accessKind
-	column   string
-	eq       value.Value
-	eqExpr   sqlparse.Expr // deferred probe value (accessIndexEqParam)
-	lo, hi   value.Value   // NULL = unbounded
-	loStrict bool
-	hiStrict bool
+// probeBound is one pushed conjunct `column op operand` that bounds an index
+// probe. A placeholder-free operand is folded when the statement is planned:
+// val is its value in the column's key space and exact whether that
+// conversion preserved the comparison (see indexProbeValue). Any other
+// operand stays in expr and is evaluated from the bound parameters each time
+// the pipeline is built.
+type probeBound struct {
+	op    string // "=", "<", "<=", ">" or ">=", column on the left
+	val   value.Value
+	exact bool
+	expr  sqlparse.Expr // nil once folded
 }
+
+// accessPath is how a source's RowIDs are produced: a full scan when column
+// is empty, otherwise one B+-tree probe on that column delimited by bounds.
+// It is part of a plan that concurrent executions share, so binding (bind)
+// reads it and never writes it.
+type accessPath struct {
+	column  string
+	colType value.Type
+	bounds  []probeBound
+}
+
+func (a *accessPath) fullScan() bool { return a.column == "" }
 
 // sourcePlan is one FROM entry with its pushed predicates and access path.
 type sourcePlan struct {
@@ -121,8 +123,8 @@ type physicalPlan struct {
 	// unresolvable columns); they are evaluated naively on the final rows.
 	residual []sqlparse.Expr
 	// order is the execution order of the sources (indexes into sources);
-	// nil or the identity means syntactic execution. steps are compiled
-	// against this order, with prefix-side slots in the execution layout.
+	// the identity is syntactic execution. steps are compiled against this
+	// order, with prefix-side slots in the execution layout.
 	order []int
 	// reordered reports that order differs from the syntactic FROM order;
 	// the pipeline then restores the syntactic column layout and row order
@@ -131,21 +133,18 @@ type physicalPlan struct {
 	reordered bool
 	// srcRows, stepRows and estRows are the cost model's cardinality
 	// estimates: per source (syntactic index), after each execution step,
-	// and out of the whole join pipeline. noStats marks sources planned
-	// without table statistics. EXPLAIN renders all of them.
+	// and out of the whole join pipeline. tstats holds the table statistics
+	// each source was estimated from, nil for a source planned without.
+	// EXPLAIN renders all of them.
 	srcRows  []float64
 	stepRows []float64
 	estRows  float64
-	noStats  []bool
+	tstats   []*stats.Table
 }
 
-// execOrder returns the execution order of the sources, defaulting to the
-// syntactic order.
-func (p *physicalPlan) execOrder() []int {
-	if p.order != nil {
-		return p.order
-	}
-	order := make([]int, len(p.sources))
+// identityOrder is the syntactic execution order of n sources.
+func identityOrder(n int) []int {
+	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
@@ -156,7 +155,7 @@ func (p *physicalPlan) execOrder() []int {
 // e.g. "IndexScan(gene.gid =) -> HashJoin(protein) -> Filter".
 func (p *physicalPlan) String() string {
 	var b strings.Builder
-	for i, si := range p.execOrder() {
+	for i, si := range p.order {
 		src := p.sources[si]
 		if i > 0 {
 			step := p.steps[i-1]
@@ -186,32 +185,34 @@ func (p *physicalPlan) String() string {
 	return b.String()
 }
 
-// scanDesc renders a source's access path, e.g. "SeqScan(T)" or
-// "IndexScan(T.Col =)".
+// scanDesc renders a source's access path: "SeqScan(T)", or
+// "IndexScan(T.Col =)" / "IndexScan(T.Col range)" with " ?" appended when a
+// bound takes its value from the statement's arguments.
 func scanDesc(src *sourcePlan) string {
-	switch src.access.kind {
-	case accessIndexEq:
-		return fmt.Sprintf("IndexScan(%s.%s =)", src.tbl.Name(), src.access.column)
-	case accessIndexEqParam:
-		return fmt.Sprintf("IndexScan(%s.%s = ?)", src.tbl.Name(), src.access.column)
-	case accessIndexRange:
-		return fmt.Sprintf("IndexScan(%s.%s range)", src.tbl.Name(), src.access.column)
-	default:
+	a := &src.access
+	if a.fullScan() {
 		return fmt.Sprintf("SeqScan(%s)", src.tbl.Name())
 	}
+	kind := "range"
+	if a.bounds[0].op == "=" {
+		kind = "="
+	}
+	for _, b := range a.bounds {
+		if b.expr != nil {
+			kind += " ?"
+			break
+		}
+	}
+	return fmt.Sprintf("IndexScan(%s.%s %s)", src.tbl.Name(), a.column, kind)
 }
 
+// describeScan renders the access path of a joined source, which is named by
+// its join operator: nothing for a full scan, " via IndexScan(...)" otherwise.
 func describeScan(src *sourcePlan) string {
-	switch src.access.kind {
-	case accessIndexEq:
-		return fmt.Sprintf(" via IndexScan(%s.%s =)", src.tbl.Name(), src.access.column)
-	case accessIndexEqParam:
-		return fmt.Sprintf(" via IndexScan(%s.%s = ?)", src.tbl.Name(), src.access.column)
-	case accessIndexRange:
-		return fmt.Sprintf(" via IndexScan(%s.%s range)", src.tbl.Name(), src.access.column)
-	default:
+	if src.access.fullScan() {
 		return ""
 	}
+	return " via " + scanDesc(src)
 }
 
 // --- conjunct analysis ---------------------------------------------------------------------
@@ -287,8 +288,7 @@ func analyzeConjunct(e sqlparse.Expr, bindings []binding, slotSource []int) (ana
 }
 
 // constOperand reports whether e references no columns or aggregates (it may
-// contain placeholders); used to recognize `col = <const>` index probes with
-// computed constants and `col = ?` deferred probes.
+// contain placeholders): the operand of a comparison an index probe can serve.
 func constOperand(e sqlparse.Expr) bool {
 	hasCol := false
 	pure := walkColumns(e, func(*sqlparse.ColumnExpr) { hasCol = true })
@@ -306,42 +306,26 @@ func containsPlaceholder(e sqlparse.Expr) bool {
 	return found
 }
 
+// flipped maps each comparison an index probe can serve to the comparison
+// that holds with its operands swapped.
+var flipped = map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
 // comparisonParts matches `col op const` / `const op col` and returns the
 // column, the constant expression (columns- and aggregate-free, possibly
 // containing placeholders) and the op normalized to put the column on the
 // left.
 func comparisonParts(e sqlparse.Expr) (*sqlparse.ColumnExpr, sqlparse.Expr, string, bool) {
 	bin, ok := e.(*sqlparse.BinaryExpr)
-	if !ok {
-		return nil, nil, "", false
-	}
-	switch bin.Op {
-	case "=", "<", "<=", ">", ">=":
-	default:
+	if !ok || flipped[bin.Op] == "" {
 		return nil, nil, "", false
 	}
 	if col, ok := bin.Left.(*sqlparse.ColumnExpr); ok && constOperand(bin.Right) {
 		return col, bin.Right, bin.Op, true
 	}
 	if col, ok := bin.Right.(*sqlparse.ColumnExpr); ok && constOperand(bin.Left) {
-		return col, bin.Left, flipOp(bin.Op), true
+		return col, bin.Left, flipped[bin.Op], true
 	}
 	return nil, nil, "", false
-}
-
-func flipOp(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	default:
-		return op
-	}
 }
 
 // indexProbeValue converts a constant comparison operand to the indexed
@@ -402,7 +386,7 @@ func indexProbeValue(colType value.Type, v value.Value) (probe value.Value, exac
 // without touching the statistics (Table.Stats may rebuild them with a heap
 // scan).
 func (s *Session) pushDown(plan *physicalPlan, where sqlparse.Expr, sources []*sourcePlan, bindings []binding, slotSource []int) []analyzedConjunct {
-	plan.sources = sources
+	plan.sources, plan.order = sources, identityOrder(len(sources))
 	var multi []analyzedConjunct
 	if where != nil {
 		for _, e := range splitAnd(where, nil) {
@@ -440,124 +424,126 @@ func (s *Session) planSelect(plan *physicalPlan, st *sqlparse.SelectStmt, source
 	// unconditionally. The chosen order's steps are compiled with their
 	// prefix-side slots in the execution row layout.
 	m := s.newCostModel(sources, slotSource)
-	plan.srcRows = m.est
-	plan.noStats = make([]bool, len(sources))
-	for i := range sources {
-		plan.noStats[i] = m.tstats[i] == nil
-	}
-	order := m.identity()
+	plan.srcRows, plan.tstats = m.est, m.tstats
 	if !s.NoReorder && len(sources) > 1 {
-		order = m.chooseOrder(multi)
+		plan.order = m.chooseOrder(multi)
 	}
-	plan.order = order
-	for i, si := range order {
+	for i, si := range plan.order {
 		if si != i {
 			plan.reordered = true
 			plansReordered.Add(1)
 			break
 		}
 	}
-	plan.steps, plan.stepRows, plan.estRows = m.buildSteps(order, multi, !s.NoReorder)
+	plan.steps, plan.stepRows, plan.estRows = m.buildSteps(plan.order, multi, !s.NoReorder)
 }
 
-// chooseAccessPath picks an index probe for the source from its pushed
-// predicates: the first constant equality on an indexed column wins, then an
-// equality against a placeholder (resolved at execution time), otherwise
-// every constant range conjunct on the first indexed range column is merged
-// into one [lo, hi] probe. The chosen conjuncts stay in src.preds, so the
-// probe may safely return a superset (and a deferred probe may safely fall
-// back to a full scan when the bound argument cannot be converted to the
-// column's key space).
+// chooseAccessPath picks the source's index probe from its pushed predicates,
+// in conjunct order: the first equality on an indexed column is the probe;
+// failing that, every range conjunct on the first indexed range column bounds
+// it. Whether an operand is a literal or takes its value from a `?` makes no
+// difference to the choice. A placeholder-free operand is folded here, and
+// one that cannot be evaluated or converted to the column's key space is no
+// candidate. The chosen conjuncts stay in src.preds, so the probe only ever
+// has to produce a superset of the matching rows.
 func (s *Session) chooseAccessPath(src *sourcePlan) {
-	var rangeCol string
-	var deferredEq sqlparse.Expr
-	var deferredCol string
-	lo, hi := value.NewNull(), value.NewNull()
-	loStrict, hiStrict := false, false
-
+	schema := src.tbl.Schema()
+	var ranged accessPath
 	for _, p := range src.preds {
-		col, ce, op, ok := comparisonParts(p.expr)
-		if !ok {
+		col, operand, op, ok := comparisonParts(p.expr)
+		if !ok || !src.tbl.HasIndex(col.Column) {
 			continue
 		}
-		name := col.Column
-		if !src.tbl.HasIndex(name) {
-			continue
-		}
-		if containsPlaceholder(ce) {
-			// The probe value is unknown until the statement is bound; only
-			// equality probes are deferred (range bounds cannot be merged
-			// without their values).
-			if op == "=" && deferredEq == nil {
-				deferredEq, deferredCol = ce, name
+		colType := schema.Columns[schema.ColumnIndex(col.Column)].Type
+		b := probeBound{op: op, expr: operand}
+		if !containsPlaceholder(operand) {
+			cv, err := s.evalConst(operand, nil)
+			if err != nil {
+				continue
 			}
-			continue
-		}
-		cv, err := s.evalConst(ce, nil)
-		if err != nil {
-			continue
-		}
-		colType := src.tbl.Schema().Columns[src.tbl.Schema().ColumnIndex(name)].Type
-		probe, exact, usable := indexProbeValue(colType, cv)
-		if !usable {
-			continue
+			var usable bool
+			if b.val, b.exact, usable = indexProbeValue(colType, cv); !usable {
+				continue
+			}
+			b.expr = nil
 		}
 		if op == "=" {
-			// Even an inexact probe (e.g. INT column against a fractional
-			// constant) is safe: it yields a superset that the re-applied
-			// predicate filters out.
-			src.access = accessPath{kind: accessIndexEq, column: name, eq: probe}
+			src.access = accessPath{column: col.Column, colType: colType, bounds: []probeBound{b}}
 			return
 		}
-		if rangeCol == "" {
-			rangeCol = name
+		if ranged.fullScan() {
+			ranged = accessPath{column: col.Column, colType: colType}
 		}
-		if name != rangeCol {
-			continue // merge ranges on one column only
+		if col.Column == ranged.column {
+			ranged.bounds = append(ranged.bounds, b)
 		}
-		switch op {
-		case ">", ">=":
-			strict := op == ">" && exact
-			if lo.IsNull() || tighterLow(probe, strict, lo, loStrict) {
-				lo, loStrict = probe, strict
+	}
+	src.access = ranged
+}
+
+// keyRange is an access path's bounds resolved for one execution: the key
+// interval the probe reads. A NULL end is unbounded.
+type keyRange struct {
+	lo, hi             value.Value
+	loStrict, hiStrict bool
+}
+
+// point reports whether the interval is the single key lo.
+func (r *keyRange) point() bool {
+	if r.loStrict || r.hiStrict || r.lo.IsNull() || r.hi.IsNull() {
+		return false
+	}
+	c, err := r.lo.Compare(r.hi)
+	return err == nil && c == 0
+}
+
+// bind resolves the bounds against one execution's arguments and merges them
+// into the tightest interval that still covers every match; `=` bounds both
+// ends. ok is false when a deferred operand cannot be evaluated or converted
+// to the column's key space (a NULL argument, the wrong comparison class):
+// the caller then scans every row, and the re-applied predicate decides —
+// or fails — exactly as it does for a literal that was no candidate.
+func (a *accessPath) bind(s *Session, params value.Row) (r keyRange, ok bool) {
+	r.lo, r.hi = value.NewNull(), value.NewNull()
+	for i := range a.bounds {
+		b := &a.bounds[i]
+		v, exact := b.val, b.exact
+		if b.expr != nil {
+			cv, err := s.evalConst(b.expr, params)
+			if err != nil {
+				return r, false
 			}
-		case "<", "<=":
-			strict := op == "<" && exact
-			if !exact {
+			var usable bool
+			if v, exact, usable = indexProbeValue(a.colType, cv); !usable {
+				return r, false
+			}
+		}
+		if b.op != "<" && b.op != "<=" {
+			narrow(&r.lo, &r.loStrict, v, b.op == ">" && exact, +1)
+		}
+		if b.op != ">" && b.op != ">=" {
+			if !exact && b.op != "=" {
 				// Inexact upper bound: widen one key upward so no match is
-				// lost (e.g. INT col < 1.2 must include col = 1).
-				probe = value.NewInt(probe.Int() + 1)
+				// lost (e.g. INT col < 1.2 must include col = 1). An inexact
+				// equality matches nothing; its probe may return anything.
+				v = value.NewInt(v.Int() + 1)
 			}
-			if hi.IsNull() || tighterHigh(probe, strict, hi, hiStrict) {
-				hi, hiStrict = probe, strict
-			}
+			narrow(&r.hi, &r.hiStrict, v, b.op == "<" && exact, -1)
 		}
 	}
-	if deferredEq != nil {
-		src.access = accessPath{kind: accessIndexEqParam, column: deferredCol, eqExpr: deferredEq}
-		return
-	}
-	if rangeCol != "" && (!lo.IsNull() || !hi.IsNull()) {
-		src.access = accessPath{kind: accessIndexRange, column: rangeCol, lo: lo, hi: hi, loStrict: loStrict, hiStrict: hiStrict}
-	}
+	return r, true
 }
 
-// tighterLow reports whether bound (a, aStrict) is a tighter lower bound than
-// (b, bStrict).
-func tighterLow(a value.Value, aStrict bool, b value.Value, bStrict bool) bool {
-	c, err := a.Compare(b)
-	if err != nil {
-		return false
+// narrow replaces one end of a key interval — the lower end when dir is +1,
+// the upper when -1 — with (v, strict) where that is the tighter bound.
+func narrow(end *value.Value, endStrict *bool, v value.Value, strict bool, dir int) {
+	if !end.IsNull() {
+		c, err := v.Compare(*end)
+		if err != nil || c*dir < 0 || (c == 0 && (*endStrict || !strict)) {
+			return
+		}
 	}
-	return c > 0 || (c == 0 && aStrict && !bStrict)
-}
-
-func tighterHigh(a value.Value, aStrict bool, b value.Value, bStrict bool) bool {
-	c, err := a.Compare(b)
-	if err != nil {
-		return false
-	}
-	return c < 0 || (c == 0 && aStrict && !bStrict)
+	*end, *endStrict = v, strict
 }
 
 func columnTypeAt(sources []*sourcePlan, slotSource []int, slot int) value.Type {
@@ -594,54 +580,34 @@ func (s *Session) resolveSources(from []sqlparse.TableRef) ([]*sourcePlan, []bin
 
 // --- execution -----------------------------------------------------------------------------
 
-// scanRowIDs produces the source's candidate RowIDs per its access path.
-// Deferred probes (accessIndexEqParam) evaluate their comparison value from
-// the bound parameters; when the argument cannot be converted to the indexed
-// column's key space the scan falls back to the full RowID list, which is
-// always correct because the originating predicate is re-applied in the scan.
+// scanRowIDs produces the source's candidate RowIDs: the result of its index
+// probe, bound to this execution's arguments, or every RowID when the source
+// has no probe or its bounds cannot be bound (accessPath.bind).
 //
-// Under a snapshot the index trees still reflect the CURRENT rows, so every
+// Under a snapshot the index trees still reflect the CURRENT rows, so a
 // probe result is widened with the rows the snapshot sees differently
 // (updated or deleted since it was taken) — the probe only needs to produce
 // a superset, the scan re-applies every pushed predicate per row.
 func (s *Session) scanRowIDs(src *sourcePlan, params value.Row, snap *storage.Snapshot) ([]int64, error) {
-	switch src.access.kind {
-	case accessIndexEq:
-		ids, err := src.tbl.IndexLookup(src.access.column, src.access.eq)
-		if err != nil || snap == nil {
-			return ids, err
-		}
-		return snap.AugmentRowIDs(src.tbl, ids), nil
-	case accessIndexEqParam:
-		v, err := s.evalConst(src.access.eqExpr, params)
-		if err != nil {
-			return nil, err
-		}
-		colType := src.tbl.Schema().Columns[src.tbl.Schema().ColumnIndex(src.access.column)].Type
-		probe, _, usable := indexProbeValue(colType, v)
-		if !usable {
-			if snap != nil {
-				return snap.RowIDs(src.tbl), nil
+	if !src.access.fullScan() {
+		if r, ok := src.access.bind(s, params); ok {
+			var ids []int64
+			var err error
+			if r.point() {
+				ids, err = src.tbl.IndexLookup(src.access.column, r.lo)
+			} else {
+				ids, err = src.tbl.IndexRange(src.access.column, r.lo, r.loStrict, r.hi, r.hiStrict)
 			}
-			return src.tbl.RowIDs(), nil
+			if err != nil || snap == nil {
+				return ids, err
+			}
+			return snap.AugmentRowIDs(src.tbl, ids), nil
 		}
-		ids, err := src.tbl.IndexLookup(src.access.column, probe)
-		if err != nil || snap == nil {
-			return ids, err
-		}
-		return snap.AugmentRowIDs(src.tbl, ids), nil
-	case accessIndexRange:
-		ids, err := src.tbl.IndexRange(src.access.column, src.access.lo, src.access.loStrict, src.access.hi, src.access.hiStrict)
-		if err != nil || snap == nil {
-			return ids, err
-		}
-		return snap.AugmentRowIDs(src.tbl, ids), nil
-	default:
-		if snap != nil {
-			return snap.RowIDs(src.tbl), nil
-		}
-		return src.tbl.RowIDs(), nil
 	}
+	if snap != nil {
+		return snap.RowIDs(src.tbl), nil
+	}
+	return src.tbl.RowIDs(), nil
 }
 
 // buildPipeline assembles the iterator tree of the planned FROM/WHERE
@@ -657,10 +623,7 @@ func (s *Session) scanRowIDs(src *sourcePlan, params value.Row, snap *storage.Sn
 // of buildSelectIter — and bypasses the vectorized batch scan, which only
 // reads in RowID order.
 func (s *Session) buildPipeline(ctx context.Context, plan *physicalPlan, bindings []binding, params value.Row, snap *storage.Snapshot, orderedIDs []int64) (rowIter, error) {
-	first := plan.sources[0]
-	if plan.order != nil {
-		first = plan.sources[plan.order[0]]
-	}
+	first := plan.sources[plan.order[0]]
 	var it rowIter
 	if orderedIDs != nil {
 		it = &scanIter{ctx: ctx, src: first, ids: orderedIDs, params: params, snap: snap}

@@ -294,6 +294,12 @@ func TestMutationPlanShapes(t *testing.T) {
 		{` WHERE GID = 'G001'`, nil, "IndexScan(Gene.GID =) filter rows~1"},
 		{` WHERE Score > 3 AND Score < 9`, nil, "IndexScan(Gene.Score range) filter"},
 		{` WHERE GID = ?`, []any{"G001"}, "IndexScan(Gene.GID = ?) filter rows~1"},
+		{` WHERE Score >= ? AND Score <= ?`, []any{3, 9}, "IndexScan(Gene.Score range ?) filter"},
+		{` WHERE Score < ?`, []any{9}, "IndexScan(Gene.Score range ?) filter"},
+		{` WHERE ? < Score`, []any{3}, "IndexScan(Gene.Score range ?) filter"},
+		{` WHERE Score > 2+?`, []any{1}, "IndexScan(Gene.Score range ?) filter"},
+		{` WHERE Score > 3 AND Score < ?`, []any{9}, "IndexScan(Gene.Score range ?) filter"},
+		{` WHERE GID = ? AND Score = 5`, []any{"G001"}, "IndexScan(Gene.GID = ?) filter rows~1"},
 		{` WHERE GName = 'name1' AND Score >= 0`, nil, "IndexScan(Gene.Score range) filter"},
 		{` WHERE GName = 'name1'`, nil, "SeqScan(Gene) filter"},
 		{` WHERE Nope > 50`, nil, "SeqScan(Gene) rows~10\nResidual"},
@@ -350,7 +356,7 @@ func TestPreparedMutationPlanCache(t *testing.T) {
 	if again := run(upd, "SeqScan(T) -> Filter", 3, "b", 5); again != first {
 		t.Error("second execution of the prepared UPDATE replanned without DDL")
 	}
-	run(del, "SeqScan(T) -> Filter", 1, 4, 20)
+	run(del, "IndexScan(T.ID range ?) -> Filter", 1, 4, 20)
 
 	mustExec(t, s, `CREATE INDEX ON T (Score)`)
 	if after := run(upd, "IndexScan(T.Score = ?) -> Filter", 3, "c", 6); after == first {

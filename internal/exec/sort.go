@@ -83,7 +83,7 @@ func sortElisionColumn(sel *sqlparse.SelectStmt, phys *physicalPlan, proj *proje
 		return "", false
 	}
 	src := phys.sources[0]
-	if src.access.kind != accessFullScan {
+	if !src.access.fullScan() {
 		return "", false
 	}
 	slot := orderKeys[0].slot
