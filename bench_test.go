@@ -7,6 +7,7 @@ package bdbms
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -893,6 +894,53 @@ func BenchmarkAutoCommitOverhead(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
+}
+
+// BenchmarkInsertAtTableSize is a prepared auto-commit INSERT into a durable
+// table that already holds 1 k, 100 k or 400 k rows. The write path has no
+// term that grows with the table, so ns/op and B/op should be flat across
+// the three sizes; bench/'s storage.insert_us inserts into a fresh table and
+// cannot see such a term.
+func BenchmarkInsertAtTableSize(b *testing.B) {
+	for _, rows := range []int{1000, 100000, 400000} {
+		b.Run(fmt.Sprintf("rows=%dk", rows/1000), func(b *testing.B) {
+			db, err := OpenWith(Options{DataFile: filepath.Join(b.TempDir(), "genes.db")})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			db.MustExec(`CREATE TABLE Gene (GID INT NOT NULL PRIMARY KEY, GName TEXT, GLen INT)`)
+			ctx := context.Background()
+			for next := 0; next < rows; {
+				tx, err := db.Begin(ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for end := min(next+10000, rows); next < end; next++ {
+					if _, err := tx.Query(ctx, `INSERT INTO Gene VALUES (?, ?, ?)`, next, "gene", next%3000); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := tx.Commit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := db.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+			ins, err := db.Prepare(`INSERT INTO Gene VALUES (?, ?, ?)`)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ins.Exec(rows+i, "gene", i%3000); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // --- MVCC: reader throughput under a streaming writer -------------------------------------------

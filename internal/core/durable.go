@@ -253,7 +253,14 @@ func (db *DB) recover() error {
 		ckptLSN = m.CheckpointLSN
 	}
 
-	if err := db.replayRecords(db.wal.Since(ckptLSN)); err != nil {
+	// The tail is materialised once for the redo/undo pass (replayFrame
+	// looks back over a frame's records) and dropped after it; the log
+	// itself keeps no copy.
+	tail, err := db.wal.ReadSince(ckptLSN)
+	if err != nil {
+		return fmt.Errorf("core: read WAL tail: %w", err)
+	}
+	if err := db.replayRecords(tail); err != nil {
 		return err
 	}
 	// WAL replay maintained the adopted statistics incrementally; rebuild any

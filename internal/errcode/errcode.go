@@ -83,6 +83,8 @@ const (
 	PageCorrupt  Code = "storage.page_corrupt"
 	WALCorrupt   Code = "storage.wal_corrupt"
 	SyncPoisoned Code = "storage.sync_poisoned"
+	// Closed: a write reached a database whose log is already closed.
+	Closed Code = "storage.closed"
 
 	// Context errors.
 	Canceled         Code = "ctx.canceled"
@@ -160,6 +162,7 @@ var sentinels = []struct {
 	{wal.ErrCorrupt, WALCorrupt},
 	{pager.ErrSyncPoisoned, SyncPoisoned},
 	{wal.ErrSyncPoisoned, SyncPoisoned},
+	{wal.ErrClosed, Closed},
 
 	{context.Canceled, Canceled},
 	{context.DeadlineExceeded, DeadlineExceeded},

@@ -168,24 +168,17 @@ func (f *File) Insert(record []byte) (RID, error) {
 		return RID{}, fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(record))
 	}
 	need := len(record) + slotSize
-	// Try the last page first (append-mostly workloads), then earlier pages.
-	order := make([]int, 0, len(f.pages))
-	for i := len(f.pages) - 1; i >= 0; i-- {
-		order = append(order, i)
-	}
-	for _, idx := range order {
-		rid, ok, err := f.tryInsert(f.pages[idx], record, need)
+	// Placement rule: the last page (append-mostly workloads), then the one
+	// before it, then extend the file. Space freed further back is not
+	// reused, which keeps an insert independent of the file's length.
+	for back := 1; back <= 2 && back <= len(f.pages); back++ {
+		rid, ok, err := f.tryInsert(f.pages[len(f.pages)-back], record, need)
 		if err != nil {
 			return RID{}, err
 		}
 		if ok {
 			f.count++
 			return rid, nil
-		}
-		// Only probe a couple of pages before extending the file, to keep
-		// inserts O(1) amortised.
-		if len(order) > 2 && idx == order[1] {
-			break
 		}
 	}
 	id, data, err := f.pool.Allocate()

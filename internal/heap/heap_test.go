@@ -2,9 +2,13 @@ package heap
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"bdbms/internal/buffer"
@@ -327,5 +331,126 @@ func TestOpenRejectsMalformedPage(t *testing.T) {
 	})
 	if _, err := Open(pool, f.Pages()); !errors.Is(err, ErrPageCorrupt) {
 		t.Errorf("Open: got %v, want ErrPageCorrupt", err)
+	}
+}
+
+// insertPlacementGolden is the SHA-256 of the RID sequence placementWorkload
+// produces, recorded with the Insert that walked a slice of every page index
+// (PR 19 and before). The O(1) placement must probe the same pages in the
+// same order, so every RID — and with it every page image — is unchanged.
+const insertPlacementGolden = "91746e807a316d568f25dee8a896437a2b39e5fa470b3b4f85587957f1633724"
+
+// placementWorkload runs a fixed sequence of 5 000 mixed-size inserts with
+// deletes in between and returns the RIDs in insert order, plus how many
+// inserts landed on the page before the last and how many extended the file.
+func placementWorkload(t *testing.T) (rids []RID, secondToLast, extended int) {
+	t.Helper()
+	f, _, _ := newFile(t)
+	rng := rand.New(rand.NewSource(20))
+	var live []RID
+	for i := 0; i < 5000; i++ {
+		var size int
+		switch rng.Intn(10) {
+		case 0, 1:
+			size = 1200 + rng.Intn(2400) // often too big for the last page's remainder
+		case 2:
+			size = 1 + rng.Intn(16)
+		default:
+			size = 40 + rng.Intn(400)
+		}
+		before := f.Pages()
+		rid, err := f.Insert(bytes.Repeat([]byte{byte(i)}, size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case len(f.Pages()) > len(before):
+			extended++
+		case len(before) >= 2 && rid.Page == before[len(before)-2]:
+			secondToLast++
+		}
+		rids = append(rids, rid)
+		live = append(live, rid)
+		if i%7 == 3 {
+			j := rng.Intn(len(live))
+			if err := f.Delete(live[j]); err != nil {
+				t.Fatal(err)
+			}
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+	}
+	return rids, secondToLast, extended
+}
+
+func TestInsertPlacementMatchesGolden(t *testing.T) {
+	rids, secondToLast, extended := placementWorkload(t)
+	if secondToLast == 0 || extended == 0 {
+		t.Fatalf("workload is vacuous: %d inserts on the page before the last, %d extensions", secondToLast, extended)
+	}
+	h := sha256.New()
+	for _, rid := range rids {
+		var b [6]byte
+		binary.LittleEndian.PutUint32(b[0:4], uint32(rid.Page))
+		binary.LittleEndian.PutUint16(b[4:6], rid.Slot)
+		h.Write(b[:])
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != insertPlacementGolden {
+		t.Fatalf("RID sequence hash = %s, want %s (placement changed: last RID %s, %d on the page before the last, %d extensions)",
+			got, insertPlacementGolden, rids[len(rids)-1], secondToLast, extended)
+	}
+}
+
+// fileOfPages returns a heap file of n full pages followed by one nearly
+// empty last page, so further small inserts neither extend the file nor miss
+// the buffer pool.
+func fileOfPages(t *testing.T, n int) *File {
+	t.Helper()
+	f, _, _ := newFile(t)
+	full := make([]byte, MaxRecordSize)
+	for i := 0; i < n; i++ {
+		if _, err := f.Insert(full); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := f.Insert([]byte("tail")); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(f.Pages()); got != n+1 {
+		t.Fatalf("file has %d pages, want %d", got, n+1)
+	}
+	return f
+}
+
+// TestInsertCostIndependentOfFileLength pins the O(1) placement: an insert
+// into a 4 096-page file allocates what an insert into a 64-page file does.
+func TestInsertCostIndependentOfFileLength(t *testing.T) {
+	rec := make([]byte, 100)
+	insert := func(f *File) func() {
+		return func() {
+			if _, err := f.Insert(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The two that remain are the buffer pool's LRU entry on Unpin; Insert
+	// itself allocates nothing.
+	if allocs := testing.AllocsPerRun(30, insert(fileOfPages(t, 4096))); allocs > 2 {
+		t.Errorf("Insert into a 4096-page file: %.0f allocations, want at most 2", allocs)
+	}
+	bytesPerInsert := func(pages int) uint64 {
+		run := insert(fileOfPages(t, pages))
+		const n = 30
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / n
+	}
+	small, large := bytesPerInsert(64), bytesPerInsert(4096)
+	if large > small+64 {
+		t.Errorf("Insert allocates %d B/op in a 4096-page file but %d B/op in a 64-page file", large, small)
 	}
 }

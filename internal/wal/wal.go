@@ -166,6 +166,10 @@ var (
 	// later syncs returning nil would spuriously report durability; the log
 	// stays poisoned, and refuses to Truncate, until reopened.
 	ErrSyncPoisoned = errors.New("wal: sync previously failed; durability cannot be trusted")
+	// ErrClosed is returned by Append, BeginTx, CommitTx and Sync on a
+	// file-backed log after Close: the record would reach no file, so it is
+	// refused rather than acknowledged and lost.
+	ErrClosed = errors.New("wal: log is closed")
 )
 
 // errTorn marks a record cut short by a crash mid-append. Unlike a checksum
@@ -176,10 +180,22 @@ var errTorn = errors.New("wal: torn tail record")
 // Log is an append-only record log. The zero value is not usable; construct
 // with NewMemory or Open.
 type Log struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	// records holds a memory log's records. A file-backed log retains
+	// nothing it has written — the file is the only copy, described by count
+	// and size — so no field of it grows with the number of appends.
 	records []Record
 	nextLSN uint64
 	file    *os.File // nil for memory-only logs
+	// count is the number of records in the file since the last truncation
+	// and size the bytes they occupy: appends land at size, and readers stop
+	// there rather than at EOF.
+	count int
+	size  int64
+	// buf is appendLocked's encode buffer, reused under mu.
+	buf []byte
+	// closed is set by Close on a file-backed log (see ErrClosed).
+	closed bool
 	// failAfter, when >= 0, is the number of further Appends allowed before
 	// ErrInjectedFailure; -1 disables fault injection.
 	failAfter int
@@ -219,58 +235,72 @@ type flushTicket struct {
 // NewMemory returns an in-memory log.
 func NewMemory() *Log { return &Log{nextLSN: 1, failAfter: -1, failSyncAfter: -1} }
 
-// Open opens (or creates) a file-backed log, replaying existing records into
-// memory so they can be iterated. A torn final record — the signature of a
-// crash mid-append — is tolerated: replay stops at the last intact record and
-// the tail is discarded on the next append.
+// Open opens (or creates) a file-backed log. The file is validated record by
+// record and counted, but nothing is kept in memory: Records, Since and
+// TruncateFrom read it back on demand. A torn final record — the signature
+// of a crash mid-append — is tolerated: the log ends at the last intact
+// record and the tail is cut off the file.
 func Open(path string) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
 	l := &Log{nextLSN: 1, file: f, failAfter: -1, failSyncAfter: -1}
-	if err := l.replay(); err != nil {
+	if err := l.adopt(); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return l, nil
 }
 
-func (l *Log) replay() error {
+// adopt validates the file Open found and sets count, size and nextLSN from
+// it.
+func (l *Log) adopt() error {
 	info, err := l.file.Stat()
 	if err != nil {
 		return fmt.Errorf("wal: stat: %w", err)
 	}
-	size := info.Size()
-	if _, err := l.file.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	r := bufio.NewReader(l.file)
-	var good int64
-	for {
-		rec, n, err := readRecord(r, size-good)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if errors.Is(err, errTorn) {
-			// Torn tail from a crash mid-append: keep the intact prefix and
-			// discard the rest so the next append starts on a clean boundary.
-			if err := l.file.Truncate(good); err != nil {
-				return fmt.Errorf("wal: truncate torn tail: %w", err)
-			}
-			break
-		}
-		if err != nil {
-			return err
-		}
-		good += n
-		l.records = append(l.records, rec)
+	good, err := l.scan(info.Size(), func(rec Record, _ int64) bool {
+		l.count++
 		if rec.LSN >= l.nextLSN {
 			l.nextLSN = rec.LSN + 1
 		}
+		return true
+	})
+	if errors.Is(err, errTorn) {
+		// Torn tail from a crash mid-append: keep the intact prefix and
+		// discard the rest so the next append starts on a clean boundary.
+		if err := l.file.Truncate(good); err != nil {
+			return fmt.Errorf("wal: truncate torn tail: %w", err)
+		}
+	} else if err != nil {
+		return err
 	}
-	_, err = l.file.Seek(good, io.SeekStart)
-	return err
+	l.size = good
+	return nil
+}
+
+// scan decodes the records in the first limit bytes of the file in order,
+// calling fn with each and the offset just past it until fn returns false.
+// It returns the offset past the last intact record decoded. The record's
+// Payload is only valid during the call: the frame buffer is reused. The
+// caller holds l.mu (or, in Open, is the only one who knows the log).
+func (l *Log) scan(limit int64, fn func(rec Record, end int64) bool) (int64, error) {
+	r := bufio.NewReaderSize(io.NewSectionReader(l.file, 0, limit), 64<<10)
+	var frame []byte
+	var off int64
+	for off < limit {
+		rec, buf, err := readRecord(r, limit-off, frame)
+		if err != nil {
+			return off, err
+		}
+		frame = buf
+		off += recordSize(rec)
+		if !fn(rec, off) {
+			break
+		}
+	}
+	return off, nil
 }
 
 // Append adds a record and returns its LSN. When a lazy transaction frame is
@@ -293,38 +323,35 @@ func (l *Log) Append(kind Kind, table string, payload []byte) (uint64, error) {
 	return lsn, err
 }
 
-// appendLocked writes one record; the caller holds l.mu.
+// appendLocked writes one record; the caller holds l.mu. A file-backed log
+// encodes it into l.buf and hands it to the file in one write at the tracked
+// size; only a memory log keeps the record.
 func (l *Log) appendLocked(kind Kind, table string, payload []byte) (uint64, error) {
+	if l.closed {
+		return 0, ErrClosed
+	}
 	if l.failAfter == 0 {
 		return 0, ErrInjectedFailure
 	}
 	if l.failAfter > 0 {
 		l.failAfter--
 	}
-	rec := Record{
-		LSN:     l.nextLSN,
-		Kind:    kind,
-		Table:   table,
-		Payload: append([]byte(nil), payload...),
-		Time:    time.Now().UTC(),
-	}
-	if l.file != nil {
-		// Remember the tail so a half-written record (disk full, EIO
-		// between the header and frame writes) can be rolled back; without
-		// the rollback a LATER successful append would land after the torn
-		// bytes and the whole log would read as corrupt.
-		off, err := l.file.Seek(0, io.SeekCurrent)
-		if err != nil {
+	rec := Record{LSN: l.nextLSN, Kind: kind, Table: table, Payload: payload, Time: time.Now().UTC()}
+	if l.file == nil {
+		rec.Payload = append([]byte(nil), payload...)
+		l.records = append(l.records, rec)
+	} else {
+		l.buf = appendRecord(l.buf[:0], rec)
+		if _, err := l.file.WriteAt(l.buf, l.size); err != nil {
+			// Roll back a half-written record (disk full, EIO mid-write):
+			// a later, shorter append at the same offset would otherwise
+			// leave torn bytes after it and the log would read as corrupt.
+			_ = l.file.Truncate(l.size)
 			return 0, fmt.Errorf("wal: append: %w", err)
 		}
-		if err := writeRecord(l.file, rec); err != nil {
-			if terr := l.file.Truncate(off); terr == nil {
-				_, _ = l.file.Seek(off, io.SeekStart)
-			}
-			return 0, err
-		}
+		l.size += int64(len(l.buf))
+		l.count++
 	}
-	l.records = append(l.records, rec)
 	l.nextLSN++
 	return rec.LSN, nil
 }
@@ -339,6 +366,9 @@ func (l *Log) appendLocked(kind Kind, table string, payload []byte) (uint64, err
 func (l *Log) BeginTx(lazy bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.closed {
+		return ErrClosed
+	}
 	if l.txOpen || l.txPending {
 		return fmt.Errorf("wal: transaction frame already open")
 	}
@@ -360,6 +390,9 @@ func (l *Log) BeginTx(lazy bool) error {
 func (l *Log) CommitTx() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.closed {
+		return ErrClosed
+	}
 	if l.txPending {
 		l.txPending = false
 		return nil
@@ -458,9 +491,7 @@ func (l *Log) Truncate() error {
 		if err := l.file.Truncate(0); err != nil {
 			return fmt.Errorf("wal: truncate: %w", err)
 		}
-		if _, err := l.file.Seek(0, io.SeekStart); err != nil {
-			return err
-		}
+		l.count, l.size = 0, 0
 	}
 	l.records = nil
 	l.txOpen = false
@@ -469,41 +500,46 @@ func (l *Log) Truncate() error {
 	return nil
 }
 
-// TruncateFrom discards every record with an LSN at or above lsn, in memory
-// and on disk. Recovery uses it to drop the unclosed transaction frame a
-// crash left at the log tail — after its effects are undone, the records
-// must go too, or appends by the reopened database would extend a frame
-// that never commits. The LSN counter is left untouched, so LSNs stay
-// monotonic across the cut.
+// TruncateFrom discards every record with an LSN at or above lsn — from the
+// file, found by reading it, or from a memory log's slice. Recovery uses it
+// to drop the unclosed transaction frame a crash left at the log tail —
+// after its effects are undone, the records must go too, or appends by the
+// reopened database would extend a frame that never commits. The LSN
+// counter is left untouched, so LSNs stay monotonic across the cut.
 func (l *Log) TruncateFrom(lsn uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	idx := len(l.records)
-	for idx > 0 && l.records[idx-1].LSN >= lsn {
-		idx--
-	}
-	if idx == len(l.records) {
+	if l.file == nil {
+		idx := len(l.records)
+		for idx > 0 && l.records[idx-1].LSN >= lsn {
+			idx--
+		}
+		l.records = l.records[:idx]
 		return nil
 	}
-	if l.file != nil {
-		var off int64
-		for _, rec := range l.records[:idx] {
-			off += recordSize(rec)
+	var keep int
+	var cut int64
+	if _, err := l.scan(l.size, func(rec Record, end int64) bool {
+		if rec.LSN >= lsn {
+			return false
 		}
-		if err := l.file.Truncate(off); err != nil {
-			return fmt.Errorf("wal: truncate from LSN %d: %w", lsn, err)
-		}
-		if _, err := l.file.Seek(off, io.SeekStart); err != nil {
-			return err
-		}
+		keep, cut = keep+1, end
+		return true
+	}); err != nil {
+		return fmt.Errorf("wal: truncate from LSN %d: %w", lsn, err)
 	}
-	l.records = l.records[:idx]
+	if keep == l.count {
+		return nil
+	}
+	if err := l.file.Truncate(cut); err != nil {
+		return fmt.Errorf("wal: truncate from LSN %d: %w", lsn, err)
+	}
+	l.count, l.size = keep, cut
 	return nil
 }
 
-// recordSize returns the exact number of bytes writeRecord produced for
-// rec; TruncateFrom sums it over the surviving prefix to find the file
-// offset to cut at.
+// recordSize returns the exact number of bytes rec occupies in the file;
+// scan advances by it.
 func recordSize(rec Record) int64 {
 	return int64(recordHeaderSize + recordFixedFrame + len(rec.Table) + len(rec.Payload))
 }
@@ -514,6 +550,9 @@ func recordSize(rec Record) int64 {
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.closed {
+		return ErrClosed
+	}
 	if l.syncErr != nil {
 		return fmt.Errorf("%w (first failure: %v)", ErrSyncPoisoned, l.syncErr)
 	}
@@ -646,25 +685,24 @@ func (l *Log) SyncError() error {
 	return l.syncErr
 }
 
-// Len returns the number of records.
+// Len returns the number of records since the last truncation, counting
+// those Open found in the file. It is a counter read for either kind of log.
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.file != nil {
+		return l.count
+	}
 	return len(l.records)
 }
 
 // Records returns a snapshot copy of all records in LSN order. The returned
 // slice is owned by the caller: concurrent Appends never become visible
-// through it, so iterating while other goroutines append is safe. (Payload
-// byte slices are shared with the log but are never mutated after Append
-// copies them in.)
-func (l *Log) Records() []Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Record, len(l.records))
-	copy(out, l.records)
-	return out
-}
+// through it, so iterating while other goroutines append is safe. (A memory
+// log's payload byte slices are shared with the log but are never mutated
+// after Append copies them in.) A file-backed log decodes the whole file on
+// every call — see ReadSince.
+func (l *Log) Records() []Record { return l.Since(0) }
 
 // Iterate calls fn for every record in LSN order, stopping early when fn
 // returns false.
@@ -677,36 +715,64 @@ func (l *Log) Iterate(fn func(Record) bool) {
 }
 
 // Since returns a snapshot copy of all records with LSN strictly greater
-// than lsn. Like Records, the result never aliases the live internal slice.
+// than lsn. Like Records, the result never aliases the log's own state. It
+// is ReadSince for callers with nothing to do about an unreadable file
+// (tests, harnesses): on a read error they get the records before it.
 func (l *Log) Since(lsn uint64) []Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	// Records are in ascending LSN order: binary-search the cut point.
-	lo, hi := 0, len(l.records)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if l.records[mid].LSN > lsn {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	out := make([]Record, len(l.records)-lo)
-	copy(out, l.records[lo:])
+	out, _ := l.ReadSince(lsn)
 	return out
 }
 
-// Close flushes and closes a file-backed log. Memory logs become unusable for
-// appends only by convention (Close is a no-op for them).
-func (l *Log) Close() error {
+// ReadSince is Since with the read error. A memory log answers from its
+// slice and never fails. A file-backed log reads the file from the start
+// under l.mu, up to the tracked size — so it never sees a half-appended
+// record — at a cost proportional to the file, not to the result; recovery
+// calls it once.
+func (l *Log) ReadSince(lsn uint64) ([]Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.file == nil {
+		// Records are in ascending LSN order: binary-search the cut point.
+		lo, hi := 0, len(l.records)
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if l.records[mid].LSN > lsn {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		out := make([]Record, len(l.records)-lo)
+		copy(out, l.records[lo:])
+		return out, nil
+	}
+	var out []Record
+	_, err := l.scan(l.size, func(rec Record, _ int64) bool {
+		if rec.LSN > lsn {
+			rec.Payload = append([]byte(nil), rec.Payload...)
+			out = append(out, rec)
+		}
+		return true
+	})
+	if errors.Is(err, errTorn) {
+		// Inside the tracked size every record was written whole or
+		// validated by Open: a tear there is not a crash signature.
+		err = fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return out, err
+}
+
+// Close closes a file-backed log, which from then on refuses appends and
+// syncs with ErrClosed and reads back as empty; Len keeps answering. Close
+// is a no-op for a memory log.
+func (l *Log) Close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.file == nil || l.closed {
 		return nil
 	}
-	err := l.file.Close()
-	l.file = nil
-	return err
+	l.closed = true
+	return l.file.Close()
 }
 
 // --- on-disk record format ----------------------------------------------------
@@ -718,9 +784,10 @@ func (l *Log) Close() error {
 //	frame: lsn uint64 | kind uint8 | unixNano int64 | tableLen uint16 | table | payload
 //
 // The size constants below mirror this layout; writeRecord, readRecord and
-// recordSize (which TruncateFrom uses to compute byte offsets) must all
-// move together when the format changes — TestRecordSizeMatchesWriter
-// cross-checks them.
+// recordSize (by which scan advances through the file) must all move
+// together when the format changes — TestRecordSizeMatchesWriter
+// cross-checks them. appendRecord is the encoder (writeRecord wraps it for
+// tests).
 const (
 	// recordHeaderSize is the crc32 + frameLen prefix.
 	recordHeaderSize = 8
@@ -729,48 +796,59 @@ const (
 	recordFixedFrame = 19
 )
 
-func writeRecord(w io.Writer, rec Record) error {
-	frame := make([]byte, 0, 32+len(rec.Table)+len(rec.Payload))
-	frame = binary.LittleEndian.AppendUint64(frame, rec.LSN)
-	frame = append(frame, byte(rec.Kind))
-	frame = binary.LittleEndian.AppendUint64(frame, uint64(rec.Time.UnixNano()))
-	frame = binary.LittleEndian.AppendUint16(frame, uint16(len(rec.Table)))
-	frame = append(frame, rec.Table...)
-	frame = append(frame, rec.Payload...)
+// appendRecord appends rec's on-disk encoding — header and frame — to dst.
+func appendRecord(dst []byte, rec Record) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, recordHeaderSize)...)
+	dst = binary.LittleEndian.AppendUint64(dst, rec.LSN)
+	dst = append(dst, byte(rec.Kind))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.Time.UnixNano()))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(rec.Table)))
+	dst = append(dst, rec.Table...)
+	dst = append(dst, rec.Payload...)
+	frame := dst[start+recordHeaderSize:]
+	binary.LittleEndian.PutUint32(dst[start:], crc32.ChecksumIEEE(frame))
+	binary.LittleEndian.PutUint32(dst[start+4:], uint32(len(frame)))
+	return dst
+}
 
-	hdr := make([]byte, 8)
-	binary.LittleEndian.PutUint32(hdr[0:4], crc32.ChecksumIEEE(frame))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(frame)))
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("wal: write header: %w", err)
-	}
-	if _, err := w.Write(frame); err != nil {
-		return fmt.Errorf("wal: write frame: %w", err)
+// writeRecord writes rec's encoding to w in one Write.
+func writeRecord(w io.Writer, rec Record) error {
+	if _, err := w.Write(appendRecord(nil, rec)); err != nil {
+		return fmt.Errorf("wal: write record: %w", err)
 	}
 	return nil
 }
 
-// readRecord decodes one framed record, returning how many bytes of the
-// stream it consumed so replay can truncate a torn tail on the exact
-// boundary of the last intact record. remaining bounds the record to the
-// bytes actually left in the file, so a corrupt length field cannot trigger
-// a giant allocation before the truncation is detected.
-func readRecord(r *bufio.Reader, remaining int64) (Record, int64, error) {
-	hdr := make([]byte, 8)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return Record{}, 0, fmt.Errorf("%w: truncated header", errTorn)
-		}
-		return Record{}, 0, err
+// readRecord decodes one framed record into frame (grown as needed and
+// returned for reuse): the record's Payload aliases it. remaining bounds the
+// record to the bytes actually left in the range, so a corrupt length field
+// cannot trigger a giant allocation before the truncation is detected. A
+// range that ends inside the record is errTorn; any other read failure is
+// returned as it is.
+func readRecord(r *bufio.Reader, remaining int64, frame []byte) (Record, []byte, error) {
+	hdr, err := r.Peek(recordHeaderSize)
+	if errors.Is(err, io.EOF) {
+		return Record{}, frame, fmt.Errorf("%w: truncated header", errTorn)
+	}
+	if err != nil {
+		return Record{}, frame, fmt.Errorf("wal: read header: %w", err)
 	}
 	wantCRC := binary.LittleEndian.Uint32(hdr[0:4])
 	frameLen := binary.LittleEndian.Uint32(hdr[4:8])
-	if int64(frameLen) > remaining-8 {
-		return Record{}, 0, fmt.Errorf("%w: frame length %d exceeds file tail", errTorn, frameLen)
+	if int64(frameLen) > remaining-recordHeaderSize {
+		return Record{}, frame, fmt.Errorf("%w: frame length %d exceeds file tail", errTorn, frameLen)
 	}
-	frame := make([]byte, frameLen)
+	_, _ = r.Discard(recordHeaderSize) // just peeked
+	if cap(frame) < int(frameLen) {
+		frame = make([]byte, frameLen)
+	}
+	frame = frame[:frameLen]
 	if _, err := io.ReadFull(r, frame); err != nil {
-		return Record{}, 0, fmt.Errorf("%w: truncated frame", errTorn)
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return Record{}, frame, fmt.Errorf("%w: truncated frame", errTorn)
+		}
+		return Record{}, frame, fmt.Errorf("wal: read frame: %w", err)
 	}
 	if crc32.ChecksumIEEE(frame) != wantCRC {
 		// A bad checksum on the FINAL record is the other signature of a
@@ -778,12 +856,12 @@ func readRecord(r *bufio.Reader, remaining int64) (Record, int64, error) {
 		// before the size reached disk) and is recovered by truncation; a
 		// bad checksum with intact records after it is real corruption.
 		if _, err := r.Peek(1); errors.Is(err, io.EOF) {
-			return Record{}, 0, fmt.Errorf("%w: checksum mismatch at tail", errTorn)
+			return Record{}, frame, fmt.Errorf("%w: checksum mismatch at tail", errTorn)
 		}
-		return Record{}, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+		return Record{}, frame, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	if len(frame) < recordFixedFrame {
-		return Record{}, 0, fmt.Errorf("%w: short frame", ErrCorrupt)
+		return Record{}, frame, fmt.Errorf("%w: short frame", ErrCorrupt)
 	}
 	rec := Record{
 		LSN:  binary.LittleEndian.Uint64(frame[0:8]),
@@ -792,9 +870,9 @@ func readRecord(r *bufio.Reader, remaining int64) (Record, int64, error) {
 	}
 	tableLen := int(binary.LittleEndian.Uint16(frame[17:19]))
 	if len(frame) < recordFixedFrame+tableLen {
-		return Record{}, 0, fmt.Errorf("%w: bad table length", ErrCorrupt)
+		return Record{}, frame, fmt.Errorf("%w: bad table length", ErrCorrupt)
 	}
 	rec.Table = string(frame[recordFixedFrame : recordFixedFrame+tableLen])
-	rec.Payload = append([]byte(nil), frame[recordFixedFrame+tableLen:]...)
-	return rec, int64(recordHeaderSize + len(frame)), nil
+	rec.Payload = frame[recordFixedFrame+tableLen:]
+	return rec, frame, nil
 }

@@ -261,9 +261,21 @@ func TestFailAfterInjectsFailure(t *testing.T) {
 
 // TestConcurrentReadersAndAppenders is the -race regression test for the
 // snapshot contract of Records/Since/Iterate: readers must never observe a
-// slice that concurrent Appends mutate.
+// slice that concurrent Appends mutate — nor, on a file-backed log, which
+// serves them by reading the file, a half-appended record.
 func TestConcurrentReadersAndAppenders(t *testing.T) {
-	l := NewMemory()
+	t.Run("memory", func(t *testing.T) { testConcurrentReadersAndAppenders(t, NewMemory()) })
+	t.Run("file", func(t *testing.T) {
+		l, err := Open(filepath.Join(t.TempDir(), "wal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		testConcurrentReadersAndAppenders(t, l)
+	})
+}
+
+func testConcurrentReadersAndAppenders(t *testing.T, l *Log) {
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {

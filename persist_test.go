@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bdbms"
+	"bdbms/internal/errcode"
 )
 
 // persistWorkload is the public-API durability workload: DDL, DML, secondary
@@ -141,5 +142,44 @@ func TestDataFileFreshStartsEmpty(t *testing.T) {
 	defer db.Close()
 	if n := len(db.Storage().Tables()); n != 0 {
 		t.Errorf("fresh data file has %d tables", n)
+	}
+}
+
+// TestWriteAfterCloseIsRefused holds a session across DB.Close: the write it
+// then attempts must fail with storage.closed and leave no trace — not be
+// acknowledged into a log that no longer reaches the file and lost on reopen.
+func TestWriteAfterCloseIsRefused(t *testing.T) {
+	dataFile := filepath.Join(t.TempDir(), "genes.db")
+	db, err := bdbms.OpenWith(bdbms.Options{DataFile: dataFile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := db.Session("admin")
+	if _, err := sess.Exec(`CREATE TABLE Gene (GID INT NOT NULL PRIMARY KEY, GName TEXT)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Exec(`INSERT INTO Gene VALUES (1, 'mraW')`); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = sess.Exec(`INSERT INTO Gene VALUES (2, 'fruL')`)
+	if got := errcode.FromError(err); got != errcode.Closed {
+		t.Fatalf("INSERT after Close: err = %v (code %q), want code %q", err, got, errcode.Closed)
+	}
+	// The refused statement rolled back in memory like any failed append.
+	if res, err := sess.Exec(`SELECT COUNT(*) FROM Gene`); err != nil || res.Rows[0].Values[0].Int() != 1 {
+		t.Errorf("closed database after the refused INSERT: %+v, %v; want 1 row", res, err)
+	}
+
+	reopened, err := bdbms.OpenWith(bdbms.Options{DataFile: dataFile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if res := reopened.MustExec(`SELECT GID FROM Gene`); len(res.Rows) != 1 {
+		t.Errorf("reopened table holds %d rows, want exactly the acknowledged one", len(res.Rows))
 	}
 }
