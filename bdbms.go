@@ -98,10 +98,13 @@
 // A transaction is atomic over everything a statement touches: heap rows,
 // index entries, annotations and annotation tables, dependency outdated
 // marks, provenance attachments and agent registrations, approval-log
-// entries, and DDL (CREATE/DROP TABLE, CREATE INDEX). Rollback reverts all
-// of it from an in-memory undo log of before-images. Savepoints give
-// partial rollbacks; a statement that fails mid-transaction is rolled back
-// by itself while the transaction survives.
+// entries, and DDL (CREATE/DROP TABLE, CREATE INDEX). Each of those
+// changes is one write-ahead-log record carrying what reverting it needs,
+// so the transaction's WAL frame is its undo log: rollback reads the
+// frame's records back and reverts them newest first, the way recovery
+// reverts a transaction a crash interrupted. Savepoints give partial
+// rollbacks; a statement that fails mid-transaction is rolled back by
+// itself while the transaction survives.
 //
 // Writer isolation is serializable: a transaction latches every table it
 // writes (or reads from inside the transaction) at first touch and holds

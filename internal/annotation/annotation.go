@@ -28,7 +28,6 @@ import (
 
 	"bdbms/internal/catalog"
 	"bdbms/internal/rtree"
-	"bdbms/internal/undo"
 	"bdbms/internal/wal"
 )
 
@@ -341,32 +340,31 @@ func dedupe(ids []int64) []int64 {
 
 // --- manager -------------------------------------------------------------------
 
-// TableResolver supplies the schema facts the manager needs about user tables.
-// *storage.Engine satisfies it via an adapter in the core package; tests can
-// provide a stub.
+// TableResolver supplies what the manager needs from the storage engine: the
+// schema facts about user tables, and the write-ahead log. *storage.Engine
+// satisfies it via an adapter in the core package; tests can provide a stub.
 type TableResolver interface {
 	// ColumnCount returns the number of columns of the user table.
 	ColumnCount(table string) (int, error)
 	// MaxRowID returns the largest RowID currently assigned in the table
 	// (0 when the table is empty).
 	MaxRowID(table string) (int64, error)
+	// WAL returns the log the manager appends its records to: the engine's,
+	// so that annotation changes share the transaction frames of the row
+	// changes beside them and roll back with them.
+	WAL() *wal.Log
 }
 
-// Logger is where the manager appends its logical WAL records. *wal.Log
-// satisfies it; a nil logger disables logging (memory-only databases, and
-// recovery while annotation mutations are replayed from the log).
-type Logger interface {
-	Append(kind wal.Kind, table string, payload []byte) (uint64, error)
-}
-
-// Manager is the annotation manager.
+// Manager is the annotation manager. Every mutation is validated, appended to
+// the write-ahead log as one record and then applied through that record
+// kind's applier — the function recovery's redo calls too. Appliers never
+// log.
 type Manager struct {
 	mu        sync.RWMutex
 	cat       *catalog.Catalog
 	resolver  TableResolver
 	store     Store
-	logger    Logger
-	undo      *undo.Log
+	log       *wal.Log
 	nextID    int64
 	byID      map[int64]*Annotation
 	byTable   map[string][]int64 // user table -> annotation IDs
@@ -397,6 +395,7 @@ func NewManager(cat *catalog.Catalog, resolver TableResolver, opts ...Option) *M
 		nextID:    1,
 		byID:      make(map[int64]*Annotation),
 		byTable:   make(map[string][]int64),
+		log:       resolver.WAL(),
 		clock:     time.Now,
 		systemTag: "system",
 	}
@@ -409,32 +408,8 @@ func NewManager(cat *catalog.Catalog, resolver TableResolver, opts ...Option) *M
 // StoreName returns the active storage scheme name.
 func (m *Manager) StoreName() string { return m.store.Name() }
 
-// SetLogger wires the manager to a WAL. Recovery constructs the manager
-// without one, replays logged mutations, then installs the log so new
-// mutations are recorded.
-func (m *Manager) SetLogger(l Logger) { m.logger = l }
-
-// SetUndo installs (or, with nil, clears) the open transaction's undo log:
-// while installed, every annotation mutation pushes a compensating closure.
-// Like the storage engine's hook, it is only touched by the write frame
-// holding the storage.ScopeWAL latch.
-func (m *Manager) SetUndo(u *undo.Log) { m.undo = u }
-
-// pushUndo records a compensating action when a transaction is open.
-func (m *Manager) pushUndo(fn undo.Func) {
-	if m.undo != nil {
-		m.undo.Push(fn)
-	}
-}
-
-// logOp appends one logical record when a logger is wired.
-func (m *Manager) logOp(kind wal.Kind, table string, payload []byte) error {
-	if m.logger == nil {
-		return nil
-	}
-	_, err := m.logger.Append(kind, table, payload)
-	return err
-}
+// WAL returns the write-ahead log the manager appends to.
+func (m *Manager) WAL() *wal.Log { return m.log }
 
 // CreateAnnotationTable implements CREATE ANNOTATION TABLE (Figure 4).
 func (m *Manager) CreateAnnotationTable(userTable, name, category string, systemManaged bool) error {
@@ -444,25 +419,32 @@ func (m *Manager) CreateAnnotationTable(userTable, name, category string, system
 		Category:      category,
 		SystemManaged: systemManaged,
 	}
-	if err := m.cat.CreateAnnotationTable(def); err != nil {
-		return err
+	if name == "" {
+		return errors.New("annotation: empty annotation table name")
+	}
+	if !m.cat.HasTable(userTable) {
+		return fmt.Errorf("%w: %s", catalog.ErrTableNotFound, userTable)
+	}
+	if _, err := m.cat.AnnotationTable(userTable, name); err == nil {
+		return fmt.Errorf("%w: %s on %s", catalog.ErrAnnotationTableExists, name, userTable)
 	}
 	payload, err := json.Marshal(def)
-	if err == nil {
-		err = m.logOp(wal.KindCreateAnnTable, userTable, payload)
-	}
 	if err != nil {
-		_ = m.cat.DropAnnotationTable(userTable, name)
 		return err
 	}
-	m.pushUndo(func() error {
-		err := m.cat.DropAnnotationTable(userTable, name)
-		if errors.Is(err, catalog.ErrAnnotationTableNotFound) {
-			return nil
-		}
+	if _, err := m.log.Append(wal.KindCreateAnnTable, userTable, payload); err != nil {
 		return err
-	})
-	return nil
+	}
+	return m.ApplyCreateAnnotationTable(def)
+}
+
+// AnnTableRecord is the WAL payload of CREATE and DROP ANNOTATION TABLE: the
+// definition, and for a drop the annotations it deletes, so that undoing the
+// drop can put them back. A drop record in an older log carries only Name and
+// UserTable; its undo restores the bare definition.
+type AnnTableRecord struct {
+	catalog.AnnotationTable
+	Annotations []*Annotation `json:"annotations,omitempty"`
 }
 
 // DropAnnotationTable implements DROP ANNOTATION TABLE: the definition and
@@ -472,45 +454,40 @@ func (m *Manager) DropAnnotationTable(userTable, name string) error {
 	if err != nil {
 		return err
 	}
-	payload, err := json.Marshal(&catalog.AnnotationTable{Name: name, UserTable: userTable})
+	rec := AnnTableRecord{AnnotationTable: *def}
+	m.mu.RLock()
+	for _, id := range m.byTable[strings.ToLower(userTable)] {
+		if a := m.byID[id]; strings.EqualFold(a.AnnTable, name) {
+			rec.Annotations = append(rec.Annotations, a)
+		}
+	}
+	payload, err := json.Marshal(rec)
+	m.mu.RUnlock()
 	if err != nil {
 		return err
 	}
-	// Before-image for the undo log: the definition plus every annotation
-	// the drop is about to delete.
-	var dropped []*Annotation
-	if m.undo != nil {
-		m.mu.RLock()
-		for _, id := range m.byTable[strings.ToLower(userTable)] {
-			if a := m.byID[id]; a != nil && strings.EqualFold(a.AnnTable, name) {
-				dropped = append(dropped, a)
-			}
-		}
-		m.mu.RUnlock()
-	}
-	if err := m.logOp(wal.KindDropAnnTable, userTable, payload); err != nil {
+	if _, err := m.log.Append(wal.KindDropAnnTable, userTable, payload); err != nil {
 		return err
 	}
-	if err := m.applyDropAnnotationTable(userTable, name); err != nil {
-		return err
-	}
-	defCopy := *def
-	m.pushUndo(func() error {
-		if err := m.RecoverCreateAnnotationTable(&defCopy); err != nil {
-			return err
-		}
-		for _, a := range dropped {
-			m.RecoverAnnotation(a)
-		}
-		return nil
-	})
-	return nil
+	return m.ApplyDropAnnotationTable(userTable, name)
 }
 
-// applyDropAnnotationTable removes the definition and the stored annotations
-// without logging.
-func (m *Manager) applyDropAnnotationTable(userTable, name string) error {
-	if err := m.cat.DropAnnotationTable(userTable, name); err != nil {
+// ApplyCreateAnnotationTable registers an annotation table definition,
+// tolerating an existing one: the applier of a CREATE ANNOTATION TABLE
+// record, and of the undo of a drop.
+func (m *Manager) ApplyCreateAnnotationTable(def *catalog.AnnotationTable) error {
+	err := m.cat.CreateAnnotationTable(def)
+	if errors.Is(err, catalog.ErrAnnotationTableExists) {
+		return nil
+	}
+	return err
+}
+
+// ApplyDropAnnotationTable removes the definition, tolerating an absent one,
+// and every annotation stored in the table: the applier of a DROP ANNOTATION
+// TABLE record, and of the undo of a create.
+func (m *Manager) ApplyDropAnnotationTable(userTable, name string) error {
+	if err := m.cat.DropAnnotationTable(userTable, name); err != nil && !errors.Is(err, catalog.ErrAnnotationTableNotFound) {
 		return err
 	}
 	m.mu.Lock()
@@ -569,17 +546,16 @@ func (m *Manager) Add(userTable, annTable, body, author string, regions []Region
 	if err != nil {
 		return nil, fmt.Errorf("annotation: encode: %w", err)
 	}
-	if err := m.logOp(wal.KindAnnotation, userTable, payload); err != nil {
+	if _, err := m.log.Append(wal.KindAnnotation, userTable, payload); err != nil {
 		return nil, err
 	}
 	m.applyAdd(a)
-	m.pushUndo(func() error { m.RecoverRemove(a.ID); return nil })
 	return a, nil
 }
 
-// RecoverRemove deletes a stored annotation by ID — the undo of Add. An
-// absent ID is tolerated.
-func (m *Manager) RecoverRemove(id int64) {
+// Remove deletes a stored annotation by ID — the undo of an ADD ANNOTATION
+// record. An absent ID is tolerated.
+func (m *Manager) Remove(id int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	a, ok := m.byID[id]
@@ -762,78 +738,72 @@ func (m *Manager) setArchived(userTable string, annTables []string, tr TimeRange
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	now := m.clock()
-	var changed []int64
-	for _, a := range candidates {
-		if !tr.contains(a.CreatedAt) || a.Archived == archived {
-			continue
-		}
-		changed = append(changed, a.ID)
-	}
-	if len(changed) == 0 {
-		return 0, nil
-	}
 	// Log the resolved ID set (not the region/time query): replay must flip
 	// exactly the annotations the original command flipped, independent of
-	// replay-time clocks. Write-ahead order — a failed append leaves the
-	// in-memory state untouched and surfaces the error.
-	payload, err := json.Marshal(archiveRecord{IDs: changed, Archived: archived, At: now})
-	if err == nil {
-		err = m.logOp(wal.KindAnnArchive, userTable, payload)
+	// replay-time clocks. Every one of them flips, so its prior flag is the
+	// opposite of the new one; its prior ArchivedAt rides along for the undo.
+	r := ArchiveRecord{Archived: archived, At: m.clock()}
+	for _, a := range candidates {
+		if tr.contains(a.CreatedAt) && a.Archived != archived {
+			r.IDs = append(r.IDs, a.ID)
+			r.Prior = append(r.Prior, a.ArchivedAt)
+		}
 	}
+	if len(r.IDs) == 0 {
+		return 0, nil
+	}
+	payload, err := json.Marshal(r)
 	if err != nil {
 		return 0, err
 	}
-	// Before-image for the undo log: the archived flag and timestamp of each
-	// flipped annotation (every candidate in changed flips, by construction).
-	var before []archiveSnap
-	if m.undo != nil {
-		for _, id := range changed {
-			if a := m.byID[id]; a != nil {
-				before = append(before, archiveSnap{id: id, archived: a.Archived, at: a.ArchivedAt})
+	if _, err := m.log.Append(wal.KindAnnArchive, userTable, payload); err != nil {
+		return 0, err
+	}
+	m.applyArchiveLocked(r)
+	return len(r.IDs), nil
+}
+
+// ArchiveRecord is the WAL payload of one ARCHIVE/RESTORE ANNOTATION: the
+// annotations it flipped, the flag they got, the archive time, and each
+// one's ArchivedAt before the command (absent in older logs, whose undo
+// restores the flag only).
+type ArchiveRecord struct {
+	IDs      []int64     `json:"ids"`
+	Archived bool        `json:"archived"`
+	At       time.Time   `json:"at"`
+	Prior    []time.Time `json:"prior,omitempty"`
+}
+
+// ApplyArchive gives the annotations r names r's archived flag, stamping
+// ArchivedAt on an archive: the applier of an ARCHIVE/RESTORE record.
+func (m *Manager) ApplyArchive(r ArchiveRecord) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.applyArchiveLocked(r)
+}
+
+func (m *Manager) applyArchiveLocked(r ArchiveRecord) {
+	for _, id := range r.IDs {
+		if a, ok := m.byID[id]; ok {
+			a.Archived = r.Archived
+			if r.Archived {
+				a.ArchivedAt = r.At
 			}
 		}
 	}
-	m.applyArchive(changed, archived, now)
-	m.pushUndo(func() error {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		for _, s := range before {
-			if a, ok := m.byID[s.id]; ok {
-				a.Archived = s.archived
-				a.ArchivedAt = s.at
+}
+
+// UndoArchive puts the annotations r names back as they were before it: the
+// opposite flag and the prior ArchivedAt the record carries.
+func (m *Manager) UndoArchive(r ArchiveRecord) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i, id := range r.IDs {
+		if a, ok := m.byID[id]; ok {
+			a.Archived = !r.Archived
+			if i < len(r.Prior) {
+				a.ArchivedAt = r.Prior[i]
 			}
-		}
-		return nil
-	})
-	return len(changed), nil
-}
-
-// archiveSnap is the per-annotation before-image of an ARCHIVE/RESTORE.
-type archiveSnap struct {
-	id       int64
-	archived bool
-	at       time.Time
-}
-
-// archiveRecord is the WAL payload of one ARCHIVE/RESTORE ANNOTATION.
-type archiveRecord struct {
-	IDs      []int64   `json:"ids"`
-	Archived bool      `json:"archived"`
-	At       time.Time `json:"at"`
-}
-
-// applyArchive flips the archived flag of the given annotations. The caller
-// must hold m.mu.
-func (m *Manager) applyArchive(ids []int64, archived bool, at time.Time) {
-	for _, id := range ids {
-		a, ok := m.byID[id]
-		if !ok {
-			continue
-		}
-		a.Archived = archived
-		if archived {
-			a.ArchivedAt = at
 		}
 	}
 }
@@ -850,12 +820,22 @@ func DecodeAnnotationPayload(payload []byte) (*Annotation, error) {
 }
 
 // DecodeArchivePayload parses the WAL payload of a KindAnnArchive record.
-func DecodeArchivePayload(payload []byte) (ids []int64, archived bool, at time.Time, err error) {
-	var rec archiveRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return nil, false, time.Time{}, fmt.Errorf("annotation: decode archive payload: %w", err)
+func DecodeArchivePayload(payload []byte) (ArchiveRecord, error) {
+	var r ArchiveRecord
+	if err := json.Unmarshal(payload, &r); err != nil {
+		return r, fmt.Errorf("annotation: decode archive payload: %w", err)
 	}
-	return rec.IDs, rec.Archived, rec.At, nil
+	return r, nil
+}
+
+// DecodeAnnTablePayload parses the WAL payload of a KindCreateAnnTable or
+// KindDropAnnTable record.
+func DecodeAnnTablePayload(payload []byte) (AnnTableRecord, error) {
+	var r AnnTableRecord
+	if err := json.Unmarshal(payload, &r); err != nil {
+		return r, fmt.Errorf("annotation: decode annotation-table payload: %w", err)
+	}
+	return r, nil
 }
 
 // Snapshot returns a deep copy of every annotation (archived included) plus
@@ -885,43 +865,16 @@ func (m *Manager) RestoreSnapshot(anns []*Annotation, nextID int64) {
 	}
 }
 
-// RecoverAnnotation replays a logged ADD ANNOTATION: the annotation is
-// installed with its original ID, author and timestamps. Replaying an ID
-// that is already present (a checkpoint raced the crash) is a no-op.
-func (m *Manager) RecoverAnnotation(a *Annotation) {
+// ApplyAdd installs a logged annotation with its original ID, author and
+// timestamps — the redo of an ADD ANNOTATION record, and part of the undo of
+// a DROP ANNOTATION TABLE. An ID already present is left as it is.
+func (m *Manager) ApplyAdd(a *Annotation) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.byID[a.ID]; ok {
 		return
 	}
 	m.applyAdd(a)
-}
-
-// RecoverArchive replays a logged ARCHIVE/RESTORE state change.
-func (m *Manager) RecoverArchive(ids []int64, archived bool, at time.Time) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.applyArchive(ids, archived, at)
-}
-
-// RecoverCreateAnnotationTable replays CREATE ANNOTATION TABLE, tolerating
-// an existing definition.
-func (m *Manager) RecoverCreateAnnotationTable(def *catalog.AnnotationTable) error {
-	err := m.cat.CreateAnnotationTable(def)
-	if errors.Is(err, catalog.ErrAnnotationTableExists) {
-		return nil
-	}
-	return err
-}
-
-// RecoverDropAnnotationTable replays DROP ANNOTATION TABLE, tolerating an
-// absent definition.
-func (m *Manager) RecoverDropAnnotationTable(userTable, name string) error {
-	err := m.applyDropAnnotationTable(userTable, name)
-	if errors.Is(err, catalog.ErrAnnotationTableNotFound) {
-		return nil
-	}
-	return err
 }
 
 // --- region helpers -------------------------------------------------------------

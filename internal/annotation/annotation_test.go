@@ -7,6 +7,7 @@ import (
 
 	"bdbms/internal/catalog"
 	"bdbms/internal/value"
+	"bdbms/internal/wal"
 )
 
 // stubResolver is a TableResolver for tests.
@@ -17,6 +18,7 @@ type stubResolver struct {
 
 func (s stubResolver) ColumnCount(table string) (int, error) { return s.cols[table], nil }
 func (s stubResolver) MaxRowID(table string) (int64, error)  { return s.rows[table], nil }
+func (s stubResolver) WAL() *wal.Log                         { return wal.NewMemory() }
 
 func newTestManager(t *testing.T, opts ...Option) *Manager {
 	t.Helper()

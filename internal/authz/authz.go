@@ -12,12 +12,12 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"bdbms/internal/storage"
-	"bdbms/internal/undo"
 	"bdbms/internal/value"
 	"bdbms/internal/wal"
 )
@@ -139,19 +139,14 @@ type Manager struct {
 	ops       map[int64]*Operation
 	order     []int64
 	nextOp    int64
-	undo      *undo.Log
 	clock     func() time.Time
 }
 
-// SetUndo installs (or, with nil, clears) the open transaction's undo log:
-// recorded approval operations and approval decisions then push their
-// inverse, so rolling back a monitored DML statement also retracts its
-// pending-operation entry. Only touched by the write frame holding the
-// storage.ScopeWAL latch.
-func (m *Manager) SetUndo(u *undo.Log) { m.undo = u }
-
 // NewManager builds an authorization manager over the storage engine. The
-// operation log is mirrored into the engine's WAL.
+// operation log is mirrored into the engine's WAL: recording an operation,
+// approving and disapproving each append one KindApproval record before they
+// apply, so rolling back a monitored DML statement also retracts its
+// operation, and a rolled-back decision goes back to pending.
 func NewManager(eng *storage.Engine) *Manager {
 	return &Manager{
 		eng:       eng,
@@ -425,27 +420,36 @@ func (m *Manager) RecordOperation(user string, kind OpKind, table string, rowID 
 	op.Statement = renderStatement(tbl, op)
 	op.Inverse = renderInverse(tbl, op)
 
+	// Write-ahead order: the operation exists only once its record does.
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	op.ID = m.nextOp
-	m.nextOp++
-	m.ops[op.ID] = op
-	m.order = append(m.order, op.ID)
-	m.mu.Unlock()
-
 	payload := fmt.Sprintf("op=%d user=%s kind=%s table=%s row=%d inverse=%q",
 		op.ID, user, kind, table, rowID, op.Inverse)
 	if _, err := m.log.Append(wal.KindApproval, table, []byte(payload)); err != nil {
 		return nil, err
 	}
-	if m.undo != nil {
-		m.undo.Push(undo.Func(func() error { m.removeOperation(op.ID); return nil }))
-	}
+	m.nextOp++
+	m.ops[op.ID] = op
+	m.order = append(m.order, op.ID)
 	return op, nil
 }
 
-// removeOperation retracts a recorded operation — the undo of
-// RecordOperation when the statement that produced it rolls back.
-func (m *Manager) removeOperation(id int64) {
+// DecodeApprovalPayload parses the operation ID from the "op=<id>" prefix of
+// a KindApproval record and reports whether the record is a decision
+// (APPROVE / DISAPPROVE) rather than a recorded operation.
+func DecodeApprovalPayload(payload []byte) (opID int64, decision bool, err error) {
+	head, rest, _ := strings.Cut(string(payload), " ")
+	num, ok := strings.CutPrefix(head, "op=")
+	if opID, err = strconv.ParseInt(num, 10, 64); !ok || err != nil {
+		return 0, false, fmt.Errorf("authz: bad approval payload %q", payload)
+	}
+	return opID, !strings.HasPrefix(rest, "user="), nil
+}
+
+// RemoveOperation retracts a recorded operation, if present — the undo of a
+// RecordOperation record.
+func (m *Manager) RemoveOperation(id int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.ops, id)
@@ -527,22 +531,28 @@ func (m *Manager) Approve(opID int64, approver string) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.decideLocked(op, StatusApproved, approver, fmt.Sprintf("op=%d approved-by=%s", op.ID, approver))
+}
+
+// decideLocked logs a decision on a pending operation and then applies it.
+// The caller holds m.mu.
+func (m *Manager) decideLocked(op *Operation, status Status, approver, payload string) error {
 	if op.Status != StatusPending {
-		return fmt.Errorf("%w: operation %d is %s", ErrAlreadyDecided, opID, op.Status)
+		return fmt.Errorf("%w: operation %d is %s", ErrAlreadyDecided, op.ID, op.Status)
 	}
-	op.Status = StatusApproved
+	if _, err := m.log.Append(wal.KindApproval, op.Table, []byte(payload)); err != nil {
+		return err
+	}
+	op.Status = status
 	op.Approver = approver
 	op.DecidedAt = m.clock()
-	if m.undo != nil {
-		m.undo.Push(undo.Func(func() error { m.revertDecision(op.ID); return nil }))
-	}
 	return nil
 }
 
-// revertDecision returns a decided operation to pending — the undo of
-// Approve/Disapprove. (A disapproval's inverse DML is undone separately by
-// the storage engine's own undo entries.)
-func (m *Manager) revertDecision(id int64) {
+// ReopenOperation returns a decided operation, if present, to pending — the
+// undo of an APPROVE or DISAPPROVE record. (A disapproval's inverse DML is
+// undone by its own row records.)
+func (m *Manager) ReopenOperation(id int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if op, ok := m.ops[id]; ok {
@@ -564,19 +574,15 @@ func (m *Manager) Disapprove(opID int64, approver string) ([]int64, error) {
 	if !m.canApprove(approver, op.Table) {
 		return nil, fmt.Errorf("%w: %s on %s", ErrNotApprover, approver, op.Table)
 	}
+	// The decision is logged and applied before the inverse runs, so a
+	// rollback undoes the inverse's row changes first and then the decision.
 	m.mu.Lock()
-	if op.Status != StatusPending {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("%w: operation %d is %s", ErrAlreadyDecided, opID, op.Status)
-	}
-	op.Status = StatusDisapproved
-	op.Approver = approver
-	op.DecidedAt = m.clock()
+	err = m.decideLocked(op, StatusDisapproved, approver,
+		fmt.Sprintf("op=%d disapproved-by=%s inverse-executed=%q", op.ID, approver, op.Inverse))
 	m.mu.Unlock()
-	if m.undo != nil {
-		m.undo.Push(undo.Func(func() error { m.revertDecision(op.ID); return nil }))
+	if err != nil {
+		return nil, err
 	}
-
 	tbl, err := m.eng.Table(op.Table)
 	if err != nil {
 		return nil, err
@@ -602,10 +608,6 @@ func (m *Manager) Disapprove(opID int64, approver string) ([]int64, error) {
 			return nil, err
 		}
 		affected = append(affected, op.RowID)
-	}
-	payload := fmt.Sprintf("op=%d disapproved-by=%s inverse-executed=%q", op.ID, approver, op.Inverse)
-	if _, err := m.log.Append(wal.KindApproval, op.Table, []byte(payload)); err != nil {
-		return nil, err
 	}
 	return affected, nil
 }

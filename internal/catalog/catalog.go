@@ -63,6 +63,29 @@ func (s *Schema) ColumnIndex(name string) int {
 	return -1
 }
 
+// Validate checks that the schema can define a table: a name, at least one
+// column, no duplicate column names, and a primary key (if any) among them.
+func (s *Schema) Validate() error {
+	if s == nil || s.Name == "" {
+		return errors.New("catalog: empty schema")
+	}
+	if len(s.Columns) == 0 {
+		return fmt.Errorf("catalog: table %s has no columns", s.Name)
+	}
+	seen := map[string]bool{}
+	for _, col := range s.Columns {
+		k := key(col.Name)
+		if seen[k] {
+			return fmt.Errorf("catalog: duplicate column %s in table %s", col.Name, s.Name)
+		}
+		seen[k] = true
+	}
+	if s.PrimaryKey != "" && s.ColumnIndex(s.PrimaryKey) < 0 {
+		return fmt.Errorf("%w: primary key %s", ErrColumnNotFound, s.PrimaryKey)
+	}
+	return nil
+}
+
 // ColumnNames returns the names of all columns in order.
 func (s *Schema) ColumnNames() []string {
 	out := make([]string, len(s.Columns))
@@ -165,22 +188,8 @@ func key(name string) string { return strings.ToLower(name) }
 
 // CreateTable registers a new table schema.
 func (c *Catalog) CreateTable(s *Schema) error {
-	if s == nil || s.Name == "" {
-		return errors.New("catalog: empty schema")
-	}
-	if len(s.Columns) == 0 {
-		return fmt.Errorf("catalog: table %s has no columns", s.Name)
-	}
-	seen := map[string]bool{}
-	for _, col := range s.Columns {
-		k := key(col.Name)
-		if seen[k] {
-			return fmt.Errorf("catalog: duplicate column %s in table %s", col.Name, s.Name)
-		}
-		seen[k] = true
-	}
-	if s.PrimaryKey != "" && s.ColumnIndex(s.PrimaryKey) < 0 {
-		return fmt.Errorf("%w: primary key %s", ErrColumnNotFound, s.PrimaryKey)
+	if err := s.Validate(); err != nil {
+		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

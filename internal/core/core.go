@@ -121,6 +121,9 @@ func (r resolver) ColumnCount(table string) (int, error) {
 	return len(tbl.Schema().Columns), nil
 }
 
+// WAL implements annotation.TableResolver.
+func (r resolver) WAL() *wal.Log { return r.eng.WAL() }
+
 // MaxRowID implements annotation.TableResolver.
 func (r resolver) MaxRowID(table string) (int64, error) {
 	tbl, err := r.eng.Table(table)
@@ -181,11 +184,6 @@ func Open(opts Options) (*DB, error) {
 			return nil, err
 		}
 	}
-	// Wire the managers to the log only after recovery, so replayed
-	// mutations are not re-appended.
-	db.ann.SetLogger(log)
-	db.dep.SetLogger(log)
-	db.prov.SetLogger(log)
 	return db, nil
 }
 

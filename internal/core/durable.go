@@ -25,7 +25,7 @@ import (
 	"bdbms/internal/catalog"
 	"bdbms/internal/dependency"
 	"bdbms/internal/pager"
-	"bdbms/internal/provenance"
+	"bdbms/internal/replay"
 	"bdbms/internal/stats"
 	"bdbms/internal/storage"
 	"bdbms/internal/wal"
@@ -209,13 +209,10 @@ func (db *DB) durable() bool {
 }
 
 // recover rebuilds the database from its on-disk state: catalog + manifest
-// snapshot first (when one exists), then a redo pass over the WAL tail.
-// Engine logging is off for the duration so replayed mutations are not
-// re-appended.
+// snapshot first (when one exists), then the replay of the WAL tail. Replay
+// goes through appliers, which never log, so nothing replayed is appended
+// again.
 func (db *DB) recover() error {
-	db.eng.SetLogging(false)
-	defer db.eng.SetLogging(true)
-
 	var ckptLSN uint64
 	m, err := loadManifest(db.manifestPath)
 	if err != nil {
@@ -247,20 +244,19 @@ func (db *DB) recover() error {
 		db.ann.RestoreSnapshot(m.Annotations, m.NextAnnotationID)
 		db.dep.RestoreSnapshot(m.Outdated)
 		for _, agent := range m.Agents {
-			db.prov.RecoverAgent(agent, true)
+			db.prov.ApplyAgent(agent, true)
 		}
 		db.wal.EnsureNextLSN(m.NextLSN)
 		ckptLSN = m.CheckpointLSN
 	}
 
-	// The tail is materialised once for the redo/undo pass (replayFrame
-	// looks back over a frame's records) and dropped after it; the log
-	// itself keeps no copy.
+	// The tail is materialised once for the replay and dropped after it; the
+	// log itself keeps no copy.
 	tail, err := db.wal.ReadSince(ckptLSN)
 	if err != nil {
 		return fmt.Errorf("core: read WAL tail: %w", err)
 	}
-	if err := db.replayRecords(tail); err != nil {
+	if err := db.replay(tail); err != nil {
 		return err
 	}
 	// WAL replay maintained the adopted statistics incrementally; rebuild any
@@ -272,305 +268,111 @@ func (db *DB) recover() error {
 	return nil
 }
 
-// replayRecords is the redo/undo pass over the WAL tail. Records outside a
-// transaction frame are individually committed and redone in order. A frame
-// (TxBegin..TxCommit/TxAbort) is replayed as a unit:
+// frameSave is a savepoint of the frame being replayed: its name and the
+// frame position it was taken at.
+type frameSave struct {
+	name string
+	mark int
+}
+
+// replay repeats the history the WAL tail records, through internal/replay.
+// Every data record is redone as it comes, inside a transaction frame
+// (TxBegin .. TxCommit/TxAbort) or outside one (a record outside a frame
+// committed on its own). The open frame's records are also kept — the only
+// part of the log replay remembers — so that every rollback the live
+// transaction performed is performed again, with the same undo in the same
+// order:
 //
-//   - committed frames are redone, honoring savepoint structure: records
-//     discarded by a logged ROLLBACK TO SAVEPOINT (or a TxStmtAbort from a
-//     failed mid-transaction statement) are not redone, and row records
-//     among them are compensated from their before-images — a buffer
-//     eviction may have flushed their effects before the rollback;
-//   - aborted frames are undone in reverse: row records are reverted from
-//     their before-images (idempotent whether or not the effect reached
-//     disk), and memory-resident records (annotations, marks, agents, DDL)
-//     are simply skipped — they live in the checkpoint manifest, not in
-//     heap pages, so nothing of them can have leaked;
-//   - an unclosed frame at the log tail — the crash hit mid-transaction —
-//     is undone the same way and then truncated from the log, so the
-//     reopened database appends after the committed prefix.
-func (db *DB) replayRecords(recs []wal.Record) error {
-	for i := 0; i < len(recs); {
-		rec := recs[i]
-		if rec.Kind == wal.KindTxBegin {
-			end, closed, err := db.replayFrame(recs, i)
-			if err != nil {
-				return err
-			}
-			if !closed {
-				// Unclosed tail frame: its effects are undone; drop its
-				// records so the log holds exactly the committed state.
-				// The undo so far lives only in the buffer pool, and the
-				// frame's records are its ONLY recovery source — flush and
-				// sync the pages BEFORE destroying it, or a second crash
-				// between here and the next checkpoint would durably
-				// resurrect the rolled-back rows.
-				if err := db.eng.FlushAll(); err != nil {
-					return fmt.Errorf("core: flush before tail truncation: %w", err)
-				}
-				if err := db.eng.SyncPager(); err != nil {
-					return fmt.Errorf("core: sync before tail truncation: %w", err)
-				}
-				return db.wal.TruncateFrom(rec.LSN)
-			}
-			i = end
-			continue
-		}
-		if rec.Kind.IsTxControl() {
+//   - a TxRollbackTo undoes the frame's records after its savepoint, and a
+//     TxStmtAbort the failed statement's last n records;
+//   - a TxAbort undoes the whole frame, and so does a TxBegin arriving while
+//     a frame is open (that frame's abort marker was lost: the append failed
+//     along with the commit);
+//   - a frame still open at the end of the log — the crash hit
+//     mid-transaction — is undone as well and then truncated from the log,
+//     so the reopened database appends after the committed prefix.
+//
+// Redo and undo both set state absolutely, so redoing a record whose effect
+// already reached disk (buffer evictions write at any time) or undoing one
+// whose effect never did is harmless. Each frame replays as a write frame
+// (Engine.BeginWrite), which is what lets the undo of a DROP TABLE find the
+// table it dropped.
+func (db *DB) replay(recs []wal.Record) error {
+	t := replay.Target{Eng: db.eng, Ann: db.ann, Dep: db.dep, Prov: db.prov, Auth: db.auth}
+	var (
+		mark     *storage.WriteMark // non-nil while a frame is open
+		beginLSN uint64             // the open frame's TxBegin
+		frame    []wal.Record       // the open frame's data records
+		saves    []frameSave
+	)
+	endFrame := func(undoFrom int) error {
+		err := t.Undo(frame[undoFrom:])
+		db.eng.EndWrite(mark)
+		mark, frame, saves = nil, frame[:0], saves[:0]
+		return err
+	}
+	for _, rec := range recs {
+		if mark == nil && rec.Kind.IsTxControl() && rec.Kind != wal.KindTxBegin {
 			// A stray control record outside a frame (e.g. the TxBegin was
 			// consumed by an earlier checkpoint window) carries no state.
-			i++
 			continue
 		}
-		if err := db.redoRecord(rec); err != nil {
-			return err
-		}
-		i++
-	}
-	return nil
-}
-
-// frameEntry is one buffered data record of a frame being replayed, plus
-// the replay decision for it.
-type frameEntry struct {
-	rec  wal.Record
-	dead bool // discarded by a savepoint rollback or statement abort
-	comp bool // synthesized compensation: apply the record's undo
-}
-
-// replayFrame replays one transaction frame starting at the TxBegin at
-// recs[start]. It returns the index of the first record after the frame and
-// whether the frame was closed by a TxCommit/TxAbort.
-func (db *DB) replayFrame(recs []wal.Record, start int) (end int, closed bool, err error) {
-	var entries []*frameEntry
-	var stack []*frameEntry // live (non-dead) data records, in order
-	type frameSave struct {
-		name string
-		mark int
-	}
-	var saves []frameSave
-	// popTo discards the live records above mark; row records get a
-	// compensation entry so effects that already reached disk are reverted.
-	popTo := func(mark int) {
-		if mark < 0 {
-			mark = 0
-		}
-		for len(stack) > mark {
-			e := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			e.dead = true
-			if isRowKind(e.rec.Kind) {
-				entries = append(entries, &frameEntry{rec: e.rec, comp: true})
-			}
-		}
-	}
-
-	i := start + 1
-	for ; i < len(recs); i++ {
-		rec := recs[i]
+		var err error
 		switch rec.Kind {
-		case wal.KindTxCommit:
-			for _, e := range entries {
-				switch {
-				case e.comp:
-					if err := db.undoRecord(e.rec); err != nil {
-						return 0, false, fmt.Errorf("core: compensate LSN %d (%s %s): %w", e.rec.LSN, e.rec.Kind, e.rec.Table, err)
-					}
-				case !e.dead:
-					if err := db.redoRecord(e.rec); err != nil {
-						return 0, false, err
-					}
-				}
-			}
-			return i + 1, true, nil
-		case wal.KindTxAbort:
-			if err := db.undoFrame(recs[start+1 : i]); err != nil {
-				return 0, false, err
-			}
-			return i + 1, true, nil
 		case wal.KindTxBegin:
-			// A new frame opening inside this one means this frame's abort
-			// marker was lost (the append failed along with the commit).
-			// Frames never nest live, so the open frame is implicitly
-			// aborted: undo it and let the caller restart at the new TxBegin.
-			if err := db.undoFrame(recs[start+1 : i]); err != nil {
-				return 0, false, err
+			if mark != nil {
+				err = endFrame(0)
 			}
-			return i, true, nil
+			mark, beginLSN = db.eng.BeginWrite(), rec.LSN
+		case wal.KindTxCommit:
+			err = endFrame(len(frame))
+		case wal.KindTxAbort:
+			err = endFrame(0)
 		case wal.KindTxSavepoint:
-			saves = append(saves, frameSave{name: string(rec.Payload), mark: len(stack)})
+			saves = append(saves, frameSave{name: string(rec.Payload), mark: len(frame)})
 		case wal.KindTxRollbackTo:
-			name := string(rec.Payload)
-			idx := -1
-			for j := len(saves) - 1; j >= 0; j-- {
-				if saves[j].name == name {
-					idx = j
-					break
-				}
+			idx := len(saves) - 1
+			for idx >= 0 && saves[idx].name != string(rec.Payload) {
+				idx--
 			}
 			if idx < 0 {
-				return 0, false, fmt.Errorf("core: replay LSN %d: unknown savepoint %q", rec.LSN, name)
+				return fmt.Errorf("core: replay LSN %d: unknown savepoint %q", rec.LSN, rec.Payload)
 			}
-			popTo(saves[idx].mark)
+			err = t.Undo(frame[saves[idx].mark:])
 			saves = saves[:idx+1]
 		case wal.KindTxStmtAbort:
 			n, ok := binary.Uvarint(rec.Payload)
-			if ok <= 0 || n > uint64(len(stack)) {
-				return 0, false, fmt.Errorf("core: replay LSN %d: bad statement-abort count", rec.LSN)
+			if ok <= 0 || n > uint64(len(frame)) {
+				return fmt.Errorf("core: replay LSN %d: bad statement-abort count", rec.LSN)
 			}
-			popTo(len(stack) - int(n))
+			err = t.Undo(frame[len(frame)-int(n):])
 		default:
-			e := &frameEntry{rec: rec}
-			entries = append(entries, e)
-			stack = append(stack, e)
+			err = t.Apply(rec, false)
+			if mark != nil {
+				frame = append(frame, rec)
+			}
 		}
-	}
-	// The frame never closed: the crash hit mid-transaction. Undo whatever
-	// may have reached disk; the caller truncates the records.
-	if err := db.undoFrame(recs[start+1:]); err != nil {
-		return 0, false, err
-	}
-	return i, false, nil
-}
-
-// undoFrame reverts an aborted or unclosed frame: its row records are
-// undone from their before-images, newest first. Undoing every row record —
-// including ones a savepoint rollback already reverted live — is safe: each
-// undo overwrites the row with its before-image, and walking backwards ends
-// at the pre-transaction values.
-func (db *DB) undoFrame(frame []wal.Record) error {
-	for i := len(frame) - 1; i >= 0; i-- {
-		if err := db.undoRecord(frame[i]); err != nil {
-			return fmt.Errorf("core: undo LSN %d (%s %s): %w", frame[i].LSN, frame[i].Kind, frame[i].Table, err)
-		}
-	}
-	return nil
-}
-
-// redoRecord applies one committed record, tolerating records whose table
-// did not survive recovery.
-func (db *DB) redoRecord(rec wal.Record) error {
-	err := db.applyRecord(rec)
-	if errors.Is(err, catalog.ErrTableNotFound) {
-		// Redo is tolerant of records for tables that do not survive
-		// recovery: a table dropped in the replayed window (or dropped
-		// right before a crash-torn checkpoint) leaves earlier row
-		// records with nowhere to apply, and their effects are moot.
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("core: replay LSN %d (%s %s): %w", rec.LSN, rec.Kind, rec.Table, err)
-	}
-	return nil
-}
-
-// isRowKind reports whether the record mutates heap rows — the only record
-// class whose effects can reach disk (through buffer evictions) before its
-// transaction commits, and therefore the only class needing compensation.
-// Everything else (annotations, outdated marks, agents, catalog DDL) is
-// memory-resident and persists only through checkpoint snapshots, which
-// never run mid-transaction.
-func isRowKind(k wal.Kind) bool {
-	return k == wal.KindInsert || k == wal.KindUpdate || k == wal.KindDelete
-}
-
-// applyRow applies one side of a logged row change through the table's
-// idempotent applier: the after-image to redo it, the before-image to undo it
-// (an effect that never reached disk then leaves the state unchanged).
-func (db *DB) applyRow(rec wal.Record, undo bool) error {
-	tbl, err := db.eng.Table(rec.Table)
-	if err != nil {
-		return err
-	}
-	c, err := storage.DecodeChange(rec.Kind, rec.Payload)
-	if err != nil {
-		return err
-	}
-	if undo {
-		return tbl.Apply(c.RowID, c.Before)
-	}
-	return tbl.Apply(c.RowID, c.After)
-}
-
-// undoRecord reverts the effect of one row record from the before-image its
-// payload carries, tolerating a missing table (created by the same doomed
-// transaction). Non-row records are no-ops here.
-func (db *DB) undoRecord(rec wal.Record) error {
-	if !isRowKind(rec.Kind) {
-		return nil
-	}
-	err := db.applyRow(rec, true)
-	if errors.Is(err, catalog.ErrTableNotFound) {
-		return nil
-	}
-	return err
-}
-
-// applyRecord redoes one logical WAL record.
-func (db *DB) applyRecord(rec wal.Record) error {
-	switch rec.Kind {
-	case wal.KindCreateTable:
-		var schema catalog.Schema
-		if err := json.Unmarshal(rec.Payload, &schema); err != nil {
-			return err
-		}
-		_, err := db.eng.RecoverCreateTable(&schema)
-		return err
-	case wal.KindDropTable:
-		return db.eng.RecoverDropTable(rec.Table)
-	case wal.KindCreateIndex:
-		tbl, err := db.eng.Table(rec.Table)
 		if err != nil {
-			return err
+			return fmt.Errorf("core: %w", err)
 		}
-		return tbl.CreateIndex(string(rec.Payload))
-	case wal.KindInsert, wal.KindUpdate, wal.KindDelete:
-		return db.applyRow(rec, false)
-	case wal.KindAnnotation:
-		a, err := annotation.DecodeAnnotationPayload(rec.Payload)
-		if err != nil {
-			return err
-		}
-		db.ann.RecoverAnnotation(a)
-		return nil
-	case wal.KindAnnArchive:
-		ids, archived, at, err := annotation.DecodeArchivePayload(rec.Payload)
-		if err != nil {
-			return err
-		}
-		db.ann.RecoverArchive(ids, archived, at)
-		return nil
-	case wal.KindCreateAnnTable:
-		var def catalog.AnnotationTable
-		if err := json.Unmarshal(rec.Payload, &def); err != nil {
-			return err
-		}
-		return db.ann.RecoverCreateAnnotationTable(&def)
-	case wal.KindDropAnnTable:
-		var def catalog.AnnotationTable
-		if err := json.Unmarshal(rec.Payload, &def); err != nil {
-			return err
-		}
-		return db.ann.RecoverDropAnnotationTable(def.UserTable, def.Name)
-	case wal.KindDepMark:
-		table, rowID, col, set, err := dependency.DecodeMarkPayload(rec.Payload)
-		if err != nil {
-			return err
-		}
-		db.dep.RecoverMark(table, rowID, col, set)
-		return nil
-	case wal.KindProvAgent:
-		name, register, err := provenance.DecodeAgentPayload(rec.Payload)
-		if err != nil {
-			return err
-		}
-		db.prov.RecoverAgent(name, register)
-		return nil
-	case wal.KindApproval, wal.KindCheckpoint:
-		// Approval workflow state is session-scoped (see the package docs of
-		// bdbms); its log records are audit-only.
-		return nil
-	default:
-		return fmt.Errorf("unknown record kind %d", rec.Kind)
 	}
+	if mark == nil {
+		return nil
+	}
+	// Unclosed tail frame: undo it, then drop its records so the log holds
+	// exactly the committed state. The undo lives only in the buffer pool
+	// so far, and the frame's records are its ONLY recovery source — flush
+	// and sync the pages BEFORE destroying it, or a second crash between
+	// here and the next checkpoint would durably resurrect the rolled-back
+	// rows.
+	if err := endFrame(0); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	if err := db.eng.FlushAll(); err != nil {
+		return fmt.Errorf("core: flush before tail truncation: %w", err)
+	}
+	if err := db.eng.SyncPager(); err != nil {
+		return fmt.Errorf("core: sync before tail truncation: %w", err)
+	}
+	return db.wal.TruncateFrom(beginLSN)
 }

@@ -114,7 +114,8 @@ func copyImage(t *testing.T, src, dst string) {
 // diffSetup builds the committed state the transaction starts from: a
 // monitored Gene table with an index, a dependency rule from Seq to Score
 // and marks already set, two annotation tables with live and archived
-// annotations, two scratch tables, pending approval operations and agents.
+// annotations, two scratch tables (one with an annotation table of its own),
+// pending approval operations and agents.
 // Even seeds checkpoint it, odd seeds leave it all in the WAL.
 func diffSetup(t *testing.T, db *DB, seed int64) {
 	t.Helper()
@@ -137,6 +138,8 @@ func diffSetup(t *testing.T, db *DB, seed int64) {
 		`ADD ANNOTATION TO Gene.Lab VALUE '<Annotation>l1</Annotation>' ON (SELECT * FROM Gene WHERE GID >= 3 AND GID <= 8)`,
 		`ADD ANNOTATION TO Gene.Lab VALUE '<Annotation>l2</Annotation>' ON (SELECT Seq FROM Gene WHERE GID >= 7)`,
 		`ARCHIVE ANNOTATION FROM Gene.Lab ON (SELECT * FROM Gene WHERE GID = 8)`,
+		`CREATE ANNOTATION TABLE Tags ON Scratch0 CATEGORY 'scratch'`,
+		`ADD ANNOTATION TO Scratch0.Tags VALUE '<Annotation>s1</Annotation>' ON (SELECT V FROM Scratch0 WHERE N = 2)`,
 		`START CONTENT APPROVAL ON Gene COLUMNS (Name) APPROVED BY admin`,
 		`UPDATE Gene SET Name = 'renamed1' WHERE GID = 1`,
 		`UPDATE Gene SET Name = 'renamed5' WHERE GID = 5`,
@@ -172,12 +175,13 @@ func diffSetup(t *testing.T, db *DB, seed int64) {
 // diffTx runs one seeded random transaction on tx and returns its statement
 // log. Statements may fail (a duplicate key, a dropped table, an unknown
 // savepoint): a failed statement rolls back alone and the transaction goes
-// on. Names are never reused for a CREATE, and only tables without
-// annotation tables are dropped.
+// on. Dropped tables may carry annotation tables, and a CREATE TABLE may
+// take the name of a table the transaction dropped.
 func diffTx(t *testing.T, db *DB, tx *exec.Tx, r *rand.Rand) []string {
 	t.Helper()
 	annTabs := []string{"Notes", "Lab"}
 	tables := []string{"Scratch0", "Scratch1"}
+	var dropped []string
 	agents := []string{"loader", "curator", "aligner"}
 	var log []string
 	ok := 0
@@ -239,11 +243,16 @@ func diffTx(t *testing.T, db *DB, tx *exec.Tx, r *rand.Rand) []string {
 		case 12:
 			created++
 			name := fmt.Sprintf("T%d", created)
+			if len(dropped) > 0 && r.Intn(2) == 0 {
+				name = dropped[r.Intn(len(dropped))]
+			}
 			tables = append(tables, name)
 			run(fmt.Sprintf(`CREATE TABLE %s (N INT NOT NULL PRIMARY KEY, V TEXT)`, name))
 			run(fmt.Sprintf(`INSERT INTO %s VALUES (1, 'p'), (2, 'q')`, name))
 		case 13:
-			run(`DROP TABLE ` + tables[r.Intn(len(tables))])
+			name := tables[r.Intn(len(tables))]
+			dropped = append(dropped, name)
+			run(`DROP TABLE ` + name)
 		case 14:
 			tbl := tables[r.Intn(len(tables))]
 			switch r.Intn(3) {

@@ -8,7 +8,6 @@ import (
 
 	"bdbms/internal/catalog"
 	"bdbms/internal/storage"
-	"bdbms/internal/undo"
 	"bdbms/internal/value"
 	"bdbms/internal/wal"
 )
@@ -24,43 +23,31 @@ type Event struct {
 	Recomputed bool
 }
 
-// Logger is where the manager appends outdated-mark WAL records. *wal.Log
-// satisfies it; nil disables logging.
-type Logger interface {
-	Append(kind wal.Kind, table string, payload []byte) (uint64, error)
-}
-
 // Manager performs instance-level dependency tracking over a storage engine.
 type Manager struct {
 	mu      sync.RWMutex
 	eng     *storage.Engine
 	rules   *RuleSet
 	bitmaps map[string]*Bitmap
-	logger  Logger
-	undo    *undo.Log
+	log     *wal.Log
 	// events accumulates an audit trail of cascade actions.
 	events []Event
 }
 
 // NewManager builds a dependency manager over the storage engine.
+// Outdated-bitmap transitions are logged to the engine's write-ahead log, so
+// a reopened database remembers which cells need re-verification and a
+// rolled-back write takes its marks with it. Dependency rules themselves are
+// Go values (procedures are function pointers) and must be re-registered by
+// the application after reopen.
 func NewManager(eng *storage.Engine) *Manager {
 	return &Manager{
 		eng:     eng,
 		rules:   NewRuleSet(),
 		bitmaps: make(map[string]*Bitmap),
+		log:     eng.WAL(),
 	}
 }
-
-// SetLogger wires the manager to a WAL; outdated-bitmap transitions are then
-// logged so a reopened database remembers which cells need re-verification.
-// Dependency rules themselves are Go values (procedures are function
-// pointers) and must be re-registered by the application after reopen.
-func (m *Manager) SetLogger(l Logger) { m.logger = l }
-
-// SetUndo installs (or, with nil, clears) the open transaction's undo log;
-// bitmap transitions then push their inverse. Only touched by the write
-// frame holding the storage.ScopeWAL latch.
-func (m *Manager) SetUndo(u *undo.Log) { m.undo = u }
 
 // markRecord is the WAL payload of one outdated-bitmap transition.
 type markRecord struct {
@@ -70,42 +57,25 @@ type markRecord struct {
 	Set   bool   `json:"set"`
 }
 
-// logMark appends one bitmap transition when a logger is wired. The WAL
-// record precedes the in-memory bit flip (write-ahead order).
-func (m *Manager) logMark(table string, rowID int64, col int, set bool) error {
-	if m.logger == nil {
+// setMark logs one outdated-bitmap transition and then applies it
+// (write-ahead order). Transitions that would not change the bit are
+// dropped, keeping the WAL free of no-op records — so the bit before a
+// logged transition is always the opposite one. A failed append leaves the
+// bit untouched, so memory never holds a mark the log (and therefore a
+// reopened database) would not.
+func (m *Manager) setMark(table string, rowID int64, col int, set bool) error {
+	b := m.bitmap(table)
+	if b.IsSet(rowID, col) == set {
 		return nil
 	}
 	payload, err := json.Marshal(markRecord{Table: table, RowID: rowID, Col: col, Set: set})
 	if err != nil {
 		return err
 	}
-	_, err = m.logger.Append(wal.KindDepMark, table, payload)
-	return err
-}
-
-// setMark logs and applies one outdated-bitmap transition. Transitions that
-// would not change the bit are dropped, keeping the WAL free of no-op
-// records. A failed append leaves the bit untouched, so memory never holds
-// a mark the log (and therefore a reopened database) would not.
-func (m *Manager) setMark(table string, rowID int64, col int, set bool) error {
-	b := m.bitmap(table)
-	if b.IsSet(rowID, col) == set {
-		return nil
-	}
-	if err := m.logMark(table, rowID, col, set); err != nil {
+	if _, err := m.log.Append(wal.KindDepMark, table, payload); err != nil {
 		return err
 	}
-	if set {
-		b.Set(rowID, col)
-	} else {
-		b.Clear(rowID, col)
-	}
-	// setMark only runs on a real transition, so the before-image is the
-	// opposite bit.
-	if m.undo != nil {
-		m.undo.Push(undo.Func(func() error { m.RecoverMark(table, rowID, col, !set); return nil }))
-	}
+	setBit(b, rowID, col, set)
 	return nil
 }
 
@@ -118,12 +88,17 @@ func DecodeMarkPayload(payload []byte) (table string, rowID int64, col int, set 
 	return rec.Table, rec.RowID, rec.Col, rec.Set, nil
 }
 
-// RecoverMark replays a logged bitmap transition.
-func (m *Manager) RecoverMark(table string, rowID int64, col int, set bool) {
+// ApplyMark sets (or clears) one outdated bit: the applier of a DEP-MARK
+// record, whose undo is the opposite transition.
+func (m *Manager) ApplyMark(table string, rowID int64, col int, set bool) {
+	setBit(m.bitmap(table), rowID, col, set)
+}
+
+func setBit(b *Bitmap, rowID int64, col int, set bool) {
 	if set {
-		m.bitmap(table).Set(rowID, col)
+		b.Set(rowID, col)
 	} else {
-		m.bitmap(table).Clear(rowID, col)
+		b.Clear(rowID, col)
 	}
 }
 

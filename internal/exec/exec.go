@@ -48,10 +48,10 @@
 // cleanly. See tx.go for the protocol: strict two-phase locking over
 // per-table latches for writer-writer isolation (writers remain
 // serializable), MVCC snapshots for latch-free SELECT cursors (readers get
-// snapshot isolation — see internal/storage/mvcc.go), an in-memory undo log
-// of before-images for rollback, and TxBegin/TxCommit WAL framing for crash
-// atomicity, with commits sharing fsyncs when commit-time durability is on
-// (wal.Log.SyncCommitted).
+// snapshot isolation — see internal/storage/mvcc.go), and TxBegin/TxCommit
+// WAL framing for crash atomicity — the open frame doubling as the undo log
+// rollback reads back — with commits sharing fsyncs when commit-time
+// durability is on (wal.Log.SyncCommitted).
 package exec
 
 import (
@@ -366,8 +366,8 @@ func (s *Session) execDropAnnotationTable(st *sqlparse.DropAnnotationTableStmt) 
 // (the long read phase) AND between row writes. Every statement runs inside
 // a transaction (the session's explicit one, or the implicit auto-commit
 // transaction the cursor layer wraps around it), so an abort mid-write no
-// longer strands a partial update — the undo log rolls the statement's
-// applied rows back before the error is returned.
+// longer strands a partial update — the statement's records in the WAL
+// frame are undone before the error is returned.
 func (s *Session) execInsert(ctx context.Context, st *sqlparse.InsertStmt, params value.Row) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -422,7 +422,9 @@ func (s *Session) execInsert(ctx context.Context, st *sqlparse.InsertStmt, param
 			return nil, err
 		}
 		affected++
-		s.afterWrite(authz.OpInsert, tbl, rowID, nil, row, schema.ColumnNames())
+		if err := s.afterWrite(authz.OpInsert, tbl, rowID, nil, row, schema.ColumnNames()); err != nil {
+			return nil, err
+		}
 	}
 	return &Result{Affected: affected, Message: fmt.Sprintf("%d row(s) inserted", affected)}, nil
 }
@@ -456,7 +458,9 @@ func (s *Session) execUpdate(ctx context.Context, st *sqlparse.UpdateStmt, param
 		if err := tbl.Update(rowID, newRow); err != nil {
 			return nil, err
 		}
-		s.afterWrite(authz.OpUpdate, tbl, rowID, oldRow, newRow, changedCols)
+		if err := s.afterWrite(authz.OpUpdate, tbl, rowID, oldRow, newRow, changedCols); err != nil {
+			return nil, err
+		}
 	}
 	return &Result{Affected: len(rows), Message: fmt.Sprintf("%d row(s) updated", len(rows))}, nil
 }
@@ -479,7 +483,9 @@ func (s *Session) execDelete(ctx context.Context, st *sqlparse.DeleteStmt, param
 		if err := tbl.Delete(rowID); err != nil {
 			return nil, err
 		}
-		s.afterWrite(authz.OpDelete, tbl, rowID, r.values, nil, cols)
+		if err := s.afterWrite(authz.OpDelete, tbl, rowID, r.values, nil, cols); err != nil {
+			return nil, err
+		}
 	}
 	return &Result{Affected: len(rows), Message: fmt.Sprintf("%d row(s) deleted", len(rows))}, nil
 }
@@ -505,16 +511,23 @@ func (s *Session) mutationRows(ctx context.Context, stmt sqlparse.Statement, par
 }
 
 // afterWrite runs the cross-cutting concerns of a completed write: the
-// content-approval log and the dependency cascade.
-func (s *Session) afterWrite(kind authz.OpKind, tbl *storage.Table, rowID int64, oldRow, newRow value.Row, changedCols []string) {
+// content-approval log and the dependency cascade. They are part of the
+// write: an error fails the statement, which then rolls back the row change
+// with whatever operations and marks it already recorded.
+func (s *Session) afterWrite(kind authz.OpKind, tbl *storage.Table, rowID int64, oldRow, newRow value.Row, changedCols []string) error {
 	if s.Auth != nil && s.Auth.Monitored(tbl.Name(), changedCols...) {
-		_, _ = s.Auth.RecordOperation(s.User, kind, tbl.Name(), rowID, oldRow, newRow)
+		if _, err := s.Auth.RecordOperation(s.User, kind, tbl.Name(), rowID, oldRow, newRow); err != nil {
+			return err
+		}
 	}
 	if s.Dep != nil && kind != authz.OpDelete {
 		for _, col := range changedCols {
-			_, _ = s.Dep.OnCellModified(tbl.Name(), rowID, col)
+			if _, err := s.Dep.OnCellModified(tbl.Name(), rowID, col); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
 // evalConst evaluates an expression with no row context (literals,

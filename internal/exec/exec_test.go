@@ -14,6 +14,7 @@ import (
 	"bdbms/internal/provenance"
 	"bdbms/internal/storage"
 	"bdbms/internal/value"
+	"bdbms/internal/wal"
 )
 
 // engineResolver adapts the storage engine to annotation.TableResolver.
@@ -26,6 +27,8 @@ func (r engineResolver) ColumnCount(table string) (int, error) {
 	}
 	return len(tbl.Schema().Columns), nil
 }
+
+func (r engineResolver) WAL() *wal.Log { return r.eng.WAL() }
 
 func (r engineResolver) MaxRowID(table string) (int64, error) {
 	tbl, err := r.eng.Table(table)

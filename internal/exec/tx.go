@@ -10,24 +10,24 @@ package exec
 // other writer runs until the transaction ends. Bare SELECT cursors are NOT
 // blocked by any of this — they read MVCC snapshots of the last committed
 // state (see internal/storage/mvcc.go), so a transaction's writes are
-// invisible to them until COMMIT by construction. Atomicity is two-layered:
+// invisible to them until COMMIT by construction.
 //
-//   - In memory, every applied mutation records itself on the transaction's
-//     undo log (internal/undo) — a row change as the storage engine's change
-//     entry (the before-image snapshots also read), everything else as a
-//     compensating closure; ROLLBACK — explicit, via a canceled context, or
-//     the implicit statement-level rollback when a statement fails
-//     mid-transaction — reverts the log newest first, each row change by
-//     applying its before-image through storage.Table.Apply.
-//   - In the WAL, the transaction's records are framed by TxBegin/TxCommit
-//     (TxAbort on rollback); recovery redoes only committed frames and
-//     undoes, by applying the before-images the records carry through the
-//     same Table.Apply, any effect of an uncommitted frame that reached disk
-//     through a buffer eviction.
+// Atomicity has one mechanism: the transaction's WAL frame. Every mutation —
+// a row change, DDL, an annotation, an outdated mark, an agent registration,
+// an approval operation or decision — appends one record to the frame
+// (TxBegin .. TxCommit) before it applies, and that record carries what
+// reverting it needs. The open frame is therefore the undo log: ROLLBACK,
+// ROLLBACK TO SAVEPOINT, the statement-level rollback of a failed statement
+// and the auto-rollback of a canceled context read the frame's records back
+// from the log (wal.Log.FrameTail) from a mark on and revert them newest
+// first through internal/replay — the same appliers recovery uses to redo
+// committed frames and to undo the frames a crash left open. A mark is a
+// position in the frame (wal.Log.FrameRecords): a savepoint keeps the one it
+// was taken at, a statement the one it started at.
 //
 // Auto-commit statements run inside an implicit transaction built from the
-// same two pieces (see execAutoCommit below), so a mid-statement
-// error or context cancellation rolls the statement back instead of leaving
+// same pieces (see execAutoCommit below), so a mid-statement error or
+// context cancellation rolls the statement back instead of leaving
 // half-applied state — multi-row INSERTs, UPDATE cascades and annotation
 // side effects included.
 
@@ -39,9 +39,9 @@ import (
 	"strings"
 	"sync"
 
+	"bdbms/internal/replay"
 	"bdbms/internal/sqlparse"
 	"bdbms/internal/storage"
-	"bdbms/internal/undo"
 	"bdbms/internal/value"
 	"bdbms/internal/wal"
 )
@@ -62,8 +62,8 @@ var (
 	ErrNoSavepoint = errors.New("exec: no such savepoint")
 )
 
-// txSavepoint is one live savepoint: a name plus the undo-log length at its
-// creation.
+// txSavepoint is one live savepoint: a name plus the frame position
+// (wal.Log.FrameRecords) at its creation.
 type txSavepoint struct {
 	name string
 	mark int
@@ -84,7 +84,6 @@ type Tx struct {
 	mu      sync.Mutex
 	done    bool
 	endErr  error // why the transaction ended, when not a plain Commit
-	u       *undo.Log
 	saves   []txSavepoint
 	cursors []*Rows
 	stop    chan struct{} // closed when the transaction ends
@@ -114,7 +113,6 @@ func (s *Session) Begin(ctx context.Context) (*Tx, error) {
 	}
 	tx := &Tx{
 		sess:   s,
-		u:      undo.New(),
 		stop:   make(chan struct{}),
 		locker: s.Eng.Locks().NewLocker(),
 	}
@@ -147,8 +145,8 @@ func (s *Session) Begin(ctx context.Context) (*Tx, error) {
 
 // armFrameLocked readies the transaction for its first mutation: it latches
 // the shared WAL scope (serializing against every other write frame), opens
-// the transaction's WAL frame, installs the undo hooks and registers the
-// MVCC write mark. Idempotent; the caller must hold tx.mu.
+// the transaction's WAL frame and registers the MVCC write mark. Idempotent;
+// the caller must hold tx.mu.
 func (tx *Tx) armFrameLocked() error {
 	if tx.mark != nil {
 		return nil
@@ -160,28 +158,19 @@ func (tx *Tx) armFrameLocked() error {
 	if err := s.Eng.WAL().BeginTx(false); err != nil {
 		return err
 	}
-	s.installUndo(tx.u)
 	tx.mark = s.Eng.BeginWrite()
 	return nil
 }
 
-// installUndo points every mutating subsystem at the open transaction's
-// undo log (nil clears the hooks). The caller must hold the WAL latch
-// (storage.ScopeWAL), which serializes write frames.
-func (s *Session) installUndo(u *undo.Log) {
-	s.Eng.SetUndo(u)
-	if s.Ann != nil {
-		s.Ann.SetUndo(u)
+// undoFrame reverts the open frame's records from position mark on, newest
+// first. The caller must hold the WAL latch (storage.ScopeWAL): the open
+// frame is its own.
+func (s *Session) undoFrame(mark int) error {
+	recs, err := s.Eng.WAL().FrameTail(mark)
+	if err != nil {
+		return err
 	}
-	if s.Prov != nil {
-		s.Prov.SetUndo(u)
-	}
-	if s.Dep != nil {
-		s.Dep.SetUndo(u)
-	}
-	if s.Auth != nil {
-		s.Auth.SetUndo(u)
-	}
+	return replay.Target{Eng: s.Eng, Ann: s.Ann, Dep: s.Dep, Prov: s.Prov, Auth: s.Auth}.Undo(recs)
 }
 
 // openTx returns the session's open transaction, or nil.
@@ -231,11 +220,12 @@ func (tx *Tx) doneError() error {
 }
 
 // Commit makes the transaction's effects permanent: the TxCommit record
-// closes the WAL frame (recovery will replay the transaction from here on),
-// the undo log is discarded, and every latch is released. If the commit
-// record cannot be written the transaction is rolled back instead and the
-// error says so — an unclosed frame reads as aborted on recovery, so memory
-// and disk agree. When commit-time fsync is enabled (Options.SyncOnCommit)
+// closes the WAL frame (recovery will replay the transaction from here on)
+// and every latch is released. If the commit record cannot be written the
+// transaction is rolled back instead and the error says so — an unclosed
+// frame reads as aborted on recovery, so memory and disk agree. A
+// transaction that only read has no frame to close. When commit-time fsync
+// is enabled (Options.SyncOnCommit)
 // the commit additionally waits, after releasing its latches, for the WAL
 // to be synced through its last record — concurrent commits share one fsync
 // (group commit), and a sync failure is reported to every one of them.
@@ -246,22 +236,20 @@ func (tx *Tx) Commit() error {
 		return tx.doneError()
 	}
 	tx.invalidateCursorsLocked()
+	if tx.mark == nil {
+		// The log's open frame, if any, belongs to another transaction.
+		tx.finishLocked(nil)
+		return nil
+	}
 	log := tx.sess.Eng.WAL()
-	armed := tx.mark != nil
 	if err := log.CommitTx(); err != nil {
 		cerr := fmt.Errorf("exec: commit: %w", err)
 		return errors.Join(cerr, tx.rollbackLocked(cerr))
 	}
-	tx.u.Reset()
-	var lsn uint64
-	if armed {
-		lsn = log.LastLSN()
-	}
+	lsn := log.LastLSN()
 	tx.finishLocked(nil)
-	if armed {
-		if serr := log.SyncCommitted(lsn); serr != nil {
-			return fmt.Errorf("exec: commit sync: %w", serr)
-		}
+	if serr := log.SyncCommitted(lsn); serr != nil {
+		return fmt.Errorf("exec: commit sync: %w", serr)
 	}
 	return nil
 }
@@ -278,15 +266,19 @@ func (tx *Tx) Rollback() error {
 }
 
 // rollbackLocked reverts the transaction: open cursors are invalidated, the
-// undo log runs in reverse (under the latches the transaction still holds,
-// so nothing observes the intermediate states), the WAL frame is closed
-// with TxAbort (best effort — an unclosed frame reads as aborted on
-// recovery anyway), and the session/latch state is torn down. The caller
+// frame's records are undone newest first (under the latches the transaction
+// still holds, so nothing observes the intermediate states), the WAL frame
+// is closed with TxAbort (best effort — an unclosed frame reads as aborted
+// on recovery anyway), and the session/latch state is torn down. A
+// transaction that never armed its frame has nothing to revert. The caller
 // must hold tx.mu.
 func (tx *Tx) rollbackLocked(cause error) error {
 	tx.invalidateCursorsLocked()
-	rbErr := tx.u.Rollback()
-	_ = tx.sess.Eng.WAL().AbortTx()
+	var rbErr error
+	if tx.mark != nil {
+		rbErr = tx.sess.undoFrame(0)
+		_ = tx.sess.Eng.WAL().AbortTx()
+	}
 	if cause == nil {
 		cause = rbErr
 	}
@@ -295,8 +287,8 @@ func (tx *Tx) rollbackLocked(cause error) error {
 }
 
 // finishLocked marks the transaction ended and releases everything it
-// holds: the undo hooks and MVCC write mark (if the frame was armed), the
-// session's tx slot, the watcher, and every latch — the context watcher's
+// holds: the MVCC write mark (if the frame was armed), the session's tx
+// slot, the watcher, and every latch — the context watcher's
 // auto-rollback ends here too, so an abandoned transaction can never strand
 // a latch. The caller must hold tx.mu; heap state must be final (committed
 // or rolled back) before the write mark is released, because releasing it
@@ -307,7 +299,6 @@ func (tx *Tx) finishLocked(cause error) {
 	close(tx.stop)
 	s := tx.sess
 	if tx.mark != nil {
-		s.installUndo(nil)
 		s.Eng.EndWrite(tx.mark)
 		tx.mark = nil
 	}
@@ -352,7 +343,7 @@ func (tx *Tx) Savepoint(name string) error {
 	if _, err := tx.sess.Eng.WAL().Append(wal.KindTxSavepoint, "", []byte(key)); err != nil {
 		return fmt.Errorf("exec: savepoint %s: %w", name, err)
 	}
-	tx.saves = append(tx.saves, txSavepoint{name: key, mark: tx.u.Len()})
+	tx.saves = append(tx.saves, txSavepoint{name: key, mark: tx.sess.Eng.WAL().FrameRecords()})
 	return nil
 }
 
@@ -383,7 +374,7 @@ func (tx *Tx) RollbackTo(name string) error {
 		aerr := fmt.Errorf("exec: rollback to savepoint %s failed to log, transaction rolled back: %w", name, err)
 		return errors.Join(aerr, tx.rollbackLocked(aerr))
 	}
-	err := tx.u.RollbackTo(tx.saves[idx].mark)
+	err := tx.sess.undoFrame(tx.saves[idx].mark)
 	tx.saves = tx.saves[:idx+1]
 	return err
 }
@@ -476,9 +467,9 @@ func (tx *Tx) queryStmt(ctx context.Context, stmt sqlparse.Statement, params val
 }
 
 // execMutationLocked runs one mutating statement with statement-level
-// atomicity: on error the statement's own effects are undone (the
-// transaction's earlier statements survive) and a TxStmtAbort marker tells
-// recovery to discard the statement's WAL records. If that marker cannot be
+// atomicity: on error the frame's records from the statement's start on are
+// undone (the transaction's earlier statements survive) and a TxStmtAbort
+// marker tells recovery to discard them too. If that marker cannot be
 // written, committing would resurrect the partial statement — so the whole
 // transaction is rolled back instead.
 func (tx *Tx) execMutationLocked(ctx context.Context, stmt sqlparse.Statement, params value.Row, prep *Stmt) (*Result, error) {
@@ -494,18 +485,17 @@ func (tx *Tx) execMutationLocked(ctx context.Context, stmt sqlparse.Statement, p
 		return nil, err
 	}
 	log := s.Eng.WAL()
-	mark := tx.u.Len()
-	recsBefore := log.FrameRecords()
+	mark := log.FrameRecords()
 	res, err := s.execStmt(ctx, stmt, params, prep)
 	if err == nil {
 		return res, nil
 	}
-	if rbErr := tx.u.RollbackTo(mark); rbErr != nil {
+	if rbErr := s.undoFrame(mark); rbErr != nil {
 		full := tx.rollbackLocked(rbErr)
 		return nil, errors.Join(err,
 			fmt.Errorf("exec: statement rollback failed, transaction rolled back: %w", rbErr), full)
 	}
-	if n := log.FrameRecords() - recsBefore; n > 0 {
+	if n := log.FrameRecords() - mark; n > 0 {
 		payload := binary.AppendUvarint(nil, uint64(n))
 		if _, aerr := log.Append(wal.KindTxStmtAbort, "", payload); aerr != nil {
 			full := tx.rollbackLocked(aerr)
@@ -566,17 +556,17 @@ func (s *Session) execTxControl(ctx context.Context, stmt sqlparse.Statement) (s
 // execAutoCommit wraps one bare mutating statement in an implicit
 // transaction: per-table write latches and the WAL scope taken up front
 // (tables first, WAL last — one sorted batch per group, so auto-commit
-// statements never deadlock each other), undo hooks installed, WAL frame
-// armed lazily (a statement that logs nothing leaves no trace), committed
-// on success and fully rolled back — memory and, via recovery, disk — on
-// any error, including context cancellation mid-write. prep is the prepared
-// statement being executed, if any; UPDATE and DELETE take their cached plan
-// from it. Read-only statements skip all of the above: EXPLAIN only plans,
-// SHOW PENDING reads the internally-locked approval state, and a SELECT
-// arrives here only from a NoOptimize session (queryStmt streams the rest)
-// and runs the reference executor over the current heap (its per-row reads
-// are individually consistent; reference sessions are single-actor by
-// construction).
+// statements never deadlock each other), WAL frame armed lazily (a
+// statement that logs nothing leaves no trace), committed on success and
+// fully rolled back — memory from the frame's records and, via recovery,
+// disk — on any error, including context cancellation mid-write. prep is
+// the prepared statement being executed, if any; UPDATE and DELETE take
+// their cached plan from it. Read-only statements skip all of the above:
+// EXPLAIN only plans, SHOW PENDING reads the internally-locked approval
+// state, and a SELECT arrives here only from a NoOptimize session
+// (queryStmt streams the rest) and runs the reference executor over the
+// current heap (its per-row reads are individually consistent; reference
+// sessions are single-actor by construction).
 func (s *Session) execAutoCommit(ctx context.Context, stmt sqlparse.Statement, params value.Row, prep *Stmt) (*Result, error) {
 	if readOnlyStmt(stmt) {
 		return s.execStmt(ctx, stmt, params, prep)
@@ -589,11 +579,8 @@ func (s *Session) execAutoCommit(ctx context.Context, stmt sqlparse.Statement, p
 	if err := locker.Acquire(storage.ScopeWAL); err != nil {
 		return nil, err
 	}
-	u := undo.New()
-	s.installUndo(u)
 	log := s.Eng.WAL()
 	if err := log.BeginTx(true); err != nil {
-		s.installUndo(nil)
 		return nil, err
 	}
 	mark := s.Eng.BeginWrite()
@@ -604,7 +591,7 @@ func (s *Session) execAutoCommit(ctx context.Context, stmt sqlparse.Statement, p
 		}
 	}
 	if err != nil {
-		if rbErr := u.Rollback(); rbErr != nil {
+		if rbErr := s.undoFrame(0); rbErr != nil {
 			err = errors.Join(err, fmt.Errorf("exec: statement rollback: %w", rbErr))
 		}
 		// Close the frame as aborted — after a failed commit too, so a
@@ -615,7 +602,6 @@ func (s *Session) execAutoCommit(ctx context.Context, stmt sqlparse.Statement, p
 	}
 	lsn := log.LastLSN()
 	s.Eng.EndWrite(mark)
-	s.installUndo(nil)
 	if err != nil {
 		return nil, err
 	}

@@ -540,3 +540,59 @@ func TestTxSQLScriptDrivesSessionState(t *testing.T) {
 		t.Fatalf("CloseTx without tx = %v, want nil", err)
 	}
 }
+
+// TestReadOnlyTxLeavesOtherFrameAlone: a transaction that only read never
+// arms a WAL frame, so ending it must not touch the frame another
+// transaction has open — a TxCommit there would commit that transaction's
+// records on recovery, and close the frame its own rollback reads back.
+func TestReadOnlyTxLeavesOtherFrameAlone(t *testing.T) {
+	for _, end := range []string{"commit", "rollback"} {
+		t.Run(end, func(t *testing.T) {
+			s := newLockedSession(t)
+			setupAccounts(t, s)
+			mustExec(t, s, `CREATE TABLE Other (X INT)`)
+			before := balances(t, s)
+			log := s.Eng.WAL()
+			start := log.Len()
+
+			writer, err := s.Begin(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := writer.Exec(`UPDATE Acct SET Bal = 0 WHERE ID = 1`); err != nil {
+				t.Fatal(err)
+			}
+			reader, err := sameEngineSession(s, "reader").Begin(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := reader.Exec(`SELECT X FROM Other`); err != nil {
+				t.Fatal(err)
+			}
+			if end == "commit" {
+				err = reader.Commit()
+			} else {
+				err = reader.Rollback()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := writer.Exec(`UPDATE Acct SET Bal = 0 WHERE ID = 2`); err != nil {
+				t.Fatal(err)
+			}
+			if err := writer.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+			if got := balances(t, s); got != before {
+				t.Fatalf("after the writer's rollback: %s, want %s", got, before)
+			}
+			var kinds []string
+			for _, rec := range log.Records()[start:] {
+				kinds = append(kinds, rec.Kind.String())
+			}
+			if got, want := strings.Join(kinds, " "), "TX-BEGIN UPDATE UPDATE TX-ABORT"; got != want {
+				t.Fatalf("the writer's frame logged %s, want %s", got, want)
+			}
+		})
+	}
+}

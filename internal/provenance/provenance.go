@@ -17,7 +17,6 @@ import (
 
 	"bdbms/internal/annotation"
 	"bdbms/internal/catalog"
-	"bdbms/internal/undo"
 	"bdbms/internal/wal"
 )
 
@@ -116,16 +115,19 @@ type Manager struct {
 	mu     sync.RWMutex
 	ann    *annotation.Manager
 	agents map[string]bool
-	logger annotation.Logger
-	undo   *undo.Log
+	log    *wal.Log
 	clock  func() time.Time
 }
 
-// NewManager builds a provenance manager over the annotation manager.
+// NewManager builds a provenance manager over the annotation manager. Agent
+// (de)registrations are logged to the annotation manager's write-ahead log,
+// so they survive a reopen and roll back with the transaction around them;
+// provenance records themselves are annotations.
 func NewManager(ann *annotation.Manager) *Manager {
 	return &Manager{
 		ann:    ann,
 		agents: make(map[string]bool),
+		log:    ann.WAL(),
 		clock:  time.Now,
 	}
 }
@@ -133,29 +135,26 @@ func NewManager(ann *annotation.Manager) *Manager {
 // SetClock overrides the time source (tests).
 func (m *Manager) SetClock(clock func() time.Time) { m.clock = clock }
 
-// SetLogger wires the manager to a WAL so agent (de)registrations survive a
-// reopen. Provenance records themselves are annotations and are made durable
-// by the annotation manager.
-func (m *Manager) SetLogger(l annotation.Logger) { m.logger = l }
-
-// SetUndo installs (or, with nil, clears) the open transaction's undo log;
-// agent (de)registrations then push their inverse. Only touched by the write
-// frame holding the storage.ScopeWAL latch. Provenance attachments are
-// annotations and are covered by the annotation manager's hook.
-func (m *Manager) SetUndo(u *undo.Log) { m.undo = u }
-
-// logAgent appends one agent-registry record when a logger is wired. The
-// payload is "+name" for registration and "-name" for revocation.
-func (m *Manager) logAgent(name string, register bool) error {
-	if m.logger == nil {
+// setAgent logs one agent-registry transition — payload "+name" for a
+// registration, "-name" for a revocation — and then applies it (write-ahead
+// order: on a log failure nothing changes and the error is returned). A
+// transition that would change nothing logs nothing.
+func (m *Manager) setAgent(name string, register bool) error {
+	key := strings.ToLower(name)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.agents[key] == register {
 		return nil
 	}
 	op := "-"
 	if register {
 		op = "+"
 	}
-	_, err := m.logger.Append(wal.KindProvAgent, "", []byte(op+strings.ToLower(name)))
-	return err
+	if _, err := m.log.Append(wal.KindProvAgent, "", []byte(op+key)); err != nil {
+		return err
+	}
+	m.applyAgentLocked(key, register)
+	return nil
 }
 
 // DecodeAgentPayload parses the WAL payload of a KindProvAgent record.
@@ -168,45 +167,17 @@ func DecodeAgentPayload(payload []byte) (name string, register bool, err error) 
 }
 
 // RegisterAgent authorizes a system agent (integration tool, loader) to
-// insert provenance records. The registration is logged before it applies
-// (write-ahead order); on a log failure nothing changes and the error is
-// returned. Empty names are rejected — an agent must be nameable, and the
-// WAL payload format requires at least one character.
+// insert provenance records. Empty names are rejected — an agent must be
+// nameable, and the WAL payload format requires at least one character.
 func (m *Manager) RegisterAgent(name string) error {
 	if strings.TrimSpace(name) == "" {
 		return fmt.Errorf("%w: empty agent name", ErrInvalidRecord)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.agents[strings.ToLower(name)] {
-		return nil
-	}
-	if err := m.logAgent(name, true); err != nil {
-		return err
-	}
-	m.agents[strings.ToLower(name)] = true
-	if m.undo != nil {
-		m.undo.Push(undo.Func(func() error { m.RecoverAgent(name, false); return nil }))
-	}
-	return nil
+	return m.setAgent(name, true)
 }
 
 // UnregisterAgent revokes an agent's authorization.
-func (m *Manager) UnregisterAgent(name string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.agents[strings.ToLower(name)] {
-		return nil
-	}
-	if err := m.logAgent(name, false); err != nil {
-		return err
-	}
-	delete(m.agents, strings.ToLower(name))
-	if m.undo != nil {
-		m.undo.Push(undo.Func(func() error { m.RecoverAgent(name, true); return nil }))
-	}
-	return nil
-}
+func (m *Manager) UnregisterAgent(name string) error { return m.setAgent(name, false) }
 
 // Agents returns the registered agent names, sorted — the state a checkpoint
 // persists.
@@ -221,14 +192,19 @@ func (m *Manager) Agents() []string {
 	return out
 }
 
-// RecoverAgent replays a logged agent-registry transition.
-func (m *Manager) RecoverAgent(name string, register bool) {
+// ApplyAgent registers (or revokes) an agent: the applier of a PROV-AGENT
+// record, whose undo is the opposite transition.
+func (m *Manager) ApplyAgent(name string, register bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.applyAgentLocked(strings.ToLower(name), register)
+}
+
+func (m *Manager) applyAgentLocked(key string, register bool) {
 	if register {
-		m.agents[strings.ToLower(name)] = true
+		m.agents[key] = true
 	} else {
-		delete(m.agents, strings.ToLower(name))
+		delete(m.agents, key)
 	}
 }
 

@@ -9,12 +9,14 @@ import (
 	"bdbms/internal/annotation"
 	"bdbms/internal/catalog"
 	"bdbms/internal/value"
+	"bdbms/internal/wal"
 )
 
 type stubResolver struct{}
 
 func (stubResolver) ColumnCount(string) (int, error) { return 3, nil }
 func (stubResolver) MaxRowID(string) (int64, error)  { return 10, nil }
+func (stubResolver) WAL() *wal.Log                   { return wal.NewMemory() }
 
 func newManagers(t *testing.T) (*annotation.Manager, *Manager) {
 	t.Helper()

@@ -195,7 +195,7 @@ func (t *Table) mutate(c Change, beforeRec, afterRec []byte) error {
 		return fmt.Errorf("%w: %d bytes", heap.ErrRecordTooLarge, len(afterRec))
 	}
 	kind, payload := changePayload(beforeRec, afterRec)
-	if err := t.engine.appendLog(kind, t.schema.Name, payload); err != nil {
+	if _, err := t.engine.log.Append(kind, t.schema.Name, payload); err != nil {
 		return err
 	}
 	if err := t.write(c, beforeRec, afterRec); err != nil {

@@ -4,16 +4,17 @@ package storage
 // stable snapshot while writers mutate tables in place.
 //
 // The heap always holds the CURRENT row images. Every row change made inside
-// a write frame additionally appends a versionEntry — the row's before-image,
-// which is also the frame's rollback entry for the change — to its table's
-// version list. A Snapshot captures, at creation, the global
-// version sequence and the set of write frames still in flight; a version
-// entry is invisible to the snapshot exactly when it was created after the
-// snapshot (seq > snap.seq) or by a frame the snapshot saw as unfinished.
-// Reading a row through a snapshot means: if any invisible entry exists for
-// the row, the OLDEST such entry's before-image is what the snapshot sees
-// (that is the row as it stood when the snapshot was taken); otherwise the
-// current heap image is already the right answer.
+// a write frame additionally appends a versionEntry — the row's before-image
+// — to its table's version list. (Rolling the change back is the WAL frame's
+// job: its record carries the same before-image.) A Snapshot captures, at
+// creation, the global version sequence and the set of write frames still
+// in flight; a version entry is invisible to the snapshot exactly when it
+// was created after the snapshot (seq > snap.seq) or by a frame the
+// snapshot saw as unfinished. Reading a row through a snapshot means: if
+// any invisible entry exists for the row, the OLDEST such entry's
+// before-image is what the snapshot sees (that is the row as it stood when
+// the snapshot was taken); otherwise the current heap image is already the
+// right answer.
 //
 // Because write frames are serialized by ScopeWAL, the invisible entries of
 // any snapshot form a contiguous suffix of each table's version list, and a
@@ -43,18 +44,13 @@ type WriteMark struct {
 
 // versionEntry is one recorded row change: the row's before-image (nil: the
 // row did not exist — an insert). The mutation appends it (under t.mu) to the
-// table's version list and pushes the same entry onto the frame's undo log;
-// it is immutable from then on.
+// table's version list; it is immutable from then on.
 type versionEntry struct {
 	seq    uint64
 	mark   *WriteMark
-	table  *Table
 	rowID  int64
 	before value.Row
 }
-
-// Undo reverts the change (undo.Action): the row goes back to its before-image.
-func (v *versionEntry) Undo() error { return v.table.Apply(v.rowID, v.before) }
 
 // BeginWrite opens a write frame: registers a mark in the active set and
 // installs it as the engine's current mark so mutations tag their version
@@ -72,12 +68,18 @@ func (e *Engine) BeginWrite() *WriteMark {
 // EndWrite closes a write frame after its effects (commit) or their undo
 // (abort) have been applied to the heap. Snapshots created from here on see
 // the current heap state for this frame's rows; older snapshots keep reading
-// the retained before-images. Prunes version entries no live snapshot needs.
+// the retained before-images. Prunes version entries no live snapshot needs,
+// and forgets the tables the frame dropped: no undo can reach them now.
 func (e *Engine) EndWrite(m *WriteMark) {
 	if m == nil {
 		return
 	}
 	e.curMark.Store(nil)
+	if len(e.dropped) > 0 { // only the frame's owner writes it: see Engine.dropped
+		e.mu.Lock()
+		clear(e.dropped)
+		e.mu.Unlock()
+	}
 	e.mvccMu.Lock()
 	m.endSeq.Store(e.verSeq.Add(1))
 	delete(e.activeMarks, m)
@@ -163,24 +165,18 @@ func (t *Table) pruneVersions(bound uint64, force bool) {
 	t.mu.Unlock()
 }
 
-// recordChange records a live row change made inside a write frame, once, for
-// both its readers: snapshots take the before-image from the version list,
-// the frame's undo log rolls the change back from it. Called with t.mu held,
-// by the mutation itself. Table.Apply — redo, and every undo — records
-// nothing: outside a frame (recovery, direct storage use in tests) no
-// snapshot coexists with it, and inside one the row's original before-image
-// is already on the list.
+// recordChange records a live row change made inside a write frame on the
+// version list, where snapshots take its before-image from. Called with t.mu
+// held, by the mutation itself. Table.Apply — redo, and every undo — records
+// nothing: in recovery no snapshot coexists with it, and inside a live frame
+// the row's original before-image is already on the list.
 func (t *Table) recordChange(rowID int64, before value.Row) {
 	e := t.engine
 	m := e.curMark.Load()
 	if m == nil {
 		return
 	}
-	v := &versionEntry{seq: e.verSeq.Add(1), mark: m, table: t, rowID: rowID, before: before}
-	t.versions = append(t.versions, v)
-	if e.undo != nil {
-		e.undo.Push(v)
-	}
+	t.versions = append(t.versions, &versionEntry{seq: e.verSeq.Add(1), mark: m, rowID: rowID, before: before})
 }
 
 // Snapshot is a stable read view of the whole engine: rows read through it

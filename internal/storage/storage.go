@@ -27,7 +27,6 @@ import (
 	"bdbms/internal/heap"
 	"bdbms/internal/pager"
 	"bdbms/internal/stats"
-	"bdbms/internal/undo"
 	"bdbms/internal/value"
 	"bdbms/internal/wal"
 )
@@ -65,17 +64,13 @@ type Engine struct {
 	// version counts schema changes (table create/drop, index create); cached
 	// query plans are invalidated when it moves.
 	version atomic.Uint64
-	// logging gates WAL appends. It is true in normal operation — every
-	// mutation appends its logical record before the in-memory apply — and
-	// switched off during recovery, when mutations are themselves replayed
-	// from the log.
-	logging atomic.Bool
-	// undo, when non-nil, is the open write frame's undo log: every row
-	// change pushes its version entry, every DDL a compensating closure.
-	// Write frames are serialized by the exclusive ScopeWAL latch (see
-	// lock.go), under which undo is installed and cleared, so plain field
-	// access is race-free.
-	undo *undo.Log
+	// dropped keeps the tables the open write frame dropped, by the LSN of
+	// the DROP TABLE record, until the frame ends (EndWrite): undoing a drop
+	// re-registers the very table object, whose version list the snapshots
+	// opened before the frame still read. A name can be dropped twice in one
+	// frame, hence the LSN key. Guarded by mu; only the frame holding
+	// ScopeWAL (or recovery, which replays one frame at a time) touches it.
+	dropped map[uint64]droppedTable
 
 	// locks hands out the per-table write latches and the quiesce lock.
 	locks *LockManager
@@ -95,32 +90,11 @@ type Engine struct {
 // Locks returns the engine's lock manager.
 func (e *Engine) Locks() *LockManager { return e.locks }
 
-// SetLogging switches WAL appends on or off. Recovery disables logging while
-// replaying so replayed mutations are not re-appended to the log.
-func (e *Engine) SetLogging(enabled bool) { e.logging.Store(enabled) }
-
-// SetUndo installs (or, with nil, clears) the undo log of the open
-// transaction. While installed, every row change of the write frame pushes
-// its version entry and every DDL statement and index build a compensating
-// closure — what ROLLBACK (and the implicit rollback of a failed auto-commit
-// statement) runs. The caller must hold ScopeWAL, which serializes frames.
-func (e *Engine) SetUndo(u *undo.Log) { e.undo = u }
-
-// pushUndo records a DDL statement's compensating action when a transaction
-// is open.
-func (e *Engine) pushUndo(fn undo.Func) {
-	if e.undo != nil {
-		e.undo.Push(fn)
-	}
-}
-
-// appendLog writes one logical WAL record unless logging is disabled.
-func (e *Engine) appendLog(kind wal.Kind, table string, payload []byte) error {
-	if !e.logging.Load() {
-		return nil
-	}
-	_, err := e.log.Append(kind, table, payload)
-	return err
+// droppedTable is a table a DROP TABLE removed inside the open write frame,
+// with the annotation-table definitions the catalog dropped along with it.
+type droppedTable struct {
+	table     *Table
+	annTables []*catalog.AnnotationTable
 }
 
 // SchemaVersion returns a counter that increases on every schema change
@@ -152,11 +126,11 @@ func NewEngine(cfg Config) *Engine {
 		cat:         cat,
 		log:         log,
 		tables:      make(map[string]*Table),
+		dropped:     make(map[uint64]droppedTable),
 		locks:       NewLockManager(),
 		activeMarks: make(map[*WriteMark]bool),
 		snaps:       make(map[*Snapshot]bool),
 	}
-	e.logging.Store(true)
 	return e
 }
 
@@ -179,28 +153,44 @@ func (e *Engine) ResetPagerStats() { e.pgr.ResetStats() }
 // BufferStats returns the buffer pool counters.
 func (e *Engine) BufferStats() buffer.Stats { return e.pool.Stats() }
 
-// CreateTable registers schema in the catalog, logs the DDL to the WAL, and
-// creates the table's heap storage. When the schema has a primary key, a
-// unique index on it is created automatically.
+// CreateTable validates schema, logs the DDL to the WAL and applies it
+// (ApplyCreateTable). When the schema has a primary key, a unique index on it
+// is created automatically.
 func (e *Engine) CreateTable(schema *catalog.Schema) (*Table, error) {
-	if err := e.cat.CreateTable(schema); err != nil {
+	if err := schema.Validate(); err != nil {
 		return nil, err
+	}
+	if e.cat.HasTable(schema.Name) {
+		return nil, fmt.Errorf("%w: %s", catalog.ErrTableExists, schema.Name)
 	}
 	payload, err := json.Marshal(schema)
 	if err != nil {
-		_ = e.cat.DropTable(schema.Name)
 		return nil, fmt.Errorf("storage: encode schema: %w", err)
 	}
-	if err := e.appendLog(wal.KindCreateTable, schema.Name, payload); err != nil {
-		_ = e.cat.DropTable(schema.Name)
+	if _, err := e.log.Append(wal.KindCreateTable, schema.Name, payload); err != nil {
+		return nil, err
+	}
+	return e.ApplyCreateTable(schema)
+}
+
+// ApplyCreateTable registers an empty table for schema in the catalog and the
+// engine: the applier of a CREATE TABLE record, live and on redo. A table the
+// engine already holds is kept, and a catalog that already knows the schema
+// is tolerated (its snapshot may be newer than the checkpoint manifest when a
+// crash hit between the two writes).
+func (e *Engine) ApplyCreateTable(schema *catalog.Schema) (*Table, error) {
+	key := strings.ToLower(schema.Name)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if t, ok := e.tables[key]; ok {
+		return t, nil
+	}
+	if err := e.cat.CreateTable(schema); err != nil && !errors.Is(err, catalog.ErrTableExists) {
 		return nil, err
 	}
 	t := e.newTable(schema)
-	e.mu.Lock()
-	e.tables[strings.ToLower(schema.Name)] = t
-	e.mu.Unlock()
+	e.tables[key] = t
 	e.version.Add(1)
-	e.pushUndo(func() error { return e.RecoverDropTable(schema.Name) })
 	return t, nil
 }
 
@@ -220,40 +210,61 @@ func (e *Engine) newTable(schema *catalog.Schema) *Table {
 	return t
 }
 
-// DropTable removes a table, its heap data reference and its indexes.
+// DropTable removes a table, its heap data reference and its indexes: the
+// DDL is logged, then applied (ApplyDropTable).
 func (e *Engine) DropTable(name string) error {
 	if !e.cat.HasTable(name) {
 		return fmt.Errorf("%w: %s", catalog.ErrTableNotFound, name)
 	}
-	if err := e.appendLog(wal.KindDropTable, name, nil); err != nil {
+	lsn, err := e.log.Append(wal.KindDropTable, name, nil)
+	if err != nil {
 		return err
 	}
-	if err := e.cat.DropTable(name); err != nil {
+	return e.ApplyDropTable(name, lsn)
+}
+
+// ApplyDropTable removes the named table from the catalog and the engine —
+// the applier of the DROP TABLE record lsn, live and on redo, and the undo of
+// a CREATE TABLE — tolerating an absent table. Inside a write frame the table
+// object is kept for UndoDropTable until the frame ends.
+func (e *Engine) ApplyDropTable(name string, lsn uint64) error {
+	annTables := e.cat.AnnotationTables(name)
+	if err := e.cat.DropTable(name); err != nil && !errors.Is(err, catalog.ErrTableNotFound) {
 		return err
 	}
 	key := strings.ToLower(name)
 	e.mu.Lock()
-	dropped := e.tables[key]
-	delete(e.tables, key)
-	e.mu.Unlock()
-	e.version.Add(1)
-	if dropped != nil {
-		// The Table object keeps its heap file and indexes alive, so undoing
-		// the drop is just re-registering it (and its catalog entry).
-		e.pushUndo(func() error { return e.reattach(dropped) })
+	defer e.mu.Unlock()
+	if t, ok := e.tables[key]; ok {
+		delete(e.tables, key)
+		if e.curMark.Load() != nil {
+			e.dropped[lsn] = droppedTable{table: t, annTables: annTables}
+		}
 	}
+	e.version.Add(1)
 	return nil
 }
 
-// reattach registers a table object under its schema, tolerating a catalog
-// that already knows it — the undo of DropTable and the redo of CreateTable.
-func (e *Engine) reattach(t *Table) error {
-	if err := e.cat.CreateTable(t.schema); err != nil && !errors.Is(err, catalog.ErrTableExists) {
+// UndoDropTable re-registers, with its annotation tables, the table object
+// the DROP TABLE record lsn removed in the open write frame — the same object,
+// so snapshots opened before the frame keep reading its version list. It does
+// nothing when the frame dropped no table under lsn.
+func (e *Engine) UndoDropTable(lsn uint64) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	d, ok := e.dropped[lsn]
+	if !ok {
+		return nil
+	}
+	if err := e.cat.CreateTable(d.table.schema); err != nil && !errors.Is(err, catalog.ErrTableExists) {
 		return err
 	}
-	e.mu.Lock()
-	e.tables[strings.ToLower(t.schema.Name)] = t
-	e.mu.Unlock()
+	for _, def := range d.annTables {
+		if err := e.cat.CreateAnnotationTable(def); err != nil && !errors.Is(err, catalog.ErrAnnotationTableExists) {
+			return err
+		}
+	}
+	e.tables[strings.ToLower(d.table.schema.Name)] = d.table
 	e.version.Add(1)
 	return nil
 }
@@ -540,21 +551,30 @@ func (t *Table) RowIDs() []int64 {
 }
 
 // CreateIndex builds a B+-tree index on the named column, backfilling it from
-// existing rows. Creating an index twice is a no-op.
+// existing rows: the DDL is logged, then applied (ApplyCreateIndex). Creating
+// an index twice is a no-op that logs nothing.
 func (t *Table) CreateIndex(column string) error {
+	if t.schema.ColumnIndex(column) < 0 {
+		return fmt.Errorf("%w: %s.%s", catalog.ErrColumnNotFound, t.schema.Name, column)
+	}
+	if t.HasIndex(column) {
+		return nil
+	}
+	if _, err := t.engine.log.Append(wal.KindCreateIndex, t.schema.Name, []byte(column)); err != nil {
+		return err
+	}
+	return t.ApplyCreateIndex(column)
+}
+
+// ApplyCreateIndex builds and installs the index on column — the applier of a
+// CREATE INDEX record, live and on redo. An existing index is kept.
+func (t *Table) ApplyCreateIndex(column string) error {
 	idx := t.schema.ColumnIndex(column)
 	if idx < 0 {
 		return fmt.Errorf("%w: %s.%s", catalog.ErrColumnNotFound, t.schema.Name, column)
 	}
-	key := strings.ToLower(column)
-	t.mu.RLock()
-	_, exists := t.indexes[key]
-	t.mu.RUnlock()
-	if exists {
+	if t.HasIndex(column) {
 		return nil
-	}
-	if err := t.engine.appendLog(wal.KindCreateIndex, t.schema.Name, []byte(column)); err != nil {
-		return err
 	}
 	// Backfill into a private tree and only then install it: concurrent
 	// snapshot readers probe t.indexes under the read lock, so a tree must
@@ -570,18 +590,17 @@ func (t *Table) CreateIndex(column string) error {
 		return err
 	}
 	t.mu.Lock()
-	t.indexes[key] = tree
+	t.indexes[strings.ToLower(column)] = tree
 	t.mu.Unlock()
 	t.engine.version.Add(1)
-	t.engine.pushUndo(func() error { t.dropIndex(key); return nil })
 	return nil
 }
 
-// dropIndex removes a secondary index — the undo of CreateIndex. The key is
-// the lower-cased column name.
-func (t *Table) dropIndex(key string) {
+// DropIndex removes the index on column, if there is one — the undo of a
+// CREATE INDEX record.
+func (t *Table) DropIndex(column string) {
 	t.mu.Lock()
-	delete(t.indexes, key)
+	delete(t.indexes, strings.ToLower(column))
 	t.mu.Unlock()
 	t.engine.version.Add(1)
 }
@@ -790,16 +809,17 @@ func (t *Table) FreshenStats() {
 	}
 }
 
-// --- durability: manifest accessors and recovery appliers ---------------------
+// --- durability: manifest accessors ------------------------------------------
 //
 // The methods below are the storage half of the crash-recovery path. A
 // checkpoint records, per table, the heap page list, the next RowID and the
 // indexed columns (HeapPages/NextRowID/IndexColumns); reopening a database
 // reattaches each table to its pages (AttachTable) and then replays the WAL
-// tail — row records through Table.Apply, DDL through the Recover* appliers
-// below — all idempotent: heap pages may have been flushed after the
-// checkpoint (buffer evictions happen at any time), so a replayed record may
-// find its effect already on disk.
+// tail through the appliers live writes use — row records through
+// Table.Apply, DDL through ApplyCreateTable, ApplyDropTable and
+// ApplyCreateIndex — all idempotent: heap pages may have been flushed after
+// the checkpoint (buffer evictions happen at any time), so a replayed record
+// may find its effect already on disk.
 
 // HeapPages returns the page IDs backing the table's heap file, in order.
 func (t *Table) HeapPages() []pager.PageID {
@@ -959,36 +979,6 @@ func (e *Engine) AttachTable(schema *catalog.Schema, pages []pager.PageID, nextR
 	e.mu.Unlock()
 	e.version.Add(1)
 	return t, nil
-}
-
-// RecoverCreateTable replays a logged CREATE TABLE: it tolerates the catalog
-// already knowing the schema (the catalog snapshot may be newer than the
-// checkpoint manifest when a crash hit between the two writes).
-func (e *Engine) RecoverCreateTable(schema *catalog.Schema) (*Table, error) {
-	e.mu.RLock()
-	existing, ok := e.tables[strings.ToLower(schema.Name)]
-	e.mu.RUnlock()
-	if ok {
-		return existing, nil
-	}
-	t := e.newTable(schema)
-	if err := e.reattach(t); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// RecoverDropTable replays a logged DROP TABLE, tolerating an already-absent
-// table.
-func (e *Engine) RecoverDropTable(name string) error {
-	if err := e.cat.DropTable(name); err != nil && !errors.Is(err, catalog.ErrTableNotFound) {
-		return err
-	}
-	e.mu.Lock()
-	delete(e.tables, strings.ToLower(name))
-	e.mu.Unlock()
-	e.version.Add(1)
-	return nil
 }
 
 // FindByPrimaryKey returns the RowID of the row whose primary key equals v,

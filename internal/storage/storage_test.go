@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"bdbms/internal/catalog"
-	"bdbms/internal/undo"
 	"bdbms/internal/value"
 	"bdbms/internal/wal"
 )
@@ -373,109 +372,5 @@ func TestIndexRangeBounds(t *testing.T) {
 				break
 			}
 		}
-	}
-}
-
-func TestEngineUndoHooksRevertMutations(t *testing.T) {
-	eng := NewMemoryEngine()
-	u := undo.New()
-	eng.SetUndo(u)
-	tbl, err := eng.CreateTable(geneSchema("Gene"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := tbl.Insert(value.Row{value.NewText("JW1"), value.NewText("x"), value.NewSequence("AC")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Update(id, value.Row{value.NewText("JW1"), value.NewText("y"), value.NewSequence("GT")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.CreateIndex("GName"); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if eng.HasTable("Gene") {
-		t.Error("undo did not revert CREATE TABLE")
-	}
-	// With the hook cleared, mutations stop pushing undo actions.
-	eng.SetUndo(nil)
-	tbl, err = eng.CreateTable(geneSchema("Gene2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Len() != 0 {
-		t.Errorf("cleared undo hook still recorded %d actions", u.Len())
-	}
-
-	// A write frame's recorded row changes revert it: the entries the frame
-	// put on the undo log are the version entries a snapshot reads, and
-	// rolling them back restores the rows, the indexes and the statistics.
-	keep, err := tbl.Insert(geneRow("JW1", "x", "AC"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gone, err := tbl.Insert(geneRow("JW2", "z", "TT"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.CreateIndex("GName"); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Stats() == nil {
-		t.Fatal("no statistics")
-	}
-	before := dumpScan(t, tbl)
-	snap := eng.NewSnapshot()
-	defer snap.Close()
-
-	eng.SetUndo(u)
-	mark := eng.BeginWrite()
-	added, err := tbl.Insert(geneRow("JW3", "w", "GG"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Update(added, geneRow("JW3", "v", "GGG")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Update(keep, geneRow("JW1", "y", "GT")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Delete(gone); err != nil {
-		t.Fatal(err)
-	}
-	if u.Len() != 4 || len(tbl.versions) != 4 {
-		t.Fatalf("frame recorded %d undo entries and %d version entries, want 4 and 4", u.Len(), len(tbl.versions))
-	}
-	if err := u.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.versions) != 4 {
-		t.Errorf("rolling back recorded %d further version entries", len(tbl.versions)-4)
-	}
-	eng.SetUndo(nil)
-	eng.EndWrite(mark)
-	if got := dumpScan(t, tbl); got != before {
-		t.Errorf("after rollback:\n%s\nwant:\n%s", got, before)
-	}
-	if problems := tbl.CheckIntegrity(); len(problems) != 0 {
-		t.Errorf("integrity after rollback: %v", problems)
-	}
-	if ids, err := tbl.IndexLookup("GName", value.NewText("x")); err != nil || len(ids) != 1 || ids[0] != keep {
-		t.Errorf("index lookup of the restored name = %v (%v), want [%d]", ids, err, keep)
-	}
-	if cur := tbl.CurrentStats(); cur == nil || cur.Rows != 2 {
-		t.Errorf("statistics after rollback: %+v, want 2 rows", cur)
-	}
-	// The snapshot opened before the frame saw the same two rows throughout.
-	for _, id := range []int64{keep, gone} {
-		if _, err := snap.Get(tbl, id); err != nil {
-			t.Errorf("snapshot lost row %d: %v", id, err)
-		}
-	}
-	if _, err := snap.Get(tbl, added); !errors.Is(err, ErrRowNotFound) {
-		t.Errorf("snapshot sees the rolled-back insert: %v", err)
 	}
 }

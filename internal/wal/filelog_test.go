@@ -48,6 +48,15 @@ func sameLogs(t *testing.T, step int, file, mem *Log) {
 		return true
 	})
 	sameRecords(t, "Iterate prefix", prefix, want[:stop])
+	n := mem.FrameRecords()
+	for _, mark := range []int{0, 1, n / 2, n} {
+		ftail, ferr := file.FrameTail(mark)
+		mtail, merr := mem.FrameTail(mark)
+		if ferr != nil || merr != nil {
+			t.Fatalf("FrameTail(%d): file log %v, memory log %v", mark, ferr, merr)
+		}
+		sameRecords(t, "FrameTail", ftail, mtail)
+	}
 }
 
 // TestFileLogMatchesMemoryLog feeds the same 10 000 appends — every kind,

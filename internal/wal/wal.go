@@ -1,8 +1,10 @@
-// Package wal implements a minimal append-only write-ahead log. In bdbms the
-// log has two clients: the storage engine records row mutations for
-// durability, and the content-based approval manager (Section 6 of the paper)
-// keeps its operation log — every INSERT/UPDATE/DELETE together with the
-// automatically generated inverse statement — as tagged WAL records.
+// Package wal implements a minimal append-only write-ahead log. Every
+// mutation of bdbms — a row change, DDL, an annotation, an outdated mark, an
+// agent registration, a content-approval operation (Section 6 of the paper)
+// with its automatically generated inverse statement — is one tagged record,
+// appended before it is applied. A transaction's records are framed by
+// TxBegin/TxCommit, and the open frame is also the transaction's undo log:
+// rollback reads it back (FrameTail) and reverts its records newest first.
 package wal
 
 import (
@@ -213,6 +215,11 @@ type Log struct {
 	txPending bool
 	// txRecords counts the data records appended inside the open frame.
 	txRecords int
+	// frameLSN and frameOff locate the open frame's TxBegin: its LSN, and for
+	// a file-backed log its offset in the file. FrameTail reads the frame
+	// back from there; the log keeps no copy of it.
+	frameLSN uint64
+	frameOff int64
 	// syncOnCommit gates group commit: when set, SyncCommitted really
 	// fsyncs. Off by default — the base durability contract is
 	// durability-at-checkpoint, and SyncCommitted is then a no-op.
@@ -260,7 +267,7 @@ func (l *Log) adopt() error {
 	if err != nil {
 		return fmt.Errorf("wal: stat: %w", err)
 	}
-	good, err := l.scan(info.Size(), func(rec Record, _ int64) bool {
+	good, err := l.scan(0, info.Size(), func(rec Record, _ int64) bool {
 		l.count++
 		if rec.LSN >= l.nextLSN {
 			l.nextLSN = rec.LSN + 1
@@ -280,15 +287,16 @@ func (l *Log) adopt() error {
 	return nil
 }
 
-// scan decodes the records in the first limit bytes of the file in order,
-// calling fn with each and the offset just past it until fn returns false.
-// It returns the offset past the last intact record decoded. The record's
-// Payload is only valid during the call: the frame buffer is reused. The
-// caller holds l.mu (or, in Open, is the only one who knows the log).
-func (l *Log) scan(limit int64, fn func(rec Record, end int64) bool) (int64, error) {
-	r := bufio.NewReaderSize(io.NewSectionReader(l.file, 0, limit), 64<<10)
+// scan decodes the records between the file offsets from (a record
+// boundary) and limit in order, calling fn with each and the offset just past
+// it until fn returns false. It returns the offset past the last intact
+// record decoded. The record's Payload is only valid during the call: the
+// frame buffer is reused. The caller holds l.mu (or, in Open, is the only one
+// who knows the log).
+func (l *Log) scan(from, limit int64, fn func(rec Record, end int64) bool) (int64, error) {
+	r := bufio.NewReaderSize(io.NewSectionReader(l.file, from, limit-from), 64<<10)
 	var frame []byte
-	var off int64
+	off := from
 	for off < limit {
 		rec, buf, err := readRecord(r, limit-off, frame)
 		if err != nil {
@@ -310,11 +318,10 @@ func (l *Log) Append(kind Kind, table string, payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.txPending && !kind.IsTxControl() {
-		if _, err := l.appendLocked(KindTxBegin, "", nil); err != nil {
+		if err := l.openFrameLocked(); err != nil {
 			return 0, err
 		}
 		l.txPending = false
-		l.txOpen = true
 	}
 	lsn, err := l.appendLocked(kind, table, payload)
 	if err == nil && l.txOpen && !kind.IsTxControl() {
@@ -376,10 +383,18 @@ func (l *Log) BeginTx(lazy bool) error {
 		l.txPending = true
 		return nil
 	}
-	if _, err := l.appendLocked(KindTxBegin, "", nil); err != nil {
+	return l.openFrameLocked()
+}
+
+// openFrameLocked appends the TxBegin that opens a frame and remembers where
+// the frame starts. The caller holds l.mu.
+func (l *Log) openFrameLocked() error {
+	off := l.size
+	lsn, err := l.appendLocked(KindTxBegin, "", nil)
+	if err != nil {
 		return err
 	}
-	l.txOpen = true
+	l.frameLSN, l.frameOff, l.txOpen = lsn, off, true
 	return nil
 }
 
@@ -436,12 +451,40 @@ func (l *Log) InTx() bool {
 }
 
 // FrameRecords returns the number of data records appended inside the open
-// frame. The executor diffs it around a statement to emit the right
-// TxStmtAbort count when a mid-transaction statement fails.
+// frame: a position in the frame. Savepoints and statements remember one as
+// their mark for FrameTail, and a failed mid-transaction statement logs the
+// difference as its TxStmtAbort count.
 func (l *Log) FrameRecords() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.txRecords
+}
+
+// FrameTail returns the open frame's data records from position mark (a
+// FrameRecords value taken earlier) on, oldest first; FrameTail(0) is the
+// whole frame. The open frame is the transaction's undo log: ROLLBACK, ROLLBACK
+// TO SAVEPOINT and a failed statement revert exactly these records, newest
+// first. A memory log answers from its slice; a file-backed log reads the
+// frame back from its TxBegin, under l.mu and up to the tracked size. Without
+// an open frame the tail is empty.
+func (l *Log) FrameTail(mark int) ([]Record, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.txOpen {
+		return nil, nil
+	}
+	recs, err := l.readSinceLocked(l.frameLSN, l.frameOff)
+	tail := recs[:0]
+	for _, rec := range recs {
+		switch {
+		case rec.Kind.IsTxControl():
+		case mark > 0:
+			mark--
+		default:
+			tail = append(tail, rec)
+		}
+	}
+	return tail, err
 }
 
 // FailAfter arms a fault point for crash-injection tests: the next n Appends
@@ -519,7 +562,7 @@ func (l *Log) TruncateFrom(lsn uint64) error {
 	}
 	var keep int
 	var cut int64
-	if _, err := l.scan(l.size, func(rec Record, end int64) bool {
+	if _, err := l.scan(0, l.size, func(rec Record, end int64) bool {
 		if rec.LSN >= lsn {
 			return false
 		}
@@ -731,6 +774,13 @@ func (l *Log) Since(lsn uint64) []Record {
 func (l *Log) ReadSince(lsn uint64) ([]Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.readSinceLocked(lsn, 0)
+}
+
+// readSinceLocked returns copies of the records with LSN greater than lsn; a
+// file-backed log starts reading at offset from, a record boundary at or
+// before the first of them. The caller holds l.mu.
+func (l *Log) readSinceLocked(lsn uint64, from int64) ([]Record, error) {
 	if l.file == nil {
 		// Records are in ascending LSN order: binary-search the cut point.
 		lo, hi := 0, len(l.records)
@@ -747,7 +797,7 @@ func (l *Log) ReadSince(lsn uint64) ([]Record, error) {
 		return out, nil
 	}
 	var out []Record
-	_, err := l.scan(l.size, func(rec Record, _ int64) bool {
+	_, err := l.scan(from, l.size, func(rec Record, _ int64) bool {
 		if rec.LSN > lsn {
 			rec.Payload = append([]byte(nil), rec.Payload...)
 			out = append(out, rec)

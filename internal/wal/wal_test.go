@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -425,6 +426,68 @@ func TestEagerFrameAndAbort(t *testing.T) {
 	}
 	if err := l.CommitTx(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFrameTailServesTheOpenFrame: the open frame is read back from the log,
+// data records only, from a mark on — and nothing of an earlier frame or of
+// the records before it, for either kind of log.
+func TestFrameTailServesTheOpenFrame(t *testing.T) {
+	file, err := Open(filepath.Join(t.TempDir(), "frame.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	for name, l := range map[string]*Log{"memory": NewMemory(), "file": file} {
+		tail := func(mark int) string {
+			t.Helper()
+			recs, err := l.FrameTail(mark)
+			if err != nil {
+				t.Fatalf("%s: FrameTail(%d): %v", name, mark, err)
+			}
+			var out []string
+			for _, rec := range recs {
+				out = append(out, string(rec.Payload))
+			}
+			return strings.Join(out, ",")
+		}
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		app := func(kind Kind, payload string) {
+			t.Helper()
+			_, err := l.Append(kind, "t", []byte(payload))
+			must(err)
+		}
+		app(KindInsert, "bare")
+		must(l.BeginTx(false))
+		app(KindInsert, "old")
+		must(l.CommitTx())
+		if got := tail(0); got != "" {
+			t.Fatalf("%s: FrameTail without a frame = %q", name, got)
+		}
+		must(l.BeginTx(true))
+		if got := tail(0); got != "" {
+			t.Fatalf("%s: FrameTail of an armed, empty lazy frame = %q", name, got)
+		}
+		app(KindInsert, "a")
+		app(KindTxSavepoint, "s")
+		mark := l.FrameRecords()
+		app(KindUpdate, "b")
+		app(KindAnnotation, "c")
+		if got := tail(0); got != "a,b,c" {
+			t.Fatalf("%s: FrameTail(0) = %q, want a,b,c", name, got)
+		}
+		if got := tail(mark); got != "b,c" {
+			t.Fatalf("%s: FrameTail(%d) = %q, want b,c", name, mark, got)
+		}
+		must(l.AbortTx())
+		if got := tail(0); got != "" {
+			t.Fatalf("%s: FrameTail after abort = %q", name, got)
+		}
 	}
 }
 
