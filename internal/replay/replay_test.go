@@ -169,3 +169,27 @@ func TestEveryDataKindHasRedoAndUndo(t *testing.T) {
 		}
 	}
 }
+
+// TestUndoRunsEveryRecordAndJoinsErrors: a record that cannot be undone does
+// not stop the ones before it from being undone; its error is reported.
+func TestUndoRunsEveryRecordAndJoinsErrors(t *testing.T) {
+	db := core.MustOpen(core.Options{})
+	if _, err := db.ExecAll(`CREATE TABLE T (N INT NOT NULL PRIMARY KEY); INSERT INTO T VALUES (1); INSERT INTO T VALUES (2)`); err != nil {
+		t.Fatal(err)
+	}
+	var recs []wal.Record
+	for _, rec := range db.Storage().WAL().Records() {
+		if rec.Kind == wal.KindInsert {
+			recs = append(recs, rec)
+		}
+	}
+	bad := wal.Record{LSN: 99, Kind: wal.KindAnnotation, Table: "T", Payload: []byte("{not json")}
+	recs = []wal.Record{recs[0], bad, recs[1]}
+	err := replay.Target{Eng: db.Storage(), Ann: db.Annotations()}.Undo(recs)
+	if err == nil || !strings.Contains(err.Error(), "LSN 99") {
+		t.Fatalf("Undo = %v, want the undecodable record's error", err)
+	}
+	if tbl, _ := db.Storage().Table("T"); tbl.RowCount() != 0 {
+		t.Fatalf("%d rows left: a failing record stopped the undo", tbl.RowCount())
+	}
+}
