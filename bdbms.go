@@ -124,10 +124,11 @@
 //
 // # Persistence and durability
 //
-// A database opened with Options.DataFile is durable. Four files live next
+// A database opened with Options.DataFile is durable. Three files live next
 // to each other: the page file itself (heap pages of every table), a
-// write-ahead log (DataFile + ".wal"), and a checkpoint pair — a catalog
-// snapshot (".catalog") and a recovery manifest (".manifest").
+// write-ahead log (DataFile + ".wal"), and a checkpoint manifest
+// (DataFile + ".manifest") holding the catalog and everything else
+// reopening needs beyond the heap pages.
 //
 // The durability contract is write-ahead logging at transaction
 // granularity. Every mutation — CREATE/DROP TABLE, CREATE INDEX,
@@ -148,7 +149,8 @@
 // Checkpoint (called automatically by Close) bounds recovery time: it
 // flushes and syncs dirty pages, snapshots the catalog and the
 // memory-resident structures (annotation set, dependency bitmaps,
-// provenance agents, per-table page lists and RowID counters) atomically,
+// provenance agents, per-table page lists and RowID counters) into the
+// manifest — one atomic rename, the checkpoint's single commit point —
 // and then truncates the WAL. Reopening loads the last checkpoint,
 // reattaches every table to its heap pages, rebuilds the row index and
 // every secondary B+-tree (and the R-tree behind the annotation store) by
@@ -189,7 +191,7 @@
 // every live heap page to rebuild indexes, corruption in live data
 // surfaces at Open; corruption in unreferenced (orphaned) pages is caught
 // by Verify, which scrubs every allocated page plus the logical,
-// checkpoint-metadata and annotation layers. The guarantee across all
+// manifest and annotation layers. The guarantee across all
 // storage-fault classes is fail-stop, never silent wrong results.
 //
 // Write-path faults are contained the same way. A failed page write
@@ -243,10 +245,8 @@ import (
 	"bdbms/internal/core"
 	"bdbms/internal/dependency"
 	"bdbms/internal/exec"
-	"bdbms/internal/pager"
 	"bdbms/internal/provenance"
 	"bdbms/internal/storage"
-	"bdbms/internal/wal"
 )
 
 // Re-exported result types: queries return Rows cursors (or materialized
@@ -303,8 +303,6 @@ type Options struct {
 // DB is an open bdbms database.
 type DB struct {
 	inner *core.DB
-	pgr   pager.Pager
-	wlog  *wal.Log
 }
 
 // Open creates an in-memory database with default options.
@@ -315,80 +313,43 @@ func Open() *DB {
 
 // OpenWith creates a database with the given options. A non-empty DataFile
 // makes the database durable: the page file is accompanied by a write-ahead
-// log (DataFile + ".wal") and a checkpoint pair (DataFile + ".catalog" and
-// ".manifest") living next to it. Opening a DataFile that already holds a
-// database recovers it — catalog, rows, secondary indexes, annotations,
-// provenance and dependency outdated marks — to the exact committed state of
-// the last session, replaying the WAL tail when that session crashed before
+// log (DataFile + ".wal") and a checkpoint manifest (DataFile + ".manifest")
+// living next to it. Opening a DataFile that already holds a database
+// recovers it — catalog, rows, secondary indexes, annotations, provenance
+// and dependency outdated marks — to the exact committed state of the last
+// session, replaying the WAL tail when that session crashed before
 // checkpointing.
 func OpenWith(opts Options) (*DB, error) {
 	coreOpts := core.Options{
+		DataFile:     opts.DataFile,
 		PoolSize:     opts.PoolSize,
 		EnforceAuth:  opts.EnforceAuth,
 		SpillBudget:  opts.SpillBudget,
 		SyncOnCommit: opts.SyncOnCommit,
-	}
-	var pgr pager.Pager
-	var wlog *wal.Log
-	if opts.DataFile != "" {
-		fp, err := pager.OpenFile(opts.DataFile)
-		if err != nil {
-			return nil, err
-		}
-		pgr = fp
-		wlog, err = wal.Open(opts.DataFile + ".wal")
-		if err != nil {
-			fp.Close()
-			return nil, err
-		}
-		coreOpts.Pager = pgr
-		coreOpts.WAL = wlog
-		coreOpts.CatalogPath = opts.DataFile + ".catalog"
-		coreOpts.ManifestPath = opts.DataFile + ".manifest"
-		coreOpts.DataPath = opts.DataFile
-		coreOpts.WALPath = opts.DataFile + ".wal"
 	}
 	if opts.CellLevelAnnotations {
 		coreOpts.AnnotationStore = annotation.NewCellStore()
 	}
 	inner, err := core.Open(coreOpts)
 	if err != nil {
-		if wlog != nil {
-			wlog.Close()
-		}
-		if pgr != nil {
-			pgr.Close()
-		}
 		return nil, err
 	}
-	return &DB{inner: inner, pgr: pgr, wlog: wlog}, nil
+	return &DB{inner: inner}, nil
 }
 
 // Checkpoint makes the committed state self-contained on disk and truncates
 // the write-ahead log: dirty pages are flushed and synced, the catalog and
 // the in-memory structures (annotations, outdated bitmaps, provenance
-// agents, per-table page lists) are snapshotted atomically. Close checkpoints
-// automatically; call Checkpoint directly to bound recovery time of a
-// long-lived session. On a memory database it degrades to a buffer flush.
+// agents, per-table page lists) are snapshotted atomically into the
+// manifest. Close checkpoints automatically; call Checkpoint directly to
+// bound recovery time of a long-lived session. On a memory database it
+// degrades to a buffer flush.
 func (db *DB) Checkpoint() error { return db.inner.Checkpoint() }
 
 // Close checkpoints the database and closes the data file and write-ahead
 // log when the database is file-backed. The file handles are released even
 // when the checkpoint fails; the first error is returned.
-func (db *DB) Close() error {
-	err := db.inner.Close()
-	if db.wlog != nil {
-		if cerr := db.wlog.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if db.pgr != nil {
-		if cerr := db.pgr.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
+func (db *DB) Close() error { return db.inner.Close() }
 
 // VerifyReport summarises a Verify scrub: what was covered and every
 // problem found. An empty Problems slice means the database is clean.
@@ -402,7 +363,7 @@ type VerifyProblem = core.VerifyProblem
 // pager (bit rot, torn frames and misdirected writes fail the read — even
 // in orphaned pages no table references), cross-checks each table's heap
 // against its row index and secondary B+-trees, validates the checkpoint
-// manifest and catalog snapshot against the live engine, and proves every
+// manifest and its catalog against the live engine, and proves every
 // annotation is reachable back through the spatial index. Verify quiesces
 // all writers for the duration (new writers queue, snapshot readers keep
 // streaming), so no statement is observed half-applied. The returned error
@@ -413,8 +374,8 @@ func (db *DB) Verify() (*VerifyReport, error) { return db.inner.Verify() }
 
 // Backup takes a consistent online snapshot of a durable database into
 // destDir (created if missing): the database is checkpointed with all
-// writers quiesced and the four files — page file, WAL, catalog and
-// manifest — are copied and fsynced. Concurrent writers queue for the
+// writers quiesced and the three files — page file, WAL and manifest —
+// are copied and fsynced, and so is destDir. Concurrent writers queue for the
 // duration and resume after (snapshot readers are unaffected); no
 // statement's effects can be half-captured.
 // The copy set is a normal database: restore is

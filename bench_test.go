@@ -1,7 +1,8 @@
 // Package bdbms benchmarks regenerate the paper's evaluation as Go
-// benchmarks: one Benchmark per experiment E1-E9 of DESIGN.md plus the
-// ablations it calls out. cmd/bdbms-bench prints the corresponding
-// paper-style tables; EXPERIMENTS.md records a captured run.
+// benchmarks: one Benchmark per experiment E1-E9 of cmd/bdbms-bench, whose
+// experiment table names the paper section each reproduces, plus ablations.
+// cmd/bdbms-bench prints the corresponding paper-style tables;
+// docs/PERFORMANCE.md records measured runs of the repository benchmark.
 package bdbms
 
 import (
@@ -776,7 +777,7 @@ func BenchmarkDistinct(b *testing.B) {
 // --- ablations --------------------------------------------------------------------------------------------
 
 // BenchmarkAblationSBCSecondLevel compares the SBC-tree with and without its
-// R-tree second level on single-run queries (DESIGN.md section 4).
+// R-tree second level on single-run queries (the structure E1-E3 measure).
 func BenchmarkAblationSBCSecondLevel(b *testing.B) {
 	seqs := benchStructures(500)
 	with := sbctree.New()

@@ -1,8 +1,9 @@
 // Command bdbms-bench regenerates the paper's evaluation: one table per
-// experiment E1-E9 of DESIGN.md (the quantitative claims of Section 7 plus
-// the behaviour each concept figure depicts), printed in a paper-style
-// layout. EXPERIMENTS.md records a captured run next to the corresponding
-// claim from the paper.
+// experiment E1-E9 (the quantitative claims of Section 7 plus the behaviour
+// each concept figure depicts, each named with its section or figure below)
+// and the executor experiments E10-E11, printed in a paper-style layout.
+// bench_test.go measures the same experiments as Go benchmarks;
+// docs/PERFORMANCE.md records measured runs of the repository benchmark.
 //
 // Usage:
 //

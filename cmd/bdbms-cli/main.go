@@ -21,7 +21,7 @@
 // Two maintenance subcommands complement the shell. `bdbms-cli verify -data
 // file.db` scrubs the whole database — page checksums (bit rot, torn pages,
 // misdirected writes, including in pages no live table references), heap ↔
-// index agreement, manifest/catalog consistency and annotation reachability
+// index agreement, manifest consistency and annotation reachability
 // — and exits non-zero with a line per problem when anything is broken.
 // `bdbms-cli backup -data file.db -dest dir/` takes a consistent online
 // snapshot: a checkpointed copy of the database files that opens (and
@@ -68,7 +68,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	fs := flag.NewFlagSet("bdbms-cli", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	dataFile := fs.String("data", "", "back the database with this file (plus .wal/.catalog/.manifest next to it); reopens existing state")
+	dataFile := fs.String("data", "", "back the database with this file (plus .wal/.manifest next to it); reopens existing state")
 	user := fs.String("user", "admin", "user to run statements as")
 	enforce := fs.Bool("enforce-auth", false, "enable GRANT/REVOKE privilege checks")
 	script := fs.String("script", "", "execute this A-SQL script file before reading stdin")

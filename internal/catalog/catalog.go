@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -362,42 +361,4 @@ func (c *Catalog) UnmarshalJSON(data []byte) error {
 		}
 	}
 	return nil
-}
-
-// SaveFile writes the catalog to path atomically (write to a temporary
-// file, fsync, then rename): a crash — or power loss — mid-checkpoint
-// leaves either the old or the new snapshot, never a torn one.
-func (c *Catalog) SaveFile(path string) error {
-	data, err := c.MarshalJSON()
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadFile reads a catalog previously written by SaveFile.
-func LoadFile(path string) (*Catalog, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: read %s: %w", path, err)
-	}
-	c := New()
-	if err := c.UnmarshalJSON(data); err != nil {
-		return nil, err
-	}
-	return c, nil
 }

@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"path/filepath"
 	"testing"
 
 	"bdbms/internal/value"
@@ -196,12 +195,12 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	c.CreateAnnotationTable(&AnnotationTable{Name: "GAnnotation", UserTable: "DB1_Gene", Category: "comment"})
 	c.CreateAnnotationTable(&AnnotationTable{Name: "GProvenance", UserTable: "DB1_Gene", Category: "provenance", SystemManaged: true})
 
-	path := filepath.Join(t.TempDir(), "catalog.json")
-	if err := c.SaveFile(path); err != nil {
+	data, err := c.MarshalJSON()
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadFile(path)
-	if err != nil {
+	loaded := New()
+	if err := loaded.UnmarshalJSON(data); err != nil {
 		t.Fatal(err)
 	}
 	if len(loaded.Tables()) != 2 {
@@ -215,7 +214,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if err != nil || !got.SystemManaged {
 		t.Errorf("provenance table lost flags: %+v %v", got, err)
 	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("loading missing file should fail")
+	if err := New().UnmarshalJSON([]byte("{")); err == nil {
+		t.Error("decoding a truncated catalog should fail")
 	}
 }

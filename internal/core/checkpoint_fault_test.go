@@ -1,12 +1,12 @@
 package core
 
 // Checkpoint-under-fault tests: a crash or I/O error at ANY point inside the
-// checkpoint sequence — between the flush, the pager fsync, the catalog
-// snapshot, the manifest rename (the commit point) and the WAL truncation —
-// must leave a database that reopens to the exact committed state. A failed
-// fsync must poison durability reporting: later checkpoints refuse to
-// truncate the WAL and Close surfaces the error, so the database never
-// claims durability it cannot prove.
+// checkpoint sequence — between the flush, the pager fsync, the manifest
+// rename (the commit point) and the WAL truncation — must leave a database
+// that reopens to the exact committed state. A failed fsync must poison
+// durability reporting: later checkpoints refuse to truncate the WAL and
+// Close surfaces the error, so the database never claims durability it
+// cannot prove.
 
 import (
 	"errors"
@@ -35,28 +35,16 @@ func openFaultDurable(t *testing.T, dir string, poolSize int) *faultDB {
 		t.Fatal(err)
 	}
 	fp := pager.NewFaultPager(file)
-	wlog, err := wal.Open(dataFile + ".wal")
+	db, err := Open(Options{Pager: fp, PoolSize: poolSize, DataFile: dataFile})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := Open(Options{
-		Pager:        fp,
-		PoolSize:     poolSize,
-		WAL:          wlog,
-		CatalogPath:  dataFile + ".catalog",
-		ManifestPath: dataFile + ".manifest",
-		DataPath:     dataFile,
-		WALPath:      dataFile + ".wal",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &faultDB{DB: db, fp: fp, file: file, wlog: wlog}
+	return &faultDB{DB: db, fp: fp, file: file, wlog: db.wal}
 }
 
 // crash abandons the database without checkpointing.
 func (d *faultDB) crash() {
-	d.wlog.Close()
+	d.closeFiles()
 	d.file.Close()
 }
 
@@ -78,7 +66,7 @@ func TestCheckpointCrashAtEveryPoint(t *testing.T) {
 	errInjected := errors.New("injected checkpoint fault")
 	want := oracleDump(t)
 
-	points := []string{"after-flush", "after-sync", "after-catalog", "after-manifest", "after-truncate"}
+	points := []string{"after-flush", "after-sync", "after-manifest", "after-truncate"}
 	for _, point := range points {
 		point := point
 		t.Run(point, func(t *testing.T) {

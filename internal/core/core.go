@@ -6,9 +6,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"os"
 	"sync"
 
 	"bdbms/internal/annotation"
@@ -44,20 +42,12 @@ type Options struct {
 	// (group commit). Off by default: the baseline contract is that a crash
 	// loses at most the work since the last checkpoint.
 	SyncOnCommit bool
-	// WAL is the write-ahead log; nil means a fresh in-memory log.
-	WAL *wal.Log
-	// CatalogPath is where checkpoints snapshot the catalog. Together with
-	// ManifestPath and a file-backed WAL it makes the database durable:
-	// Open recovers from these files and Checkpoint/Close update them.
-	CatalogPath string
-	// ManifestPath is where checkpoints write the recovery manifest.
-	ManifestPath string
-	// DataPath is the path of the file behind Pager, when file-backed.
-	// Backup copies the file by this path; Verify names it in reports.
-	DataPath string
-	// WALPath is the path of the file behind WAL, when file-backed.
-	// Backup copies the log by this path.
-	WALPath string
+	// DataFile, when non-empty, makes the database durable: it names the
+	// page file, and the write-ahead log (DataFile + ".wal") and the
+	// checkpoint manifest (DataFile + ".manifest") live next to it. Open
+	// opens both files (and the page file, unless Pager is set) and recovers
+	// the on-disk state; Close checkpoints and closes what Open opened.
+	DataFile string
 }
 
 // DB is an open bdbms database.
@@ -70,12 +60,9 @@ type DB struct {
 	opts Options
 	// wal is the engine's write-ahead log (shared with eng).
 	wal *wal.Log
-	// catalogPath / manifestPath locate the checkpoint files ("" = memory);
-	// dataPath / walPath locate the page file and the log for Backup.
-	catalogPath  string
-	manifestPath string
-	dataPath     string
-	walPath      string
+	// file is the page file Open opened, nil when the caller supplied
+	// Options.Pager or the database lives in memory.
+	file *pager.FilePager
 	// openTxMu guards openTxs, the transactions currently open across every
 	// session of this database. Close rolls them back before checkpointing
 	// — a leaked transaction holds per-table write latches, and the
@@ -133,54 +120,52 @@ func (r resolver) MaxRowID(table string) (int64, error) {
 	return tbl.NextRowID() - 1, nil
 }
 
-// Open creates a database with the given options. When the options name a
-// write-ahead log and checkpoint files (a durable database), the on-disk
-// state is recovered before the database is handed out: the catalog and
-// manifest snapshots are loaded, every table is reattached to its heap
-// pages, and the WAL tail is replayed to the exact committed pre-crash
-// state.
+// Open creates a database with the given options. A durable database
+// (Options.DataFile set) is recovered before it is handed out: the manifest
+// is read first and the catalog built from it, every table is reattached to
+// its heap pages, and the WAL tail is replayed to the exact committed
+// pre-crash state.
 func Open(opts Options) (*DB, error) {
-	log := opts.WAL
-	if log == nil {
-		log = wal.NewMemory()
-	}
-	log.SetSyncOnCommit(opts.SyncOnCommit)
-	cat := catalog.New()
-	durable := opts.WAL != nil && opts.CatalogPath != "" && opts.ManifestPath != ""
-	if durable {
-		if loaded, err := catalog.LoadFile(opts.CatalogPath); err == nil {
-			cat = loaded
-		} else if !errors.Is(err, os.ErrNotExist) {
+	db := &DB{opts: opts, wal: wal.NewMemory(), openTxs: make(map[*exec.Tx]struct{})}
+	var m *manifest
+	cat, pgr := catalog.New(), opts.Pager
+	if db.durable() {
+		var err error
+		if m, err = loadManifest(db.manifestPath()); err != nil {
+			return nil, err
+		}
+		if cat, err = loadCatalog(m, db.opts.DataFile); err != nil {
+			return nil, err
+		}
+		if pgr == nil {
+			if db.file, err = pager.OpenFile(db.opts.DataFile); err != nil {
+				return nil, err
+			}
+			pgr = db.file
+		}
+		if db.wal, err = wal.Open(db.opts.DataFile + ".wal"); err != nil {
+			db.closeFiles()
 			return nil, err
 		}
 	}
-	eng := storage.NewEngine(storage.Config{
-		Pager:    opts.Pager,
+	db.wal.SetSyncOnCommit(opts.SyncOnCommit)
+	db.eng = storage.NewEngine(storage.Config{
+		Pager:    pgr,
 		PoolSize: opts.PoolSize,
 		Catalog:  cat,
-		Log:      log,
+		Log:      db.wal,
 	})
 	var annOpts []annotation.Option
 	if opts.AnnotationStore != nil {
 		annOpts = append(annOpts, annotation.WithStore(opts.AnnotationStore))
 	}
-	ann := annotation.NewManager(eng.Catalog(), resolver{eng: eng}, annOpts...)
-	db := &DB{
-		eng:     eng,
-		ann:     ann,
-		prov:    provenance.NewManager(ann),
-		dep:     dependency.NewManager(eng),
-		auth:    authz.NewManager(eng),
-		opts:    opts,
-		wal:     log,
-		openTxs: make(map[*exec.Tx]struct{}),
-	}
-	if durable {
-		db.catalogPath = opts.CatalogPath
-		db.manifestPath = opts.ManifestPath
-		db.dataPath = opts.DataPath
-		db.walPath = opts.WALPath
-		if err := db.recover(); err != nil {
+	db.ann = annotation.NewManager(cat, resolver{eng: db.eng}, annOpts...)
+	db.prov = provenance.NewManager(db.ann)
+	db.dep = dependency.NewManager(db.eng)
+	db.auth = authz.NewManager(db.eng)
+	if db.durable() {
+		if err := db.recover(m); err != nil {
+			db.closeFiles()
 			return nil, err
 		}
 	}
@@ -261,19 +246,39 @@ func (db *DB) Begin(ctx context.Context) (*exec.Tx, error) {
 	return db.Session("admin").Begin(ctx)
 }
 
-// Close checkpoints the database (flush + catalog/manifest snapshot + WAL
-// truncation for durable databases, a plain flush otherwise). Transactions
-// still open at Close — typically leaked on an error path without
-// Commit/Rollback — are rolled back first: they hold write latches, and
-// the checkpoint's quiesce would otherwise block on them forever.
-// The pager and the WAL are owned by the caller when supplied in Options.
+// Close checkpoints the database (flush + manifest + WAL truncation for
+// durable databases, a plain flush otherwise) and closes the files Open
+// opened, even when the checkpoint fails; the first error is returned.
+// Transactions still open at Close — typically leaked on an error path
+// without Commit/Rollback — are rolled back first: they hold write latches,
+// and the checkpoint's quiesce would otherwise block on them forever. A
+// pager supplied in Options is owned by the caller.
 func (db *DB) Close() error {
 	for _, tx := range db.leakedTxs() {
 		// ErrTxDone when the transaction raced Close with its own ending.
 		_ = tx.Rollback()
 	}
-	if err := db.Checkpoint(); err != nil {
-		return fmt.Errorf("core: checkpoint on close: %w", err)
+	err := db.Checkpoint()
+	if err != nil {
+		err = fmt.Errorf("core: checkpoint on close: %w", err)
 	}
-	return nil
+	if cerr := db.closeFiles(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// closeFiles releases the files Open opened: the WAL and, unless the caller
+// supplied the pager, the page file. Closing a memory WAL does nothing.
+func (db *DB) closeFiles() error {
+	var err error
+	if db.wal != nil {
+		err = db.wal.Close()
+	}
+	if db.file != nil {
+		if cerr := db.file.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
 }

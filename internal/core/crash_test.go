@@ -502,16 +502,10 @@ func TestCrashInjectionEveryPagerWrite(t *testing.T) {
 				t.Fatal(err)
 			}
 			fpFault := &faultPager{Pager: fp, remaining: w}
-			wlog, err := wal.Open(dataFile + ".wal")
-			if err != nil {
-				t.Fatal(err)
-			}
 			db, err := Open(Options{
-				Pager:        fpFault,
-				PoolSize:     256, // no evictions: all page writes happen at checkpoint
-				WAL:          wlog,
-				CatalogPath:  dataFile + ".catalog",
-				ManifestPath: dataFile + ".manifest",
+				Pager:    fpFault,
+				PoolSize: 256, // no evictions: all page writes happen at checkpoint
+				DataFile: dataFile,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -522,7 +516,7 @@ func TestCrashInjectionEveryPagerWrite(t *testing.T) {
 			if err := db.Checkpoint(); !errors.Is(err, errPagerFault) {
 				t.Fatalf("checkpoint = %v, want injected pager fault", err)
 			}
-			wlog.Close()
+			db.closeFiles()
 			fp.Close()
 
 			re := openDurable(t, dir, 256)

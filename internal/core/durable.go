@@ -1,13 +1,14 @@
 // Durability: checkpointing and crash recovery.
 //
 // A file-backed database is three files next to each other: the page file
-// (heap pages), the write-ahead log, and a checkpoint pair — the catalog
-// snapshot plus a manifest tying everything together. Every mutation appends
-// a logical WAL record before its in-memory apply, so the committed state is
-// exactly "last checkpoint + WAL tail". A checkpoint flushes dirty pages,
-// snapshots the catalog and the memory-resident structures (annotation set,
-// outdated bitmaps, provenance agents, per-table page lists and counters)
-// and then truncates the WAL; reopening loads the snapshot, reattaches every
+// (heap pages), the write-ahead log, and the checkpoint manifest tying
+// everything together. Every mutation appends a logical WAL record before
+// its in-memory apply, so the committed state is exactly "last checkpoint +
+// WAL tail". A checkpoint flushes dirty pages, snapshots the catalog and the
+// memory-resident structures (annotation set, outdated bitmaps, provenance
+// agents, per-table page lists and counters) into one manifest whose rename
+// is the commit point, and then truncates the WAL; reopening loads the
+// manifest, builds the catalog from it, reattaches every
 // table to its heap pages, and redoes the WAL tail through idempotent
 // appliers — pages may have been flushed after a record was logged (buffer
 // evictions happen at any time), so replay tolerates effects that already
@@ -20,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"bdbms/internal/annotation"
 	"bdbms/internal/catalog"
@@ -33,7 +35,7 @@ import (
 
 // manifestTable is the checkpointed storage state of one table.
 type manifestTable struct {
-	// Name is the table name (matches a catalog snapshot entry).
+	// Name is the table name (matches an entry of the manifest's catalog).
 	Name string `json:"name"`
 	// Pages are the heap page IDs backing the table, in file order.
 	Pages []uint64 `json:"pages"`
@@ -47,9 +49,13 @@ type manifestTable struct {
 	Stats *stats.Table `json:"stats,omitempty"`
 }
 
-// manifest is the checkpoint manifest: everything beyond heap pages and the
-// catalog that reopening needs.
+// manifest is the checkpoint: everything beyond heap pages that reopening
+// needs, in one file.
 type manifest struct {
+	// Catalog is the schema snapshot: tables and annotation-table
+	// definitions. Absent in manifests written before it moved here, whose
+	// catalog lives in a separate file (see loadCatalog).
+	Catalog *catalog.Catalog `json:"catalog,omitempty"`
 	// CheckpointLSN is the highest LSN covered by this checkpoint; recovery
 	// replays only records with a greater LSN.
 	CheckpointLSN uint64 `json:"checkpoint_lsn"`
@@ -67,10 +73,11 @@ type manifest struct {
 	Agents []string `json:"agents,omitempty"`
 }
 
-// saveManifest writes m to path atomically: temp file, fsync, rename. The
-// fsync matters — the WAL is truncated right after the rename, so the
-// manifest content must be on stable storage before the old recovery source
-// disappears.
+// saveManifest writes m to path atomically: temp file, fsync, rename, then
+// an fsync of the directory. Both fsyncs matter — the WAL is truncated right
+// after, so the manifest content AND its new name must be on stable storage
+// before the old recovery source disappears; otherwise a power loss could
+// keep the truncation and lose the rename.
 func saveManifest(path string, m *manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -87,10 +94,30 @@ func saveManifest(path string, m *manifest) error {
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err == nil {
+		err = syncDir(filepath.Dir(path))
+	}
 	if err != nil {
 		return fmt.Errorf("core: write manifest: %w", err)
 	}
-	return os.Rename(tmp, path)
+	return nil
+}
+
+// syncDir fsyncs directory dir, making the entries created, renamed or
+// removed in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // loadManifest reads a manifest; a missing file returns (nil, nil).
@@ -109,11 +136,41 @@ func loadManifest(path string) (*manifest, error) {
 	return &m, nil
 }
 
+// loadCatalog returns the catalog a database recovers with: the manifest's,
+// an empty one before the first checkpoint, or — for a manifest written
+// before the catalog moved into it — the snapshot in legacyCatalogFile,
+// which the next checkpoint removes.
+func loadCatalog(m *manifest, dataFile string) (*catalog.Catalog, error) {
+	switch {
+	case m == nil:
+		return catalog.New(), nil
+	case m.Catalog != nil:
+		return m.Catalog, nil
+	}
+	data, err := os.ReadFile(legacyCatalogFile(dataFile))
+	if err != nil {
+		return nil, fmt.Errorf("core: read catalog: %w", err)
+	}
+	cat := catalog.New()
+	if err := cat.UnmarshalJSON(data); err != nil {
+		return nil, fmt.Errorf("core: read catalog: %w", err)
+	}
+	return cat, nil
+}
+
+// legacyCatalogFile is where databases whose manifest has no catalog keep
+// their catalog snapshot.
+func legacyCatalogFile(dataFile string) string { return dataFile + ".catalog" }
+
+// manifestPath locates the checkpoint manifest of a durable database.
+func (db *DB) manifestPath() string { return db.opts.DataFile + ".manifest" }
+
 // Checkpoint makes the current committed state self-contained on disk and
 // truncates the WAL: dirty pages are flushed and synced, the catalog and the
-// memory-resident structures are snapshotted, and only then is the log
-// emptied. The engine's lock manager is quiesced — every writer drains and
-// new ones wait — so a checkpoint never observes a half-applied statement.
+// memory-resident structures are snapshotted into the manifest, and only
+// then is the log emptied. The engine's lock manager is quiesced — every
+// writer drains and new ones wait — so a checkpoint never observes a
+// half-applied statement.
 // On a memory-backed database Checkpoint degrades to FlushAll.
 func (db *DB) Checkpoint() error {
 	locks := db.eng.Locks()
@@ -125,9 +182,9 @@ func (db *DB) Checkpoint() error {
 // checkpointFaultHook, when set by tests, runs at the named points inside
 // checkpointLocked; returning an error aborts the checkpoint right there,
 // simulating a crash or EIO between two checkpoint steps. The points, in
-// order: "after-flush", "after-sync", "after-catalog", "after-manifest"
-// (the manifest rename — the commit point — has happened, the WAL still
-// holds the tail), "after-truncate".
+// order: "after-flush", "after-sync", "after-manifest" (the manifest
+// rename — the commit point — is durable, the WAL still holds the tail),
+// "after-truncate".
 var checkpointFaultHook func(point string) error
 
 func checkpointFault(point string) error {
@@ -157,6 +214,7 @@ func (db *DB) checkpointLocked() error {
 		return err
 	}
 	m := &manifest{
+		Catalog:       db.eng.Catalog(),
 		CheckpointLSN: db.wal.NextLSN() - 1,
 		NextLSN:       db.wal.NextLSN(),
 	}
@@ -176,21 +234,24 @@ func (db *DB) checkpointLocked() error {
 	m.Outdated = db.dep.Snapshot()
 	m.Agents = db.prov.Agents()
 
-	if err := db.eng.Catalog().SaveFile(db.catalogPath); err != nil {
-		return fmt.Errorf("core: checkpoint catalog: %w", err)
-	}
-	if err := checkpointFault("after-catalog"); err != nil {
-		return err
-	}
 	// The manifest rename is the commit point: a crash before it leaves the
 	// previous checkpoint plus an intact WAL; a crash after it leaves the new
 	// checkpoint, and replaying the not-yet-truncated WAL is harmless because
 	// recovery skips records at or below CheckpointLSN.
-	if err := saveManifest(db.manifestPath, m); err != nil {
+	if err := saveManifest(db.manifestPath(), m); err != nil {
 		return err
 	}
 	if err := checkpointFault("after-manifest"); err != nil {
 		return err
+	}
+	// A database from before the manifest carried the catalog drops its
+	// catalog file; until the removal is durable, recovery ignores it.
+	err := os.Remove(legacyCatalogFile(db.opts.DataFile))
+	if err == nil {
+		err = syncDir(filepath.Dir(db.opts.DataFile))
+	}
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("core: checkpoint: remove old catalog: %w", err)
 	}
 	// Truncate refuses on a sync-poisoned log, so a WAL whose durability is
 	// in doubt is never discarded (see wal.ErrSyncPoisoned).
@@ -203,31 +264,18 @@ func (db *DB) checkpointLocked() error {
 	return db.wal.Sync()
 }
 
-// durable reports whether this database has a checkpoint location.
-func (db *DB) durable() bool {
-	return db.wal != nil && db.catalogPath != "" && db.manifestPath != ""
-}
+// durable reports whether this database is file-backed.
+func (db *DB) durable() bool { return db.opts.DataFile != "" }
 
-// recover rebuilds the database from its on-disk state: catalog + manifest
-// snapshot first (when one exists), then the replay of the WAL tail. Replay
-// goes through appliers, which never log, so nothing replayed is appended
-// again.
-func (db *DB) recover() error {
+// recover rebuilds the database from its on-disk state: the manifest m
+// (nil before the first checkpoint) — whose catalog the engine was built
+// with — first, then the replay of the WAL tail. Replay goes through
+// appliers, which never log, so nothing replayed is appended again.
+func (db *DB) recover(m *manifest) error {
 	var ckptLSN uint64
-	m, err := loadManifest(db.manifestPath)
-	if err != nil {
-		return err
-	}
 	if m != nil {
 		for _, mt := range m.Tables {
 			schema, err := db.eng.Catalog().Table(mt.Name)
-			if errors.Is(err, catalog.ErrTableNotFound) {
-				// The catalog snapshot is newer than the manifest: a crash
-				// hit between the two checkpoint writes, after a DROP TABLE.
-				// The drop is the committed truth, so skip the stale entry
-				// (its WAL row records are skipped the same way below).
-				continue
-			}
 			if err != nil {
 				return fmt.Errorf("core: manifest table %s: %w", mt.Name, err)
 			}

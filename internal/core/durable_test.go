@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"regexp"
@@ -17,8 +18,8 @@ import (
 	"bdbms/internal/wal"
 )
 
-// durableDB bundles a durable core DB with the file handles a real process
-// would own, so tests can simulate a crash (drop everything without
+// durableDB is a durable core DB plus the page file and log it opened, so
+// tests can inspect them and simulate a crash (drop everything without
 // checkpointing) or a clean shutdown.
 type durableDB struct {
 	*DB
@@ -37,40 +38,17 @@ func openDurable(t *testing.T, dir string, poolSize int) *durableDB {
 }
 
 func tryOpenDurable(dir string, poolSize int) (*durableDB, error) {
-	dataFile := filepath.Join(dir, "data.db")
-	pgr, err := pager.OpenFile(dataFile)
+	db, err := Open(Options{PoolSize: poolSize, DataFile: filepath.Join(dir, "data.db")})
 	if err != nil {
 		return nil, err
 	}
-	wlog, err := wal.Open(dataFile + ".wal")
-	if err != nil {
-		pgr.Close()
-		return nil, err
-	}
-	db, err := Open(Options{
-		Pager:        pgr,
-		PoolSize:     poolSize,
-		WAL:          wlog,
-		CatalogPath:  dataFile + ".catalog",
-		ManifestPath: dataFile + ".manifest",
-		DataPath:     dataFile,
-		WALPath:      dataFile + ".wal",
-	})
-	if err != nil {
-		wlog.Close()
-		pgr.Close()
-		return nil, err
-	}
-	return &durableDB{DB: db, pgr: pgr, wlog: wlog}, nil
+	return &durableDB{DB: db, pgr: db.file, wlog: db.wal}, nil
 }
 
 // crash abandons the database without checkpointing: buffered state is
 // dropped on the floor and only the file handles are released, exactly what
 // a killed process leaves behind.
-func (d *durableDB) crash() {
-	d.wlog.Close()
-	d.pgr.Close()
-}
+func (d *durableDB) crash() { d.closeFiles() }
 
 // shutdown closes the database cleanly (checkpoint + close files).
 func (d *durableDB) shutdown(t *testing.T) {
@@ -78,8 +56,6 @@ func (d *durableDB) shutdown(t *testing.T) {
 	if err := d.DB.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d.wlog.Close()
-	d.pgr.Close()
 }
 
 // timeRe matches the wall-clock element of provenance bodies; the oracle
@@ -419,11 +395,11 @@ func TestReopenAfterCrash(t *testing.T) {
 	queryBattery(t, "crash", oracle, reopened.DB)
 }
 
-// TestReopenAfterTornCheckpointWithDrop simulates the checkpoint crash
-// window between the catalog save and the manifest save, with a DROP TABLE
-// in the replayed WAL: the manifest still lists the dropped table, the newer
-// catalog does not. Recovery must treat the drop as the committed truth and
-// open cleanly.
+// TestReopenAfterTornCheckpointWithDrop crashes a checkpoint at its last
+// step before the commit point — pages flushed and synced, manifest not yet
+// written — right after a DROP TABLE: the old manifest still lists the
+// dropped table and the WAL tail holds the drop. Recovery must treat the
+// drop as the committed truth and open cleanly.
 func TestReopenAfterTornCheckpointWithDrop(t *testing.T) {
 	dir := t.TempDir()
 	db := openDurable(t, dir, 8)
@@ -440,10 +416,17 @@ func TestReopenAfterTornCheckpointWithDrop(t *testing.T) {
 		`INSERT INTO Keep VALUES (3, 'c')`,
 		`DROP TABLE Doomed`,
 	})
-	// The torn checkpoint: the catalog snapshot is written (no Doomed), then
-	// the "process dies" before the manifest and the WAL truncation.
-	if err := db.eng.Catalog().SaveFile(db.catalogPath); err != nil {
-		t.Fatal(err)
+	errInjected := errors.New("injected checkpoint fault")
+	checkpointFaultHook = func(p string) error {
+		if p == "after-sync" {
+			return errInjected
+		}
+		return nil
+	}
+	err := db.Checkpoint()
+	checkpointFaultHook = nil
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("checkpoint = %v, want the injected fault", err)
 	}
 	db.crash()
 

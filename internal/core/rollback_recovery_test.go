@@ -94,7 +94,8 @@ func requireSameState(t *testing.T, what, want, got string, stmts []string) {
 
 // copyImage copies the database files in src to dst as a killed process
 // leaves them: whatever the page file and the log hold right now, and the
-// checkpoint pair if one was ever written.
+// checkpoint files if one was ever written (data.db.catalog exists only in
+// images of the two-file checkpoint format).
 func copyImage(t *testing.T, src, dst string) {
 	t.Helper()
 	for _, name := range []string{"data.db", "data.db.wal", "data.db.catalog", "data.db.manifest"} {

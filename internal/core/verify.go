@@ -7,7 +7,7 @@
 // the checkpoint manifest and catalog against the live engine, and proves
 // every annotation is reachable through the annotation store's spatial
 // index. Backup is the consistent-snapshot half: checkpoint with all
-// writers quiesced, then copy the four files.
+// writers quiesced, then copy the three files.
 package core
 
 import (
@@ -123,8 +123,8 @@ func (db *DB) Verify() (*VerifyReport, error) {
 	}
 
 	// Layer 3 — checkpoint metadata: the manifest must parse and only
-	// reference pages the file has; the catalog snapshot and the live
-	// engine must agree on which tables exist.
+	// reference pages the file has; the catalog and the live engine must
+	// agree on which tables exist.
 	if db.durable() {
 		db.verifyManifest(rep)
 		for _, schema := range db.eng.Catalog().Tables() {
@@ -210,7 +210,7 @@ func (db *DB) verifyStats(rep *VerifyReport, tbl *storage.Table) {
 // verifyManifest checks the on-disk manifest: it must parse, reference only
 // pages inside the file, and not claim one page for two tables.
 func (db *DB) verifyManifest(rep *VerifyReport) {
-	m, err := loadManifest(db.manifestPath)
+	m, err := loadManifest(db.manifestPath())
 	if err != nil {
 		rep.addf("manifest", "%v", err)
 		return
@@ -239,15 +239,15 @@ func (db *DB) verifyManifest(rep *VerifyReport) {
 // Backup takes a consistent online snapshot of a durable database into
 // destDir: it checkpoints with the lock manager quiesced (so the page
 // file alone carries the full committed state and the WAL is empty) and
-// copies the four files, fsyncing each. The copy set opens as a normal
-// database — restore is `bdbms.OpenWith(DataFile: destDir/<name>)` — and
-// passes Verify. Concurrent writers block for the duration; snapshot
-// readers do not.
+// copies the three files — page file, WAL and manifest — fsyncing each and
+// then destDir itself. The copy set opens as a normal database — restore
+// is `bdbms.OpenWith(DataFile: destDir/<name>)` — and passes Verify.
+// Concurrent writers block for the duration; snapshot readers do not.
 func (db *DB) Backup(destDir string) error {
 	locks := db.eng.Locks()
 	locks.Quiesce()
 	defer locks.Resume()
-	if !db.durable() || db.dataPath == "" {
+	if !db.durable() {
 		return errors.New("core: backup requires a file-backed database")
 	}
 	if err := db.checkpointLocked(); err != nil {
@@ -256,17 +256,13 @@ func (db *DB) Backup(destDir string) error {
 	if err := os.MkdirAll(destDir, 0o755); err != nil {
 		return fmt.Errorf("core: backup: %w", err)
 	}
-	for _, src := range []string{db.dataPath, db.walPath, db.catalogPath, db.manifestPath} {
-		if src == "" {
-			continue
-		}
+	for _, src := range []string{db.opts.DataFile, db.opts.DataFile + ".wal", db.manifestPath()} {
 		if err := copyFileSync(src, filepath.Join(destDir, filepath.Base(src))); err != nil {
 			return fmt.Errorf("core: backup %s: %w", src, err)
 		}
 	}
-	if d, err := os.Open(destDir); err == nil {
-		_ = d.Sync() // best-effort: make the new directory entries durable
-		d.Close()
+	if err := syncDir(destDir); err != nil {
+		return fmt.Errorf("core: backup: %w", err)
 	}
 	return nil
 }

@@ -51,8 +51,7 @@ func (t Target) Undo(recs []wal.Record) error {
 
 // Apply redoes one data record or, with undo set, reverts it. A record whose
 // table does not exist is a no-op in either direction: its table was created
-// and dropped again, or dropped before a crash-torn checkpoint, and its
-// effect is moot.
+// and dropped again, and its effect is moot.
 func (t Target) Apply(rec wal.Record, undo bool) error {
 	err := t.apply(rec, undo)
 	if err == nil || errors.Is(err, catalog.ErrTableNotFound) {

@@ -174,18 +174,12 @@ func (e *Engine) CreateTable(schema *catalog.Schema) (*Table, error) {
 }
 
 // ApplyCreateTable registers an empty table for schema in the catalog and the
-// engine: the applier of a CREATE TABLE record, live and on redo. A table the
-// engine already holds is kept, and a catalog that already knows the schema
-// is tolerated (its snapshot may be newer than the checkpoint manifest when a
-// crash hit between the two writes).
+// engine: the applier of a CREATE TABLE record, live and on redo.
 func (e *Engine) ApplyCreateTable(schema *catalog.Schema) (*Table, error) {
 	key := strings.ToLower(schema.Name)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if t, ok := e.tables[key]; ok {
-		return t, nil
-	}
-	if err := e.cat.CreateTable(schema); err != nil && !errors.Is(err, catalog.ErrTableExists) {
+	if err := e.cat.CreateTable(schema); err != nil {
 		return nil, err
 	}
 	t := e.newTable(schema)
@@ -942,7 +936,7 @@ func (t *Table) CheckIntegrity() []string {
 // the heap pages that held its rows at checkpoint time, the persisted RowID
 // counter and the indexed columns. The row index and every B+-tree are
 // rebuilt by scanning the heap. The catalog entry must already exist (the
-// catalog snapshot is loaded before tables are attached).
+// catalog is built from the manifest before tables are attached).
 func (e *Engine) AttachTable(schema *catalog.Schema, pages []pager.PageID, nextRow int64, indexCols []string) (*Table, error) {
 	file, err := heap.Open(e.pool, pages)
 	if err != nil {
