@@ -230,8 +230,7 @@
 // time by Authenticate. The authenticated user is subject to the same
 // GRANT/REVOKE and approval checks as an embedded session. bdbms-cli
 // -connect runs the interactive shell remotely with byte-identical script
-// output, and bdbms-bench -net generates concurrent load, reporting
-// throughput and latency percentiles.
+// output.
 package bdbms
 
 import (

@@ -19,11 +19,13 @@ import (
 
 	"bdbms/internal/annotation"
 	"bdbms/internal/authz"
+	"bdbms/internal/buffer"
 	"bdbms/internal/catalog"
 	"bdbms/internal/exec"
 	"bdbms/internal/heap"
 	"bdbms/internal/pager"
 	"bdbms/internal/sqlparse"
+	"bdbms/internal/storage"
 	"bdbms/internal/value"
 	"bdbms/internal/wal"
 )
@@ -79,12 +81,19 @@ const (
 	TypeMismatch Code = "value.type_mismatch"
 	BadEncoding  Code = "value.bad_encoding"
 
-	// Storage-fault errors: the disk lied or can no longer be trusted.
+	// Storage errors that refuse one statement as sent: fix it, or retry it
+	// (deadlock, pool_full). The connection and the database are fine.
+	DuplicateKey   Code = "storage.duplicate_key"
+	Deadlock       Code = "storage.deadlock"
+	RecordTooLarge Code = "storage.record_too_large"
+	RowNotFound    Code = "storage.row_not_found"
+	PoolFull       Code = "storage.pool_full"
+	// Storage faults: the disk lied or can no longer be trusted, or the
+	// database is closed.
 	PageCorrupt  Code = "storage.page_corrupt"
 	WALCorrupt   Code = "storage.wal_corrupt"
 	SyncPoisoned Code = "storage.sync_poisoned"
-	// Closed: a write reached a database whose log is already closed.
-	Closed Code = "storage.closed"
+	Closed       Code = "storage.closed"
 
 	// Context errors.
 	Canceled         Code = "ctx.canceled"
@@ -157,12 +166,19 @@ var sentinels = []struct {
 	{value.ErrTypeMismatch, TypeMismatch},
 	{value.ErrBadEncoding, BadEncoding},
 
+	{storage.ErrDuplicateKey, DuplicateKey},
+	{storage.ErrDeadlock, Deadlock},
+	{heap.ErrRecordTooLarge, RecordTooLarge},
+	{storage.ErrRowNotFound, RowNotFound},
+	{buffer.ErrPoolFull, PoolFull},
+
 	{pager.ErrPageCorrupt, PageCorrupt},
 	{heap.ErrPageCorrupt, PageCorrupt},
 	{wal.ErrCorrupt, WALCorrupt},
 	{pager.ErrSyncPoisoned, SyncPoisoned},
 	{wal.ErrSyncPoisoned, SyncPoisoned},
 	{wal.ErrClosed, Closed},
+	{pager.ErrClosed, Closed},
 
 	{context.Canceled, Canceled},
 	{context.DeadlineExceeded, DeadlineExceeded},

@@ -8,6 +8,7 @@ import (
 	"net"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"bdbms/internal/errcode"
 	"bdbms/internal/server/client"
 	"bdbms/internal/server/wire"
+	"bdbms/internal/storage"
 )
 
 // startServer launches a server for db on a random port and returns its
@@ -802,6 +804,7 @@ func TestStatementErrorsCarryStableCodes(t *testing.T) {
 	// A row to evaluate projections against: the unknown-column error is
 	// raised when a row reaches the projector, not at parse time.
 	db.MustExec(`INSERT INTO T VALUES (1)`)
+	db.MustExec(`CREATE TABLE Wide (ID INT NOT NULL PRIMARY KEY, Body TEXT)`)
 	_, addr := startServer(t, db, nil)
 	c := dial(t, addr)
 
@@ -812,6 +815,8 @@ func TestStatementErrorsCarryStableCodes(t *testing.T) {
 		{`SELEKT banana`, errcode.Syntax},
 		{`SELECT ID FROM NoSuchTable`, errcode.TableNotFound},
 		{`SELECT Nope FROM T`, errcode.UnknownColumn},
+		{`INSERT INTO T VALUES (1)`, errcode.DuplicateKey},
+		{`INSERT INTO Wide VALUES (2, '` + strings.Repeat("x", 5000) + `')`, errcode.RecordTooLarge},
 	}
 	for _, tc := range cases {
 		// Exec drains the stream, so errors surface uniformly whether they
@@ -819,8 +824,13 @@ func TestStatementErrorsCarryStableCodes(t *testing.T) {
 		_, _, err := c.Exec(tc.sql)
 		var se *client.ServerError
 		if !errors.As(err, &se) || se.Code != tc.code {
-			t.Errorf("%q -> %v, want code %q", tc.sql, err, tc.code)
+			t.Errorf("%.60q -> %.200v, want code %q", tc.sql, err, tc.code)
 		}
+	}
+	// A latch cycle needs two racing transactions; the code is what the
+	// server sends for the error the closing statement fails with.
+	if got := errcode.FromError(fmt.Errorf("exec: UPDATE: %w", storage.ErrDeadlock)); got != errcode.Deadlock {
+		t.Errorf("deadlock -> %q, want %q", got, errcode.Deadlock)
 	}
 	// Unknown statement / portal names.
 	if err := c.Bind("p", "ghost"); err == nil {
