@@ -6,7 +6,6 @@
 package buffer
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
@@ -26,7 +25,8 @@ var (
 type Stats struct {
 	// Hits counts requests served from the pool.
 	Hits uint64
-	// Misses counts requests that required a pager read.
+	// Misses counts requests for a page that was not resident: a Fetch
+	// that read it from the pager, or an Allocate.
 	Misses uint64
 	// Evictions counts pages evicted to make room.
 	Evictions uint64
@@ -34,12 +34,17 @@ type Stats struct {
 	WriteBacks uint64
 }
 
+// frame is one pool slot. A frame outlives the pages it holds: when the
+// pool is full, a miss evicts the least recently used unpinned frame and
+// reads the new page into the same frame and buffer.
 type frame struct {
 	id    pager.PageID
 	data  []byte
 	pins  int
 	dirty bool
-	elem  *list.Element // position in the LRU list when unpinned
+	// prev and next link the frame into the pool's LRU list while it is
+	// unpinned; both are nil while it is pinned.
+	prev, next *frame
 }
 
 // Pool is an LRU buffer pool. All methods are safe for concurrent use.
@@ -48,8 +53,10 @@ type Pool struct {
 	pgr      pager.Pager
 	capacity int
 	frames   map[pager.PageID]*frame
-	lru      *list.List // of pager.PageID, front = most recently used
-	stats    Stats
+	// lru is the sentinel of a circular list of the unpinned frames:
+	// lru.next is the most recently used, lru.prev the least.
+	lru   frame
+	stats Stats
 }
 
 // New creates a pool of the given capacity (in pages) over p.
@@ -58,12 +65,13 @@ func New(p pager.Pager, capacity int) *Pool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Pool{
+	b := &Pool{
 		pgr:      p,
 		capacity: capacity,
 		frames:   make(map[pager.PageID]*frame),
-		lru:      list.New(),
 	}
+	b.lru.prev, b.lru.next = &b.lru, &b.lru
+	return b
 }
 
 // Capacity returns the pool capacity in pages.
@@ -77,59 +85,70 @@ func (b *Pool) Stats() Stats {
 }
 
 // Allocate creates a new page via the pager and returns it pinned with a
-// zeroed buffer.
+// zeroed buffer. The pager has just written the page as zeroes, so the
+// frame is installed clean without reading it back.
 func (b *Pool) Allocate() (pager.PageID, []byte, error) {
 	id, err := b.pgr.Allocate()
 	if err != nil {
 		return pager.InvalidPageID, nil, err
 	}
-	data, err := b.Fetch(id)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.stats.Misses++
+	fr, err := b.slotLocked()
 	if err != nil {
 		return pager.InvalidPageID, nil, err
 	}
-	return id, data, nil
+	clear(fr.data)
+	b.installLocked(fr, id)
+	return id, fr.data, nil
 }
 
 // Fetch pins page id and returns its in-pool buffer. Callers may mutate the
 // buffer; they must call MarkDirty to have the change written back, and
-// Unpin when done.
+// Unpin when done. The buffer belongs to the pool: once unpinned it may be
+// reused for another page, so callers copy out what they keep.
 func (b *Pool) Fetch(id pager.PageID) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if fr, ok := b.frames[id]; ok {
 		b.stats.Hits++
 		fr.pins++
-		if fr.elem != nil {
-			b.lru.Remove(fr.elem)
-			fr.elem = nil
+		if fr.next != nil {
+			unlink(fr)
 		}
 		return fr.data, nil
 	}
 	b.stats.Misses++
-	if err := b.ensureRoomLocked(); err != nil {
-		return nil, err
-	}
-	data, err := b.pgr.Read(id)
+	fr, err := b.slotLocked()
 	if err != nil {
 		return nil, err
 	}
-	fr := &frame{id: id, data: data, pins: 1}
-	b.frames[id] = fr
+	if err := b.pgr.Read(id, fr.data); err != nil {
+		return nil, err
+	}
+	b.installLocked(fr, id)
 	return fr.data, nil
 }
 
-// ensureRoomLocked evicts the least recently used unpinned page if the pool
-// is at capacity. The caller must hold the mutex.
-func (b *Pool) ensureRoomLocked() error {
+// installLocked makes fr page id's resident frame, pinned once and clean.
+func (b *Pool) installLocked(fr *frame, id pager.PageID) {
+	fr.id, fr.pins, fr.dirty = id, 1, false
+	b.frames[id] = fr
+}
+
+// slotLocked returns a frame, owned by no page, to read a page into: a
+// fresh one while the pool is below capacity, otherwise the least recently
+// used unpinned frame, evicted (and written back first if dirty). The
+// caller must hold the mutex.
+func (b *Pool) slotLocked() (*frame, error) {
 	if len(b.frames) < b.capacity {
-		return nil
+		return &frame{data: make([]byte, pager.PageSize)}, nil
 	}
-	el := b.lru.Back()
-	if el == nil {
-		return ErrPoolFull
+	victim := b.lru.prev
+	if victim == &b.lru {
+		return nil, ErrPoolFull
 	}
-	victimID := el.Value.(pager.PageID)
-	victim := b.frames[victimID]
 	if victim.dirty {
 		if err := b.pgr.Write(victim.id, victim.data); err != nil {
 			// The in-pool buffer is now the only trustworthy copy of the
@@ -139,23 +158,31 @@ func (b *Pool) ensureRoomLocked() error {
 			// the least recently used clean frame so reads keep working on
 			// a disk that rejects writes; only when every unpinned frame is
 			// dirty does the fetch fail.
-			for cl := el.Prev(); cl != nil; cl = cl.Prev() {
-				cleanID := cl.Value.(pager.PageID)
-				if clean := b.frames[cleanID]; !clean.dirty {
-					b.lru.Remove(cl)
-					delete(b.frames, cleanID)
-					b.stats.Evictions++
-					return nil
+			for clean := victim.prev; clean != &b.lru; clean = clean.prev {
+				if !clean.dirty {
+					return b.evictLocked(clean), nil
 				}
 			}
-			return fmt.Errorf("buffer: evict write-back: %w", err)
+			return nil, fmt.Errorf("buffer: evict write-back: %w", err)
 		}
 		b.stats.WriteBacks++
 	}
-	b.lru.Remove(el)
-	delete(b.frames, victimID)
+	return b.evictLocked(victim), nil
+}
+
+// evictLocked drops the unpinned frame fr from the pool and returns it for
+// reuse.
+func (b *Pool) evictLocked(fr *frame) *frame {
+	unlink(fr)
+	delete(b.frames, fr.id)
 	b.stats.Evictions++
-	return nil
+	return fr
+}
+
+// unlink removes fr from the LRU list.
+func unlink(fr *frame) {
+	fr.prev.next, fr.next.prev = fr.next, fr.prev
+	fr.prev, fr.next = nil, nil
 }
 
 // MarkDirty records that the pinned page id was modified.
@@ -178,7 +205,9 @@ func (b *Pool) Unpin(id pager.PageID) error {
 	}
 	fr.pins--
 	if fr.pins == 0 {
-		fr.elem = b.lru.PushFront(id)
+		// Push to the front: the most recently used end.
+		fr.prev, fr.next = &b.lru, b.lru.next
+		fr.next.prev, b.lru.next = fr, fr
 	}
 	return nil
 }

@@ -21,6 +21,15 @@ func newPool(t *testing.T, capacity, pages int) (*Pool, *pager.MemPager, []pager
 	return pool, p, ids
 }
 
+// readPage reads page id straight from the pager into a fresh buffer.
+func readPage(p pager.Pager, id pager.PageID) ([]byte, error) {
+	buf := make([]byte, pager.PageSize)
+	if err := p.Read(id, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
 func TestFetchHitMiss(t *testing.T) {
 	pool, _, ids := newPool(t, 4, 2)
 	if _, err := pool.Fetch(ids[0]); err != nil {
@@ -53,7 +62,7 @@ func TestDirtyWriteBackOnEviction(t *testing.T) {
 	if _, err := pool.Fetch(ids[1]); err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.Read(ids[0])
+	got, err := readPage(p, ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +115,7 @@ func TestFlushAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
-		got, err := p.Read(id)
+		got, err := readPage(p, id)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -73,7 +73,7 @@ func TestEvictionWriteBackFailureFallsBackToCleanFrame(t *testing.T) {
 	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	persisted, err := inner.Read(dirty)
+	persisted, err := readPage(inner, dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestEvictionWriteBackFailureAllDirty(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, marker := range map[pager.PageID]byte{d1: 0x01, d2: 0x02} {
-		persisted, err := inner.Read(id)
+		persisted, err := readPage(inner, id)
 		if err != nil {
 			t.Fatal(err)
 		}

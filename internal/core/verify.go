@@ -93,8 +93,9 @@ func (db *DB) Verify() (*VerifyReport, error) {
 	// tables) are scrubbed too even though no table would ever read them.
 	pgr := db.eng.Pager()
 	rep.Pages = pgr.NumPages()
+	page := make([]byte, pager.PageSize)
 	for id := pager.PageID(0); uint64(id) < rep.Pages; id++ {
-		if _, err := pgr.Read(id); err != nil {
+		if err := pgr.Read(id, page); err != nil {
 			rep.addf("page", "%v", err)
 		}
 	}

@@ -106,12 +106,11 @@ func (p spillPager) Allocate() (pager.PageID, error) {
 	return id, nil
 }
 
-func (p spillPager) Read(id pager.PageID) ([]byte, error) {
-	data, err := p.Pager.Read(id)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrSpill, err)
+func (p spillPager) Read(id pager.PageID, dst []byte) error {
+	if err := p.Pager.Read(id, dst); err != nil {
+		return fmt.Errorf("%w: %w", ErrSpill, err)
 	}
-	return data, nil
+	return nil
 }
 
 func (p spillPager) Write(id pager.PageID, data []byte) error {

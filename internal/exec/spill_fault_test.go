@@ -172,14 +172,14 @@ type readFaultPager struct {
 	armed     bool
 }
 
-func (p *readFaultPager) Read(id pager.PageID) ([]byte, error) {
+func (p *readFaultPager) Read(id pager.PageID, dst []byte) error {
 	if p.armed {
 		if p.remaining == 0 {
-			return nil, pager.ErrInjectedEIO
+			return pager.ErrInjectedEIO
 		}
 		p.remaining--
 	}
-	return p.Pager.Read(id)
+	return p.Pager.Read(id, dst)
 }
 
 // TestSpillReadEIO: EIO while reading runs back during the merge phase must

@@ -433,10 +433,10 @@ func TestInsertCostIndependentOfFileLength(t *testing.T) {
 			}
 		}
 	}
-	// The two that remain are the buffer pool's LRU entry on Unpin; Insert
-	// itself allocates nothing.
-	if allocs := testing.AllocsPerRun(30, insert(fileOfPages(t, 4096))); allocs > 2 {
-		t.Errorf("Insert into a 4096-page file: %.0f allocations, want at most 2", allocs)
+	// Neither Insert nor the buffer pool's LRU, which links frames in place,
+	// allocates.
+	if allocs := testing.AllocsPerRun(30, insert(fileOfPages(t, 4096))); allocs > 0 {
+		t.Errorf("Insert into a 4096-page file: %.0f allocations, want 0", allocs)
 	}
 	bytesPerInsert := func(pages int) uint64 {
 		run := insert(fileOfPages(t, pages))

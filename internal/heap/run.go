@@ -153,12 +153,13 @@ func (r *RunReader) readByte() (byte, error) {
 		if r.next == pager.InvalidPageID {
 			return 0, fmt.Errorf("heap: run truncated: %w", ErrRunExhausted)
 		}
-		page, err := r.pgr.Read(r.next)
-		if err != nil {
+		if r.page == nil {
+			r.page = make([]byte, pager.PageSize)
+		}
+		if err := r.pgr.Read(r.next, r.page); err != nil {
 			return 0, err
 		}
-		r.page = page
-		r.next = pager.PageID(binary.LittleEndian.Uint64(page[0:8]))
+		r.next = pager.PageID(binary.LittleEndian.Uint64(r.page[0:8]))
 		r.off = runHeaderSize
 	}
 	b := r.page[r.off]

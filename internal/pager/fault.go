@@ -187,7 +187,7 @@ func (p *FaultPager) Allocate() (PageID, error) {
 }
 
 // Read implements Pager, passing straight through.
-func (p *FaultPager) Read(id PageID) ([]byte, error) { return p.inner.Read(id) }
+func (p *FaultPager) Read(id PageID, dst []byte) error { return p.inner.Read(id, dst) }
 
 // Write implements Pager, applying the armed write fault.
 func (p *FaultPager) Write(id PageID, data []byte) error {
@@ -230,8 +230,8 @@ func (p *FaultPager) snapshotBeforeWrite(id PageID) {
 	if seen {
 		return
 	}
-	old, err := p.inner.Read(id)
-	if err != nil {
+	old := make([]byte, PageSize)
+	if err := p.inner.Read(id, old); err != nil {
 		return // unreadable (e.g. already corrupt): nothing to rewind to
 	}
 	p.mu.Lock()

@@ -34,7 +34,7 @@ func TestFaultPagerWriteFaults(t *testing.T) {
 		t.Fatalf("second faulted write = %v, want ENOSPC", err)
 	}
 	// The failed write must not have reached the inner pager.
-	got, err := inner.Read(id)
+	got, err := readPage(inner, id)
 	if err != nil || !bytes.Equal(got, good) {
 		t.Fatalf("inner page changed by failed write: %v", err)
 	}
@@ -66,7 +66,7 @@ func TestFaultPagerTornWrite(t *testing.T) {
 	}
 	// The frame on disk is half new, half old, under a checksum for the
 	// full new page: reading it must report corruption, not garbage.
-	if _, err := inner.Read(id); !errors.Is(err, ErrPageCorrupt) {
+	if _, err := readPage(inner, id); !errors.Is(err, ErrPageCorrupt) {
 		t.Fatalf("torn frame read = %v, want ErrPageCorrupt", err)
 	}
 }
@@ -118,11 +118,11 @@ func TestFaultPagerLoseUnsynced(t *testing.T) {
 	if err := fp.LoseUnsynced(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := inner.Read(id)
+	got, err := readPage(inner, id)
 	if err != nil || !bytes.Equal(got, synced) {
 		t.Fatalf("page %d not rewound to synced content: %v", id, err)
 	}
-	got2, err := inner.Read(id2)
+	got2, err := readPage(inner, id2)
 	if err != nil || !bytes.Equal(got2, make([]byte, PageSize)) {
 		t.Fatalf("post-sync page %d not rewound to zero: %v", id2, err)
 	}

@@ -53,10 +53,10 @@ func TestReadDetectsBitFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if _, err := p.Read(0); err != nil {
+	if _, err := readPage(p, 0); err != nil {
 		t.Errorf("untouched page 0 unreadable: %v", err)
 	}
-	_, err = p.Read(1)
+	_, err = readPage(p, 1)
 	if !errors.Is(err, ErrPageCorrupt) {
 		t.Fatalf("bit flip not detected: err = %v", err)
 	}
@@ -67,7 +67,7 @@ func TestReadDetectsBitFlip(t *testing.T) {
 	if cp.Page != 1 || cp.Path != path {
 		t.Errorf("CorruptPageError = %+v, want page 1 of %s", cp, path)
 	}
-	if _, err := p.Read(2); err != nil {
+	if _, err := readPage(p, 2); err != nil {
 		t.Errorf("untouched page 2 unreadable: %v", err)
 	}
 }
@@ -88,7 +88,7 @@ func TestReadDetectsHeaderCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if _, err := p.Read(0); !errors.Is(err, ErrPageCorrupt) {
+	if _, err := readPage(p, 0); !errors.Is(err, ErrPageCorrupt) {
 		t.Fatalf("header corruption not detected: err = %v", err)
 	}
 }
@@ -115,7 +115,7 @@ func TestReadDetectsMisdirectedWrite(t *testing.T) {
 	}
 	defer p.Close()
 	for id := PageID(0); id < 2; id++ {
-		_, err := p.Read(id)
+		_, err := readPage(p, id)
 		if !errors.Is(err, ErrPageCorrupt) {
 			t.Errorf("swapped page %d not detected: err = %v", id, err)
 		}
@@ -142,7 +142,7 @@ func TestTornTrailingFrameDropped(t *testing.T) {
 	if n := p.NumPages(); n != 1 {
 		t.Fatalf("NumPages = %d after torn tail, want 1", n)
 	}
-	if _, err := p.Read(0); err != nil {
+	if _, err := readPage(p, 0); err != nil {
 		t.Errorf("intact page 0 unreadable: %v", err)
 	}
 }
@@ -170,7 +170,7 @@ func TestLegacyFileUpgrade(t *testing.T) {
 		t.Fatalf("NumPages = %d, want 3", n)
 	}
 	for id := PageID(0); id < 3; id++ {
-		got, err := p.Read(id)
+		got, err := readPage(p, id)
 		if err != nil {
 			t.Fatalf("read upgraded page %d: %v", id, err)
 		}
@@ -204,7 +204,7 @@ func TestLegacyFileUpgrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	got, err := p2.Read(2)
+	got, err := readPage(p2, 2)
 	if err != nil || got[0] != 12 {
 		t.Fatalf("second open read: %v %v", got[0], err)
 	}

@@ -107,8 +107,11 @@ type Stats struct {
 type Pager interface {
 	// Allocate reserves a new zeroed page and returns its ID.
 	Allocate() (PageID, error)
-	// Read copies the content of page id into a fresh buffer of PageSize bytes.
-	Read(id PageID) ([]byte, error)
+	// Read copies the content of page id into dst, which must be PageSize
+	// long and is owned by the caller: the pager keeps no reference to it,
+	// so one buffer can serve any number of reads. On error dst's content
+	// is unspecified.
+	Read(id PageID, dst []byte) error
 	// Write replaces the content of page id. The buffer must be PageSize long.
 	Write(id PageID, data []byte) error
 	// NumPages returns the number of allocated pages.
@@ -152,19 +155,21 @@ func (p *MemPager) Allocate() (PageID, error) {
 }
 
 // Read implements Pager.
-func (p *MemPager) Read(id PageID) ([]byte, error) {
+func (p *MemPager) Read(id PageID, dst []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	if int(id) >= len(p.pages) {
-		return nil, fmt.Errorf("%w: %d", ErrPageNotFound, id)
+		return fmt.Errorf("%w: %d", ErrPageNotFound, id)
+	}
+	if len(dst) != PageSize {
+		return fmt.Errorf("pager: read into %d bytes, want %d", len(dst), PageSize)
 	}
 	p.stats.Reads++
-	out := make([]byte, PageSize)
-	copy(out, p.pages[id])
-	return out, nil
+	copy(dst, p.pages[id])
+	return nil
 }
 
 // Write implements Pager.
@@ -225,7 +230,10 @@ func (p *MemPager) Close() error {
 // FrameOffset(i). It provides durability for the CLI and the persistence
 // tests.
 type FilePager struct {
-	mu     sync.Mutex
+	mu sync.Mutex
+	// frame is the one on-disk frame buffer every Read, Write and Allocate
+	// encodes into or verifies in, so page I/O allocates nothing. mu guards it.
+	frame  [PageFrameSize]byte
 	f      *os.File
 	path   string
 	n      uint64
@@ -373,12 +381,13 @@ func upgradeLegacyFile(f *os.File, path string, size int64) (*FilePager, error) 
 	if _, err := tmp.WriteAt(encodeFileHeader(), 0); err != nil {
 		return fail(fmt.Errorf("pager: upgrade %s: %w", path, err))
 	}
-	page := make([]byte, PageSize)
+	page, frame := make([]byte, PageSize), make([]byte, PageFrameSize)
 	for id := uint64(0); id < n; id++ {
 		if _, err := f.ReadAt(page, int64(id)*PageSize); err != nil {
 			return fail(fmt.Errorf("pager: upgrade %s: read legacy page %d: %w", path, id, err))
 		}
-		if _, err := tmp.WriteAt(encodeFrame(PageID(id), page), FrameOffset(PageID(id))); err != nil {
+		encodeFrame(frame, PageID(id), page)
+		if _, err := tmp.WriteAt(frame, FrameOffset(PageID(id))); err != nil {
 			return fail(fmt.Errorf("pager: upgrade %s: write page %d: %w", path, id, err))
 		}
 	}
@@ -409,17 +418,19 @@ func syncDir(dir string) {
 	d.Close()
 }
 
-// encodeFrame renders a page frame: header (CRC32, page ID, version) then
-// the payload. The CRC covers the page ID, version and reserved bytes as
-// well as the payload, so a frame written for one page read back as another
-// (a misdirected write) fails verification even if the payload is intact.
-func encodeFrame(id PageID, data []byte) []byte {
-	frame := make([]byte, PageFrameSize)
+// encodeFrame renders a page frame into frame (PageFrameSize bytes,
+// overwritten whole): header (CRC32, page ID, version) then the payload, with
+// a nil data meaning a zeroed page. The CRC covers the page ID, version and
+// reserved bytes as well as the payload, so a frame written for one page read
+// back as another (a misdirected write) fails verification even if the
+// payload is intact.
+func encodeFrame(frame []byte, id PageID, data []byte) {
 	binary.BigEndian.PutUint64(frame[4:12], uint64(id))
 	frame[12] = FormatVersion
-	copy(frame[PageHeaderSize:], data)
+	clear(frame[13:PageHeaderSize])
+	n := copy(frame[PageHeaderSize:], data)
+	clear(frame[PageHeaderSize+n:])
 	binary.BigEndian.PutUint32(frame[0:4], crc32.ChecksumIEEE(frame[4:]))
-	return frame
 }
 
 // verifyFrame checks a frame read for page id and returns its payload.
@@ -447,8 +458,8 @@ func (p *FilePager) Allocate() (PageID, error) {
 		return InvalidPageID, ErrClosed
 	}
 	id := PageID(p.n)
-	zero := make([]byte, PageSize)
-	if _, err := p.f.WriteAt(encodeFrame(id, zero), FrameOffset(id)); err != nil {
+	encodeFrame(p.frame[:], id, nil)
+	if _, err := p.f.WriteAt(p.frame[:], FrameOffset(id)); err != nil {
 		return InvalidPageID, fmt.Errorf("pager: allocate: %w", err)
 	}
 	p.n++
@@ -457,26 +468,30 @@ func (p *FilePager) Allocate() (PageID, error) {
 }
 
 // Read implements Pager. The frame's checksum and page-ID stamp are
-// verified; violations return a *CorruptPageError wrapping ErrPageCorrupt.
-func (p *FilePager) Read(id PageID) ([]byte, error) {
+// verified before anything reaches dst; violations return a
+// *CorruptPageError wrapping ErrPageCorrupt.
+func (p *FilePager) Read(id PageID, dst []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	if uint64(id) >= p.n {
-		return nil, fmt.Errorf("%w: %d", ErrPageNotFound, id)
+		return fmt.Errorf("%w: %d", ErrPageNotFound, id)
 	}
-	frame := make([]byte, PageFrameSize)
-	if _, err := p.f.ReadAt(frame, FrameOffset(id)); err != nil {
-		return nil, fmt.Errorf("pager: read page %d: %w", id, err)
+	if len(dst) != PageSize {
+		return fmt.Errorf("pager: read into %d bytes, want %d", len(dst), PageSize)
 	}
-	payload, err := verifyFrame(frame, id, p.path)
+	if _, err := p.f.ReadAt(p.frame[:], FrameOffset(id)); err != nil {
+		return fmt.Errorf("pager: read page %d: %w", id, err)
+	}
+	payload, err := verifyFrame(p.frame[:], id, p.path)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	copy(dst, payload)
 	p.stats.Reads++
-	return payload, nil
+	return nil
 }
 
 // Write implements Pager, stamping the frame header and checksum.
@@ -492,7 +507,8 @@ func (p *FilePager) Write(id PageID, data []byte) error {
 	if len(data) != PageSize {
 		return fmt.Errorf("pager: write of %d bytes, want %d", len(data), PageSize)
 	}
-	if _, err := p.f.WriteAt(encodeFrame(id, data), FrameOffset(id)); err != nil {
+	encodeFrame(p.frame[:], id, data)
+	if _, err := p.f.WriteAt(p.frame[:], FrameOffset(id)); err != nil {
 		return fmt.Errorf("pager: write page %d: %w", id, err)
 	}
 	p.stats.Writes++
@@ -513,8 +529,8 @@ func (p *FilePager) tornWrite(id PageID, data []byte, keep int) error {
 	if uint64(id) >= p.n {
 		return fmt.Errorf("%w: %d", ErrPageNotFound, id)
 	}
-	frame := encodeFrame(id, data)
-	if _, err := p.f.WriteAt(frame[:PageHeaderSize+keep], FrameOffset(id)); err != nil {
+	encodeFrame(p.frame[:], id, data)
+	if _, err := p.f.WriteAt(p.frame[:PageHeaderSize+keep], FrameOffset(id)); err != nil {
 		return fmt.Errorf("pager: torn write page %d: %w", id, err)
 	}
 	p.stats.Writes++

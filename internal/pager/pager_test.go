@@ -7,6 +7,15 @@ import (
 	"testing"
 )
 
+// readPage reads page id into a fresh buffer.
+func readPage(p Pager, id PageID) ([]byte, error) {
+	buf := make([]byte, PageSize)
+	if err := p.Read(id, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
 func testPagerBasics(t *testing.T, p Pager) {
 	t.Helper()
 	id0, err := p.Allocate()
@@ -29,14 +38,14 @@ func testPagerBasics(t *testing.T, p Pager) {
 	if err := p.Write(id1, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.Read(id1)
+	got, err := readPage(p, id1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("read back mismatch")
 	}
-	zero, err := p.Read(id0)
+	zero, err := readPage(p, id0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +53,7 @@ func testPagerBasics(t *testing.T, p Pager) {
 		t.Fatal("fresh page must be zeroed")
 	}
 
-	if _, err := p.Read(PageID(99)); err == nil {
+	if _, err := readPage(p, PageID(99)); err == nil {
 		t.Error("reading unallocated page should fail")
 	}
 	if err := p.Write(PageID(99), data); err == nil {
@@ -52,6 +61,9 @@ func testPagerBasics(t *testing.T, p Pager) {
 	}
 	if err := p.Write(id0, []byte("short")); err == nil {
 		t.Error("short write should fail")
+	}
+	if err := p.Read(id0, make([]byte, PageSize-1)); err == nil {
+		t.Error("read into a short buffer should fail")
 	}
 
 	st := p.Stats()
@@ -73,7 +85,7 @@ func TestMemPager(t *testing.T) {
 	if _, err := p.Allocate(); err == nil {
 		t.Error("allocate after close should fail")
 	}
-	if _, err := p.Read(0); err == nil {
+	if _, err := readPage(p, 0); err == nil {
 		t.Error("read after close should fail")
 	}
 }
@@ -98,7 +110,7 @@ func TestFilePager(t *testing.T) {
 	if p2.NumPages() != 2 {
 		t.Fatalf("reopened NumPages = %d, want 2", p2.NumPages())
 	}
-	got, err := p2.Read(1)
+	got, err := readPage(p2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +127,61 @@ func TestMemPagerIsolation(t *testing.T) {
 	if err := p.Write(id, data); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := p.Read(id)
+	got, _ := readPage(p, id)
 	got[0] = 99 // mutating the returned buffer must not affect the store
-	again, _ := p.Read(id)
+	again, _ := readPage(p, id)
 	if again[0] != 42 {
 		t.Error("Read must return an isolated copy")
+	}
+}
+
+// TestFilePagerIOAllocatesNothing: Read, Write and Allocate go through the
+// pager's one frame buffer, and Read fills the caller's buffer, so
+// steady-state page I/O allocates nothing. One dst serves successive reads
+// of different pages.
+func TestFilePagerIOAllocatesNothing(t *testing.T) {
+	p, err := OpenFile(filepath.Join(t.TempDir(), "pages.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	a, b := bytes.Repeat([]byte{'a'}, PageSize), bytes.Repeat([]byte{'b'}, PageSize)
+	for _, data := range [][]byte{a, b} {
+		id, err := p.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Write(id, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := make([]byte, PageSize)
+	for id, want := range [][]byte{a, b, a} {
+		if err := p.Read(PageID(id%2), dst); err != nil || !bytes.Equal(dst, want) {
+			t.Fatalf("read %d into a reused buffer: %v", id%2, err)
+		}
+	}
+
+	if n := testing.AllocsPerRun(100, func() {
+		if err := p.Read(1, dst); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("FilePager.Read allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := p.Write(0, b); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("FilePager.Write allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := p.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("FilePager.Allocate allocates %v times per call, want 0", n)
 	}
 }
 
@@ -138,7 +200,7 @@ func TestOpenTempCleansUp(t *testing.T) {
 	if err := p.Write(id, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.Read(id)
+	got, err := readPage(p, id)
 	if err != nil || got[7] != 7 {
 		t.Fatalf("read back: %v %v", got[7], err)
 	}

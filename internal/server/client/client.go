@@ -3,11 +3,13 @@
 // embedded API's shape: Query returns a streaming *Rows, Prepare returns a
 // *Stmt for repeated execution, Begin/Commit/Rollback control transactions.
 //
-// A connection is strictly synchronous: one request is in flight at a time,
-// and a Rows must be drained or Closed before the next call. The client
-// enforces this, so misuse surfaces as a clear error instead of protocol
-// corruption. A Conn is NOT safe for concurrent use; open one per
-// goroutine (they are cheap — one socket and two small buffers).
+// One call is in flight at a time, and a Rows must be drained or Closed
+// before the next call. The client enforces this, so misuse surfaces as a
+// clear error instead of protocol corruption. Within a call the client
+// pipelines: Query sends Parse, Bind and Execute, and Stmt.Query sends Bind
+// and Execute, in one write, then reads the replies in order. A Conn is NOT
+// safe for concurrent use; open one per goroutine (they are cheap — one
+// socket and two small buffers).
 package client
 
 import (
@@ -126,13 +128,21 @@ func (c *Conn) ready() error {
 	return nil
 }
 
-// request writes one frame and flushes it.
+// request writes one frame and flushes it, with any frames queued before it.
 func (c *Conn) request(t wire.Type, payload []byte) error {
-	if err := wire.WriteFrame(c.bw, t, payload); err != nil {
-		c.broken = err
+	if err := c.queue(t, payload); err != nil {
 		return err
 	}
 	if err := c.bw.Flush(); err != nil {
+		c.broken = err
+		return err
+	}
+	return nil
+}
+
+// queue writes one frame into the send buffer without flushing it.
+func (c *Conn) queue(t wire.Type, payload []byte) error {
+	if err := wire.WriteFrame(c.bw, t, payload); err != nil {
 		c.broken = err
 		return err
 	}
@@ -158,6 +168,12 @@ func (c *Conn) roundTrip(t wire.Type, payload []byte, want wire.Type) ([]byte, e
 	if err := c.request(t, payload); err != nil {
 		return nil, err
 	}
+	return c.reply(t, want)
+}
+
+// reply reads the single-frame reply to a request of type t, expecting
+// type want; an Error frame becomes a *ServerError.
+func (c *Conn) reply(t, want wire.Type) ([]byte, error) {
 	rt, rp, err := c.read()
 	if err != nil {
 		return nil, err
@@ -175,6 +191,51 @@ func (c *Conn) roundTrip(t wire.Type, payload []byte, want wire.Type) ([]byte, e
 	default:
 		c.broken = fmt.Errorf("client: unexpected reply %q to %q", byte(rt), byte(t))
 		return nil, c.broken
+	}
+}
+
+// lead is a request pipelined ahead of an Execute, with the reply it expects.
+type lead struct {
+	t, want wire.Type
+	payload []byte
+}
+
+// executeAfter sends the leading requests and an Execute of portal in one
+// flush, then reads the replies in request order. If a leading request
+// fails, the replies to the requests behind it are read and dropped (the
+// server discards a name before validating its new definition, so they fail
+// too) and its error is returned. Otherwise Execute's result stream opens.
+func (c *Conn) executeAfter(leads []lead, portal string, fetchSize int) (*Rows, error) {
+	if err := c.ready(); err != nil {
+		return nil, err
+	}
+	for _, l := range leads {
+		if err := c.queue(l.t, l.payload); err != nil {
+			return nil, err
+		}
+	}
+	if err := c.request(wire.TypeExecute, wire.Execute{Portal: portal, MaxRows: fetchSize}.Encode()); err != nil {
+		return nil, err
+	}
+	for i, l := range leads {
+		if _, err := c.reply(l.t, l.want); err != nil {
+			for behind := len(leads) - i; behind > 0 && c.broken == nil; behind-- {
+				c.discardReply()
+			}
+			return nil, err
+		}
+	}
+	return c.startRows(portal, fetchSize)
+}
+
+// discardReply reads and drops the reply to one request: a single frame, or
+// a result stream through its Complete, Suspended or Error.
+func (c *Conn) discardReply() {
+	for {
+		t, _, err := c.read()
+		if err != nil || (t != wire.TypeRowHeader && t != wire.TypeRow) {
+			return
+		}
 	}
 }
 
@@ -217,13 +278,7 @@ func (c *Conn) Bind(portal, stmt string, args ...any) error {
 // size pages the cursor Fetch-by-Fetch transparently (Rows.Next issues the
 // Fetches). The Rows must be drained or Closed before any other call.
 func (c *Conn) Execute(portal string, fetchSize int) (*Rows, error) {
-	if err := c.ready(); err != nil {
-		return nil, err
-	}
-	if err := c.request(wire.TypeExecute, wire.Execute{Portal: portal, MaxRows: fetchSize}.Encode()); err != nil {
-		return nil, err
-	}
-	return c.startRows(portal, fetchSize)
+	return c.executeAfter(nil, portal, fetchSize)
 }
 
 // startRows consumes the RowHeader (or error) opening a result stream.
@@ -288,15 +343,17 @@ func (c *Conn) Commit() error { return c.txControl(wire.TypeCommit) }
 func (c *Conn) Rollback() error { return c.txControl(wire.TypeRollback) }
 
 // Query is the one-shot convenience: parse, bind and execute sql with args
-// through the unnamed statement and portal, streaming all rows.
+// through the unnamed statement and portal, streaming all rows. The three
+// requests travel in one round trip.
 func (c *Conn) Query(sql string, args ...any) (*Rows, error) {
-	if _, err := c.Parse("", sql); err != nil {
+	row, err := toRow(args)
+	if err != nil {
 		return nil, err
 	}
-	if err := c.Bind("", "", args...); err != nil {
-		return nil, err
-	}
-	return c.Execute("", 0)
+	return c.executeAfter([]lead{
+		{t: wire.TypeParse, want: wire.TypeParseOK, payload: wire.Parse{SQL: sql}.Encode()},
+		{t: wire.TypeBind, want: wire.TypeBindOK, payload: wire.Bind{Args: row}.Encode()},
+	}, "", 0)
 }
 
 // Exec runs sql with args and drains the result, returning the affected
@@ -343,12 +400,15 @@ func (s *Stmt) NumParams() int { return s.numParams }
 func (s *Stmt) Query(args ...any) (*Rows, error) { return s.QueryBatch(0, args...) }
 
 // QueryBatch executes the statement with args, paging the cursor in
-// batches of fetchSize rows (0 = one burst).
+// batches of fetchSize rows (0 = one burst). Bind and Execute travel in one
+// round trip.
 func (s *Stmt) QueryBatch(fetchSize int, args ...any) (*Rows, error) {
-	if err := s.c.Bind(s.name, s.name, args...); err != nil {
+	row, err := toRow(args)
+	if err != nil {
 		return nil, err
 	}
-	return s.c.Execute(s.name, fetchSize)
+	bind := wire.Bind{Portal: s.name, Stmt: s.name, Args: row}
+	return s.c.executeAfter([]lead{{t: wire.TypeBind, want: wire.TypeBindOK, payload: bind.Encode()}}, s.name, fetchSize)
 }
 
 // Exec executes the statement with args and drains the result.

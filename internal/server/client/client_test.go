@@ -1,8 +1,11 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +13,7 @@ import (
 	"bdbms"
 	"bdbms/internal/errcode"
 	"bdbms/internal/server"
+	"bdbms/internal/server/wire"
 	"bdbms/internal/value"
 )
 
@@ -415,4 +419,133 @@ func countRows(t *testing.T, c *Conn, sql string) int {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// fakeServer accepts one connection, answers its Hello, then reads the
+// request types in want before it writes any reply, and answers with
+// replies. A client that waited for a reply between those requests would
+// leave fakeServer's read to time out.
+func fakeServer(t *testing.T, want []wire.Type, replies ...frame) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- func() error {
+			nc, err := ln.Accept()
+			if err != nil {
+				return err
+			}
+			defer nc.Close()
+			nc.SetDeadline(time.Now().Add(5 * time.Second))
+			if _, _, err := wire.ReadFrame(nc, 0); err != nil {
+				return err
+			}
+			if err := wire.WriteFrame(nc, wire.TypeAuthOK, wire.AuthOK{SessionID: 1}.Encode()); err != nil {
+				return err
+			}
+			for _, w := range want {
+				typ, _, err := wire.ReadFrame(nc, 0)
+				if err != nil {
+					return fmt.Errorf("waiting for request %c before any reply: %w", w, err)
+				}
+				if typ != w {
+					return fmt.Errorf("request %c, want %c", typ, w)
+				}
+			}
+			var buf bytes.Buffer
+			for _, r := range replies {
+				wire.WriteFrame(&buf, r.t, r.payload)
+			}
+			_, err = nc.Write(buf.Bytes())
+			return err
+		}()
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	})
+	return ln.Addr().String()
+}
+
+type frame struct {
+	t       wire.Type
+	payload []byte
+}
+
+// TestQueriesAreOneRoundTrip: Stmt.Query sends Bind and Execute, and
+// Conn.Query sends Parse, Bind and Execute, before reading any reply.
+func TestQueriesAreOneRoundTrip(t *testing.T) {
+	result := []frame{
+		{wire.TypeRowHeader, wire.RowHeader{Columns: []string{"I"}}.Encode()},
+		{wire.TypeRow, wire.Row{Values: value.Row{value.NewInt(7)}}.Encode()},
+		{wire.TypeComplete, wire.Complete{Rows: 1}.Encode()},
+	}
+	check := func(rows *Rows, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rows.Next() || rows.Row()[0].Int() != 7 || rows.Next() {
+			t.Fatalf("rows: want the one row 7, err %v", rows.Err())
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	addr := fakeServer(t, []wire.Type{wire.TypeBind, wire.TypeExecute},
+		append([]frame{{wire.TypeBindOK, nil}}, result...)...)
+	c := dial(t, addr)
+	check((&Stmt{c: c, name: "s1", numParams: 1}).Query(7))
+
+	addr = fakeServer(t, []wire.Type{wire.TypeParse, wire.TypeBind, wire.TypeExecute},
+		append([]frame{{wire.TypeParseOK, wire.ParseOK{NumParams: 1}.Encode()}, {wire.TypeBindOK, nil}}, result...)...)
+	c = dial(t, addr)
+	check(c.Query(`SELECT I FROM T WHERE I = ?`, 7))
+}
+
+// TestFailedBindIsReportedAndRunsNothing: when the pipelined Bind (or Parse)
+// fails, the query returns that error, the Execute sent behind it runs
+// nothing, and the connection stays in step for the next call.
+func TestFailedBindIsReportedAndRunsNothing(t *testing.T) {
+	c := dial(t, startServer(t))
+	mustExec(t, c, `CREATE TABLE T (I INT NOT NULL PRIMARY KEY)`)
+	mustExec(t, c, `INSERT INTO T VALUES (1), (2)`)
+	sel, err := c.Prepare(`SELECT I FROM T WHERE I = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCode := func(err error, code errcode.Code) {
+		t.Helper()
+		var se *ServerError
+		if !errors.As(err, &se) || se.Code != code {
+			t.Fatalf("err = %v, want ServerError[%s]", err, code)
+		}
+	}
+	for range 2 {
+		rows, err := sel.Query(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rows.Next() || rows.Row()[0].Int() != 1 {
+			t.Fatalf("good bind: no row 1 (%v)", rows.Err())
+		}
+		rows.Close()
+		// The portal's previous binding must not run in place of this one.
+		_, err = sel.Query(1, 2)
+		wantCode(err, errcode.BadArgs)
+	}
+	_, err = c.Query(`SELEKT I FROM T`)
+	wantCode(err, errcode.Syntax)
+	if got := countRows(t, c, `SELECT I FROM T`); got != 2 {
+		t.Errorf("rows after failed queries = %d, want 2", got)
+	}
+	if err := c.Ping(); err != nil {
+		t.Errorf("conn unusable after failed binds: %v", err)
+	}
 }

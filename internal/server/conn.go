@@ -16,10 +16,10 @@ import (
 )
 
 // conn is one client connection: a handler goroutine reading frames,
-// dispatching them against a session, and writing responses. The wire
-// protocol is strictly synchronous (one request, one response burst), so a
-// single goroutine per connection suffices and no response interleaving can
-// occur.
+// dispatching them against a session, and writing responses. Requests are
+// served one at a time in arrival order, so a single goroutine per
+// connection suffices and no response interleaving can occur. A client may
+// pipeline several requests before reading; their replies leave in one flush.
 type conn struct {
 	srv *Server
 	id  uint64
@@ -202,14 +202,16 @@ func (c *conn) dispatch(t wire.Type, payload []byte) bool {
 	// All writes of this response burst share one deadline: a client that
 	// stopped reading trips it and is disconnected, releasing its locks.
 	c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
-	ok := c.sess.dispatch(t, payload)
-	if !ok {
+	if !c.sess.dispatch(t, payload) {
 		return false
 	}
-	if err := c.bw.Flush(); err != nil {
-		return false
+	// A whole request already buffered behind this one was pipelined by the
+	// client, which is not waiting for this reply yet: answer both in one
+	// flush. Otherwise the client may be waiting, so flush now.
+	if wire.FrameBuffered(c.br) {
+		return true
 	}
-	return true
+	return c.bw.Flush() == nil
 }
 
 // send writes one frame through the buffered writer. The flush happens at

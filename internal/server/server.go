@@ -5,7 +5,8 @@
 // The server is a classic listener/handler split. Serve accepts
 // connections; each one runs in its own goroutine, authenticates with a
 // user/secret Hello (checked against the authorization manager's
-// credentials), and then services synchronous request/response commands:
+// credentials), and then services request/response commands one at a time
+// in arrival order (a client may pipeline them):
 // named prepared statements (Parse), portals (Bind/Execute with Fetch-N
 // cursor paging), transaction control, Ping and Terminate. Statement
 // execution rides the same exec.Session machinery as the embedded API, so

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -18,6 +19,7 @@ import (
 	"bdbms/internal/server/client"
 	"bdbms/internal/server/wire"
 	"bdbms/internal/storage"
+	"bdbms/internal/value"
 )
 
 // startServer launches a server for db on a random port and returns its
@@ -861,4 +863,86 @@ func TestStatementErrorsCarryStableCodes(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatalf("conn dead after statement errors: %v", err)
 	}
+}
+
+// TestPipelinedRequestsAfterAFailedParseOrBind: a Parse or Bind that fails
+// discards the statement or portal of its name before validating, so the
+// requests a client pipelined behind it in the same write fail by name
+// instead of running the previous definition. Replies come back in request
+// order and no Row frame is sent.
+func TestPipelinedRequestsAfterAFailedParseOrBind(t *testing.T) {
+	db := openTestDB(t)
+	db.MustExec(`CREATE TABLE T (ID INT NOT NULL PRIMARY KEY)`)
+	db.MustExec(`INSERT INTO T VALUES (1)`)
+	_, addr := startServer(t, db, nil)
+
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	type frame struct {
+		t       wire.Type
+		payload []byte
+	}
+	// send writes the frames in one write, so the server finds them all
+	// buffered at once.
+	send := func(frames ...frame) {
+		t.Helper()
+		var buf bytes.Buffer
+		for _, f := range frames {
+			wire.WriteFrame(&buf, f.t, f.payload)
+		}
+		if _, err := nc.Write(buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// expect reads one reply per entry: a frame type, or the code of an
+	// Error frame.
+	expect := func(want ...any) {
+		t.Helper()
+		for i, w := range want {
+			typ, payload, err := wire.ReadFrame(nc, wire.MaxFrame)
+			if err != nil {
+				t.Fatalf("reply %d: %v", i, err)
+			}
+			got := any(typ)
+			if typ == wire.TypeError {
+				e, _ := wire.DecodeError(payload)
+				got = e.Code
+			}
+			if got != w {
+				t.Fatalf("reply %d = %v, want %v", i, got, w)
+			}
+		}
+	}
+	hello := wire.Hello{Version: wire.ProtocolVersion, User: "admin", Secret: "admin-secret"}
+	send(frame{wire.TypeHello, hello.Encode()})
+	expect(wire.TypeAuthOK)
+	one, two := value.NewInt(1), value.NewInt(2)
+
+	// A named statement and portal: a good Bind and Execute, then a Bind with
+	// the wrong arity and an Execute of the same portal in one write.
+	send(frame{wire.TypeParse, wire.Parse{Name: "s", SQL: `SELECT ID FROM T WHERE ID = ?`}.Encode()})
+	expect(wire.TypeParseOK)
+	send(frame{wire.TypeBind, wire.Bind{Portal: "p", Stmt: "s", Args: value.Row{one}}.Encode()},
+		frame{wire.TypeExecute, wire.Execute{Portal: "p"}.Encode()})
+	expect(wire.TypeBindOK, wire.TypeRowHeader, wire.TypeRow, wire.TypeComplete)
+	send(frame{wire.TypeBind, wire.Bind{Portal: "p", Stmt: "s", Args: value.Row{one, two}}.Encode()},
+		frame{wire.TypeExecute, wire.Execute{Portal: "p"}.Encode()},
+		frame{wire.TypePing, nil})
+	expect(errcode.BadArgs, errcode.NetUnknownPortal, wire.TypePong)
+
+	// The unnamed statement and portal: Parse, Bind and Execute in one write,
+	// good and then with SQL that does not parse.
+	send(frame{wire.TypeParse, wire.Parse{SQL: `SELECT ID FROM T`}.Encode()},
+		frame{wire.TypeBind, wire.Bind{}.Encode()},
+		frame{wire.TypeExecute, wire.Execute{}.Encode()})
+	expect(wire.TypeParseOK, wire.TypeBindOK, wire.TypeRowHeader, wire.TypeRow, wire.TypeComplete)
+	send(frame{wire.TypeParse, wire.Parse{SQL: `SELEKT ID FROM T`}.Encode()},
+		frame{wire.TypeBind, wire.Bind{}.Encode()},
+		frame{wire.TypeExecute, wire.Execute{}.Encode()},
+		frame{wire.TypePing, nil})
+	expect(errcode.Syntax, errcode.NetUnknownStmt, errcode.NetUnknownPortal, wire.TypePong)
 }

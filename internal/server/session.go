@@ -115,7 +115,11 @@ func (s *session) sendErr(err error) bool {
 	return true
 }
 
+// handleParse (re)defines a statement name. The old statement of that name
+// is discarded first, so a Parse that fails leaves the name unbound: a Bind
+// pipelined behind it fails instead of binding the previous statement.
 func (s *session) handleParse(m wire.Parse) bool {
+	delete(s.stmts, m.Name)
 	st, err := s.es.Prepare(m.SQL)
 	if err != nil {
 		return s.sendErr(err)
@@ -124,7 +128,12 @@ func (s *session) handleParse(m wire.Parse) bool {
 	return s.c.send(wire.TypeParseOK, wire.ParseOK{NumParams: st.NumParams()}.Encode())
 }
 
+// handleBind (re)defines a portal. Like handleParse it discards the old
+// portal of that name, cursor included, before validating, so an Execute
+// pipelined behind a failed Bind fails instead of running the previous
+// binding's arguments.
 func (s *session) handleBind(m wire.Bind) bool {
+	s.closePortal(m.Portal)
 	st, ok := s.stmts[m.Stmt]
 	if !ok {
 		s.c.sendError(errcode.NetUnknownStmt, fmt.Sprintf("no prepared statement %q", m.Stmt))
@@ -139,8 +148,6 @@ func (s *session) handleBind(m wire.Bind) bool {
 	for i, v := range m.Args {
 		args[i] = v
 	}
-	// Rebinding a name discards its previous incarnation, cursor included.
-	s.closePortal(m.Portal)
 	s.ports[m.Portal] = &portal{stmt: st, args: args}
 	return s.c.send(wire.TypeBindOK, nil)
 }

@@ -22,8 +22,8 @@
 // # Conversation
 //
 // The client speaks first: Hello carries the protocol version and a
-// user/secret pair, answered by AuthOK or an Error frame. After that the
-// protocol is synchronous request/response:
+// user/secret pair, answered by AuthOK or an Error frame. After that each
+// request is answered in order:
 //
 //	Parse{name, sql}            -> ParseOK{numParams}
 //	Bind{portal, stmt, args}    -> BindOK
@@ -38,9 +38,18 @@
 // Any request may instead be answered by Error{code, message}; the code is
 // a stable errcode.Code so clients branch on failure classes without
 // matching message strings.
+//
+// A client may pipeline: send several requests before reading any reply,
+// for example Bind and Execute in one write. The server serves them one at a
+// time in arrival order, so the replies come back in request order, and it
+// flushes its replies whenever no whole request is waiting in its read
+// buffer. A Parse or Bind that fails discards the statement or portal of
+// that name first, so a request pipelined behind it fails too (unknown
+// statement or portal) rather than using an older definition.
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -153,6 +162,18 @@ func ReadFrame(r io.Reader, max int) (Type, []byte, error) {
 		return Type(hdr[0]), nil, io.ErrUnexpectedEOF
 	}
 	return Type(hdr[0]), payload, nil
+}
+
+// FrameBuffered reports whether br already holds one whole frame, header and
+// payload, so that reading it will not wait on the network. It peeks and
+// consumes nothing.
+func FrameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < headerSize {
+		return false
+	}
+	hdr, _ := br.Peek(headerSize) // cannot fail: the header is buffered
+	return uint64(n-headerSize) >= uint64(binary.BigEndian.Uint32(hdr[1:]))
 }
 
 // --- payload primitives --------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -34,6 +35,37 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if p := roundTripFrame(t, TypePing, nil); len(p) != 0 {
 		t.Fatalf("empty payload round-trip = %q", p)
+	}
+}
+
+// TestFrameBuffered: only a whole buffered frame counts; a header alone or
+// a frame cut mid-payload does not, and nothing is consumed by asking.
+func TestFrameBuffered(t *testing.T) {
+	var buf bytes.Buffer
+	WriteFrame(&buf, TypePing, nil)
+	WriteFrame(&buf, TypeExecute, Execute{Portal: "p"}.Encode())
+	WriteFrame(&buf, TypeBind, Bind{Portal: "p"}.Encode())
+	stream := buf.Bytes()[:buf.Len()-1] // the Bind frame is cut short
+
+	br := bufio.NewReader(bytes.NewReader(stream))
+	if FrameBuffered(br) {
+		t.Fatal("FrameBuffered on an empty buffer")
+	}
+	br.Peek(1) // fill the buffer with the whole stream
+	for _, want := range []Type{TypePing, TypeExecute} {
+		if !FrameBuffered(br) {
+			t.Fatalf("the %c frame is buffered whole, FrameBuffered says no", want)
+		}
+		if typ, _, err := ReadFrame(br, 0); err != nil || typ != want {
+			t.Fatalf("ReadFrame = %c/%v, want %c", typ, err, want)
+		}
+	}
+	if FrameBuffered(br) {
+		t.Fatal("FrameBuffered on a frame cut mid-payload")
+	}
+	br.Discard(br.Buffered() - 3)
+	if FrameBuffered(br) {
+		t.Fatal("FrameBuffered on a partial header")
 	}
 }
 
