@@ -8,11 +8,21 @@ package exec
 // (kernels.go) that narrow a selection vector instead of pulling rows one
 // interface call at a time.
 //
-// Everything downstream keeps its row-at-a-time contract: batchRowsIter
-// adapts batches back to execRow (values + origins, exactly what scanIter
-// emits), so joins, sorts, set ops, spill and annotation decoration are
-// untouched. Grouped aggregation additionally consumes batches directly when
-// no ANNOTATION clause or AWHERE intervenes (group.go).
+// Every full-scan source of a snapshot query reads batches: a single source,
+// the first (probe) source of a join and every join build side. Everything
+// downstream keeps its row-at-a-time contract: batchRowsIter adapts batches
+// back to execRow (values + origins, exactly what scanIter emits) and is the
+// one place that boxes a scanned value, so joins, sorts, set ops, spill and
+// annotation decoration are untouched. Grouped aggregation additionally
+// consumes batches directly when no ANNOTATION clause or AWHERE intervenes
+// (group.go).
+//
+// The operators that discard most of their input decide on the vectors
+// before the adapter boxes a row (late materialization): a hash join's probe
+// side skips rows whose key misses the build table, and a Top-N skips rows
+// that cannot enter its full heap. The gate rule: drop a row only when the
+// consumer provably emits nothing for it and nothing between the scan and
+// the consumer could have raised an error on it.
 //
 // The planner falls back to the row scan transparently whenever batching
 // does not apply — see tryBatchScan for the exact rules.
@@ -35,6 +45,11 @@ var batchScans atomic.Int64
 // outdated marks; the fuzzer asserts it moved too, so that combination stays
 // compared against the row path.
 var batchMarkedAggs atomic.Int64
+
+// batchGatedRows counts rows a consumer's gate dropped before they were
+// boxed; the fuzzer asserts it moved too, so the gated path stays compared
+// against the row path.
+var batchGatedRows atomic.Int64
 
 // bvec is the executor's view of one chunk column: the storage vector with
 // dictionary codes and validity expanded into flat byte vectors.
@@ -260,9 +275,9 @@ func (it *batchScanIter) applyRowPreds(sel []int32) ([]int32, error) {
 	return out, nil
 }
 
-// tryBatchScan decides whether the plan's single source can run vectorized
-// and builds the batch scan when it can. The fallback rules, checked here in
-// order:
+// tryBatchScan decides whether one source — a single source, a join's first
+// source or a join build side — can run vectorized and builds the batch scan
+// when it can. The fallback rules, checked here in order:
 //
 //   - the session has not disabled vectorization (NoVectorize);
 //   - the query runs under an MVCC snapshot (cursors inside explicit
@@ -306,8 +321,15 @@ func (s *Session) tryBatchScan(ctx context.Context, src *sourcePlan, params valu
 // origin — so every downstream operator works unchanged.
 type batchRowsIter struct {
 	src *batchScanIter
-	b   *batch
-	pos int
+	// keep, when set, is the consumer's gate, asked before a row is boxed; a
+	// row it rejects is skipped. A gate may reject a row only when its
+	// consumer provably emits nothing for it and nothing between the scan and
+	// the consumer could have raised an error on it (hashJoinIter.probeGate,
+	// topNIter.gate).
+	keep  func(b *batch, i int32) bool
+	gated int64 // rows keep rejected in the current batch
+	b     *batch
+	pos   int
 }
 
 func (a *batchRowsIter) Next() (execRow, bool, error) {
@@ -318,6 +340,10 @@ func (a *batchRowsIter) Next() (execRow, bool, error) {
 	}
 	for {
 		if a.b == nil || a.pos >= len(a.b.sel) {
+			if a.gated > 0 {
+				batchGatedRows.Add(a.gated)
+				a.gated = 0
+			}
 			b, ok, err := a.src.nextBatch()
 			if err != nil || !ok {
 				return execRow{}, false, err
@@ -326,6 +352,10 @@ func (a *batchRowsIter) Next() (execRow, bool, error) {
 		}
 		i := a.b.sel[a.pos]
 		a.pos++
+		if a.keep != nil && !a.keep(a.b, i) {
+			a.gated++
+			continue
+		}
 		return execRow{
 			values:  a.b.rowValues(i),
 			origins: []origin{{table: a.src.src.tbl.Name(), rowID: a.b.rowIDs[i]}},

@@ -463,7 +463,13 @@ func (s *Session) buildSelectIter(ctx context.Context, sel *sqlparse.SelectStmt,
 		// input size; a LIMIT that would keep (nearly) everything sorts
 		// once instead of maintaining a same-sized heap.
 		if topNWins(sel.Limit, &plan.phys) {
-			return newTopNIter(in, orderKeys, sel.Limit)
+			t := newTopNIter(in, orderKeys, sel.Limit)
+			if pk, ok := in.(*projectKeyIter); ok {
+				// Rows that cannot enter the full heap are dropped on the
+				// column vectors, before they are boxed.
+				t.gate(pk)
+			}
+			return t
 		}
 		sf := &spillFile{}
 		closers = append(closers, sf.Close)

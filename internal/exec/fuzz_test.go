@@ -559,6 +559,7 @@ func TestSQLEquivalenceFuzz(t *testing.T) {
 	}
 	batchScans.Store(0)
 	batchMarkedAggs.Store(0)
+	batchGatedRows.Store(0)
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			// Seed 3 (so -short keeps it) is the four-chunk case.
@@ -570,6 +571,9 @@ func TestSQLEquivalenceFuzz(t *testing.T) {
 	}
 	if batchMarkedAggs.Load() == 0 {
 		t.Error("no generated aggregate consumed batches on a table with outdated marks")
+	}
+	if batchGatedRows.Load() == 0 {
+		t.Error("no generated join probe or Top-N dropped a row on the column vectors; the gated path is untested")
 	}
 }
 
@@ -589,6 +593,7 @@ func TestSQLEquivalenceFuzzSpill(t *testing.T) {
 	spillEvents.Store(0)
 	batchScans.Store(0)
 	batchMarkedAggs.Store(0)
+	batchGatedRows.Store(0)
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed-%d-spill", seed), func(t *testing.T) {
 			// Seed 11 (so -short keeps it) is the four-chunk case.
@@ -603,6 +608,9 @@ func TestSQLEquivalenceFuzzSpill(t *testing.T) {
 	}
 	if batchMarkedAggs.Load() == 0 {
 		t.Error("spill-forcing seeds never aggregated batches of a table with outdated marks")
+	}
+	if batchGatedRows.Load() == 0 {
+		t.Error("spill-forcing seeds never dropped a row at a join probe or Top-N gate")
 	}
 }
 

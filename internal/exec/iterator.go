@@ -254,8 +254,9 @@ type joinKeyCol struct {
 // returns 0 (e.g. INT 1 and FLOAT 1.0, TEXT and SEQUENCE with equal bytes)
 // produce identical keys — hash equality must agree exactly with the
 // semantics of the `=` operator the join replaces. Each part is
-// length-prefixed so composite keys cannot collide across boundaries.
-// ok is false for NULL, which never joins.
+// length-prefixed so composite keys cannot collide across boundaries; the
+// prefix comes from the type, so the key encodes straight into dst and a
+// warm buffer allocates nothing. ok is false for NULL, which never joins.
 func appendJoinKey(dst []byte, v value.Value, class compareClass) ([]byte, bool) {
 	if v.IsNull() {
 		return dst, false
@@ -266,9 +267,8 @@ func appendJoinKey(dst []byte, v value.Value, class compareClass) ([]byte, bool)
 	case classString:
 		v = value.NewText(v.Text())
 	}
-	k := v.EncodeKey(nil)
-	dst = binary.AppendUvarint(dst, uint64(len(k)))
-	return append(dst, k...), true
+	dst = binary.AppendUvarint(dst, uint64(v.KeyLen()))
+	return v.EncodeKey(dst), true
 }
 
 func joinKey(buf []byte, vals value.Row, cols []joinKeyCol) ([]byte, bool) {
@@ -313,6 +313,26 @@ func newHashJoinIter(ctx context.Context, left rowIter, rightRows []execRow, lef
 		build[string(buf)] = append(build[string(buf)], r)
 	}
 	return &hashJoinIter{ctx: ctx, left: left, build: build, leftKey: leftKey}
+}
+
+// probeGate is the keep rule of a batch scan feeding this join's left input
+// directly: a probe row whose key is NULL or absent from the build table
+// joins nothing, so the scan need not box it. The left key slots are in the
+// execution layout, where the first source sits at slot 0, so they index the
+// batch's vectors directly.
+func (it *hashJoinIter) probeGate() func(*batch, int32) bool {
+	var buf []byte
+	return func(b *batch, i int32) bool {
+		buf = buf[:0]
+		for _, kc := range it.leftKey {
+			var ok bool
+			if buf, ok = appendJoinKey(buf, b.vecs[kc.slot].valueAt(i), kc.class); !ok {
+				return false
+			}
+		}
+		_, hit := it.build[string(buf)]
+		return hit
+	}
 }
 
 func (it *hashJoinIter) Next() (execRow, bool, error) {

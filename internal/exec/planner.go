@@ -627,30 +627,30 @@ func (s *Session) buildPipeline(ctx context.Context, plan *physicalPlan, binding
 	var it rowIter
 	if orderedIDs != nil {
 		it = &scanIter{ctx: ctx, src: first, ids: orderedIDs, params: params, snap: snap}
-	} else if bs := s.tryBatchScan(ctx, first, params, snap); bs != nil && len(plan.steps) == 0 {
-		// Single-source full scan under a current snapshot: run vectorized.
-		// The adapter emits the same rows (values, origins, order) the row
-		// scan would, so everything downstream is oblivious.
-		it = &batchRowsIter{src: bs}
 	} else {
-		ids, err := s.scanRowIDs(first, params, snap)
-		if err != nil {
+		var err error
+		if it, err = s.scanSource(ctx, first, params, snap); err != nil {
 			return nil, err
 		}
-		it = &scanIter{ctx: ctx, src: first, ids: ids, params: params, snap: snap}
 	}
 	for i := range plan.steps {
 		step := &plan.steps[i]
-		rids, err := s.scanRowIDs(step.right, params, snap)
+		right, err := s.scanSource(ctx, step.right, params, snap)
 		if err != nil {
 			return nil, err
 		}
-		rightRows, err := drainIter(&scanIter{ctx: ctx, src: step.right, ids: rids, params: params, snap: snap})
+		rightRows, err := drainIter(right)
 		if err != nil {
 			return nil, err
 		}
 		if len(step.leftKey) > 0 {
-			it = newHashJoinIter(ctx, it, rightRows, step.leftKey, step.rightKey)
+			hj := newHashJoinIter(ctx, it, rightRows, step.leftKey, step.rightKey)
+			if b, ok := it.(*batchRowsIter); ok {
+				// The first source probes: rows whose key misses the build
+				// table are skipped before they are boxed.
+				b.keep = hj.probeGate()
+			}
+			it = hj
 		} else {
 			it = &crossJoinIter{ctx: ctx, left: it, right: rightRows}
 		}
@@ -668,6 +668,21 @@ func (s *Session) buildPipeline(ctx context.Context, plan *physicalPlan, binding
 		it = &residualIter{s: s, in: it, exprs: plan.residual, bindings: bindings, params: params}
 	}
 	return it, nil
+}
+
+// scanSource streams one source in RowID order: vectorized when tryBatchScan
+// applies — the adapter emits the same rows (values, origins, order) the row
+// scan would, so everything downstream is oblivious — and through its RowID
+// list and the row scan otherwise.
+func (s *Session) scanSource(ctx context.Context, src *sourcePlan, params value.Row, snap *storage.Snapshot) (rowIter, error) {
+	if bs := s.tryBatchScan(ctx, src, params, snap); bs != nil {
+		return &batchRowsIter{src: bs}, nil
+	}
+	ids, err := s.scanRowIDs(src, params, snap)
+	if err != nil {
+		return nil, err
+	}
+	return &scanIter{ctx: ctx, src: src, ids: ids, params: params, snap: snap}, nil
 }
 
 // rowStage is the row half of a SELECT: the planned pipeline, then

@@ -45,14 +45,18 @@ type binding struct {
 	colIdx int // ordinal within the source table
 }
 
-// planItem is one resolved projection item.
+// planItem is one resolved projection item. A plain column reference
+// carries its resolved value slot (else -1), and PROMOTE the slots it copies
+// annotations from, so projecting a row resolves no names.
 type planItem struct {
-	star        bool
-	name        string
-	expr        sqlparse.Expr
-	promote     []sqlparse.ColumnExpr
-	sourceTable string
-	sourceCol   int
+	star         bool
+	name         string
+	expr         sqlparse.Expr
+	promote      []sqlparse.ColumnExpr
+	sourceTable  string
+	sourceCol    int
+	slot         int
+	promoteSlots []int
 }
 
 // selectPlan carries the intermediate state of one SELECT evaluation in the
@@ -229,14 +233,20 @@ func (s *Session) buildSelect(ctx context.Context, st *sqlparse.SelectStmt, para
 func resolveItems(st *sqlparse.SelectStmt, bindings []binding) []planItem {
 	var items []planItem
 	for _, item := range st.Items {
-		pi := planItem{star: item.Star, expr: item.Expr, promote: item.Promote, name: item.Alias, sourceCol: -1}
+		pi := planItem{star: item.Star, expr: item.Expr, promote: item.Promote, name: item.Alias, sourceCol: -1, slot: -1}
 		if col, ok := item.Expr.(*sqlparse.ColumnExpr); ok && !item.Star {
-			if _, b, err := resolveColumn(bindings, col); err == nil {
+			if idx, b, err := resolveColumn(bindings, col); err == nil {
 				pi.sourceTable = b.table
 				pi.sourceCol = b.colIdx
+				pi.slot = idx
 				if pi.name == "" {
 					pi.name = b.column
 				}
+			}
+		}
+		for _, pcol := range item.Promote {
+			if idx, _, err := resolveColumn(bindings, &pcol); err == nil {
+				pi.promoteSlots = append(pi.promoteSlots, idx)
 			}
 		}
 		if pi.name == "" && !item.Star {
@@ -404,6 +414,17 @@ type outCol struct {
 	index int
 }
 
+// sourceSlot returns the value slot output column i copies verbatim — a
+// star-expanded column or a plain column reference; ok is false for an
+// evaluated expression.
+func (p *projector) sourceSlot(i int) (int, bool) {
+	oc := p.outCols[i]
+	if oc.index >= 0 {
+		return oc.index, true
+	}
+	return oc.item.slot, oc.item.slot >= 0
+}
+
 // projector turns pipeline rows into result rows. The column layout is
 // resolved once at construction, so projecting a row is allocation-lean —
 // the streaming cursor projects one row per Next call with it.
@@ -446,23 +467,21 @@ func (p *projector) row(r execRow) (ARow, error) {
 			out.Anns = append(out.Anns, append([]*annotation.Annotation{}, r.anns[oc.index]...))
 			continue
 		}
-		v, err := p.s.evalValue(oc.item.expr, p.bindings, r, r.group, p.params)
-		if err != nil {
-			return ARow{}, err
-		}
-		out.Values = append(out.Values, v)
 		// Annotation propagation: a projected column keeps the annotations
 		// of its source cell; PROMOTE copies annotations from other columns.
 		var anns []*annotation.Annotation
-		if col, ok := oc.item.expr.(*sqlparse.ColumnExpr); ok {
-			if idx, _, err := resolveColumn(p.bindings, col); err == nil {
-				anns = append(anns, r.anns[idx]...)
+		if slot := oc.item.slot; slot >= 0 {
+			out.Values = append(out.Values, r.values[slot])
+			anns = append(anns, r.anns[slot]...)
+		} else {
+			v, err := p.s.evalValue(oc.item.expr, p.bindings, r, r.group, p.params)
+			if err != nil {
+				return ARow{}, err
 			}
+			out.Values = append(out.Values, v)
 		}
-		for _, pcol := range oc.item.promote {
-			if idx, _, err := resolveColumn(p.bindings, &pcol); err == nil {
-				anns = unionAnnotations(anns, r.anns[idx])
-			}
+		for _, idx := range oc.item.promoteSlots {
+			anns = unionAnnotations(anns, r.anns[idx])
 		}
 		out.Anns = append(out.Anns, anns)
 	}

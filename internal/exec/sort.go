@@ -88,22 +88,11 @@ func sortElisionColumn(sel *sqlparse.SelectStmt, phys *physicalPlan, proj *proje
 	}
 	slot := orderKeys[0].slot
 	if orderKeys[0].outIdx >= 0 {
-		oc := proj.outCols[orderKeys[0].outIdx]
-		switch {
-		case oc.index >= 0: // star-expanded: direct slot
-			slot = oc.index
-		default:
-			// Explicit item: only a plain column reference is a raw slot
-			// value; computed expressions keep the sort.
-			ce, ok := oc.item.expr.(*sqlparse.ColumnExpr)
-			if !ok {
-				return "", false
-			}
-			idx, _, err := resolveColumn(proj.bindings, ce)
-			if err != nil {
-				return "", false
-			}
-			slot = idx
+		// Only a star-expanded column or a plain column reference is a raw
+		// slot value; computed expressions keep the sort.
+		var ok bool
+		if slot, ok = proj.sourceSlot(orderKeys[0].outIdx); !ok {
+			return "", false
 		}
 	}
 	ci := slot - src.offset
@@ -418,6 +407,51 @@ type topNIter struct {
 
 func newTopNIter(in keyedIter, keys []orderKey, limit int) *topNIter {
 	return &topNIter{in: in, keys: keys, limit: limit}
+}
+
+// gate installs the heap's keep rule on the batch scan under a plain ordered
+// SELECT, when nothing between the scan and the heap can fail on a row or
+// needs it: decoration without ANNOTATION(...) or AWHERE, a projection of *
+// and plain columns without PROMOTE, and order keys that all read source
+// columns. While the heap is not full every row is kept; after that, a row
+// only if it beats the root. That is exact: pulls are synchronous, so the
+// root the gate reads is the one consume compares the row against, and a tie
+// loses to the earlier row, as worse breaks ties by sequence.
+func (t *topNIter) gate(in *projectKeyIter) {
+	d, ok := in.in.(*decorateIter)
+	if !ok || d.dec.wantAnns || d.awhere != nil {
+		return
+	}
+	b, ok := d.in.(*batchRowsIter)
+	if !ok {
+		return
+	}
+	for i, oc := range in.proj.outCols {
+		if _, ok := in.proj.sourceSlot(i); !ok || len(oc.item.promote) > 0 {
+			return
+		}
+	}
+	// The scan is the plan's only source, so value slots index its vectors.
+	cols := make([]int, len(t.keys))
+	for k, key := range t.keys {
+		cols[k] = key.slot
+		if key.outIdx >= 0 {
+			cols[k], _ = in.proj.sourceSlot(key.outIdx)
+		}
+	}
+	key := make(value.Row, len(cols))
+	b.keep = func(bt *batch, i int32) bool {
+		if t.limit <= 0 {
+			return false
+		}
+		if len(t.h) < t.limit {
+			return true
+		}
+		for k, c := range cols {
+			key[k] = bt.vecs[c].valueAt(i)
+		}
+		return compareKeyRows(t.h[0].key, key, t.keys) > 0
+	}
 }
 
 // worse reports whether a sorts after b under (key, seq) — the heap order.

@@ -499,3 +499,17 @@ func (v Value) EncodeKey(dst []byte) []byte {
 	}
 	return dst
 }
+
+// KeyLen is len(v.EncodeKey(nil)), computed from the type without encoding.
+func (v Value) KeyLen() int {
+	switch v.typ {
+	case Int, Float, Timestamp:
+		return 9
+	case Text, Sequence:
+		return len(v.s) + 2
+	case Bool:
+		return 2
+	default:
+		return 1
+	}
+}

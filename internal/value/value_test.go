@@ -325,3 +325,16 @@ func TestEncodeKeyNegativeZero(t *testing.T) {
 		t.Errorf("EncodeKey(-0.0) != EncodeKey(+0.0): values that Compare equal must share a key")
 	}
 }
+
+// TestKeyLenMatchesEncodeKey: KeyLen is the length EncodeKey writes, for
+// every type.
+func TestKeyLenMatchesEncodeKey(t *testing.T) {
+	for _, v := range []Value{
+		NewNull(), NewInt(-3), NewFloat(math.Copysign(0, -1)), NewText(""), NewText("ACGT"),
+		NewSequence("TTGACC"), NewBool(true), NewTimestamp(time.Unix(1700000000, 5)),
+	} {
+		if got, want := v.KeyLen(), len(v.EncodeKey(nil)); got != want {
+			t.Errorf("%s %v: KeyLen %d, EncodeKey writes %d bytes", v.Type(), v, got, want)
+		}
+	}
+}
