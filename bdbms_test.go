@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unicode/utf8"
 
@@ -314,6 +315,61 @@ func TestConcurrentSessions(t *testing.T) {
 	res := db.MustExec(`SELECT COUNT(*) FROM Gene`)
 	if res.Rows[0].Values[0].Int() != 420 {
 		t.Errorf("row count = %v", res.Rows[0].Values[0])
+	}
+}
+
+// TestAnnotatedReadsBesideConcurrentAnnotator has one session keep adding
+// annotations while another reads the annotated table: under -race, an
+// R-tree searched while an insert restructures it is reported. Every read
+// must see the annotations of every add that finished before it started.
+func TestAnnotatedReadsBesideConcurrentAnnotator(t *testing.T) {
+	const adds = 150
+	db := Open()
+	defer db.Close()
+	db.MustExec(`CREATE TABLE Gene (GID INT NOT NULL PRIMARY KEY, GName TEXT, Seq TEXT)`)
+	db.MustExec(`CREATE ANNOTATION TABLE Curation ON Gene`)
+	for i := 1; i <= 200; i++ {
+		db.MustExec(fmt.Sprintf(`INSERT INTO Gene VALUES (%d, 'g%d', 'ACGT%d')`, i, i, i))
+	}
+	var added atomic.Int64
+	done := make(chan error, 1)
+	go func() {
+		w := db.Session("curator")
+		for i := 0; i < adds; i++ {
+			lo := 1 + (i*37)%180
+			if _, err := w.Exec(fmt.Sprintf(`ADD ANNOTATION TO Gene.Curation VALUE 'c%d' ON (SELECT Seq FROM Gene WHERE GID >= %d AND GID <= %d)`, i, lo, lo+15)); err != nil {
+				done <- err
+				return
+			}
+			added.Add(1)
+		}
+		done <- nil
+	}()
+	r := db.Session("analyst")
+	for i := 0; ; i++ {
+		before := added.Load()
+		rows, err := r.Query(context.Background(), `SELECT GID, Seq FROM Gene ANNOTATION(*) WHERE GID >= 1 AND GID <= 200`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[int64]bool{}
+		for rows.Next() {
+			for _, a := range rows.Row().AnnotationsFlat() {
+				seen[a.ID] = true
+			}
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(seen)) < before {
+			t.Fatalf("read %d saw %d annotations; %d adds had finished before it", i, len(seen), before)
+		}
+		if before == adds {
+			break
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -21,9 +21,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bdbms/internal/catalog"
@@ -192,30 +194,26 @@ func (s *RectStore) Remove(a *Annotation) {
 
 // IDsForCell implements Store.
 func (s *RectStore) IDsForCell(table string, rowID int64, col int) []int64 {
-	s.mu.RLock()
-	tree, ok := s.trees[strings.ToLower(table)]
-	s.mu.RUnlock()
-	if !ok {
-		return nil
-	}
-	var out []int64
-	tree.Search(rtree.NewPoint(float64(col), float64(rowID)), func(it rtree.Item) bool {
-		out = append(out, it.Data.(int64))
-		return true
-	})
-	return dedupe(out)
+	return s.search(table, rtree.NewPoint(float64(col), float64(rowID)))
 }
 
 // IDsForRegion implements Store.
 func (s *RectStore) IDsForRegion(reg Region) []int64 {
+	return s.search(reg.Table, regionRect(reg))
+}
+
+// search returns the IDs of the rectangles of table's tree that intersect q.
+// The read lock is held across the search: Add and Remove restructure the
+// tree under the write lock.
+func (s *RectStore) search(table string, q rtree.Rect) []int64 {
 	s.mu.RLock()
-	tree, ok := s.trees[strings.ToLower(reg.Table)]
-	s.mu.RUnlock()
+	defer s.mu.RUnlock()
+	tree, ok := s.trees[strings.ToLower(table)]
 	if !ok {
 		return nil
 	}
 	var out []int64
-	tree.Search(regionRect(reg), func(it rtree.Item) bool {
+	tree.Search(q, func(it rtree.Item) bool {
 		out = append(out, it.Data.(int64))
 		return true
 	})
@@ -238,6 +236,8 @@ type cellKey struct {
 }
 
 // CellStore is the naive scheme of Figure 3: one record per covered cell.
+// Each cell's ID list is kept sorted, so lookups merge lists instead of
+// sorting them.
 type CellStore struct {
 	mu    sync.RWMutex
 	cells map[cellKey][]int64
@@ -261,7 +261,9 @@ func (s *CellStore) Add(a *Annotation) {
 		for row := r.RowStart; row <= r.RowEnd; row++ {
 			for col := r.ColStart; col <= r.ColEnd; col++ {
 				k := cellKey{table: table, row: row, col: col}
-				s.cells[k] = append(s.cells[k], a.ID)
+				ids := s.cells[k]
+				at, _ := slices.BinarySearch(ids, a.ID)
+				s.cells[k] = slices.Insert(ids, at, a.ID)
 				s.count++
 			}
 		}
@@ -297,24 +299,63 @@ func (s *CellStore) Remove(a *Annotation) {
 func (s *CellStore) IDsForCell(table string, rowID int64, col int) []int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ids := s.cells[cellKey{table: strings.ToLower(table), row: rowID, col: col}]
-	return dedupe(append([]int64(nil), ids...))
+	return unionSorted(nil, s.cells[cellKey{table: strings.ToLower(table), row: rowID, col: col}], nil)
 }
 
-// IDsForRegion implements Store.
+// IDsForRegion implements Store. It looks the region's cells up one by one
+// when they are fewer than the stored cells, and scans the stored cells
+// otherwise.
 func (s *CellStore) IDsForRegion(reg Region) []int64 {
-	var out []int64
-	s.mu.RLock()
-	for k, ids := range s.cells {
-		if k.table != strings.ToLower(reg.Table) {
-			continue
-		}
-		if reg.Covers(k.row, k.col) {
-			out = append(out, ids...)
+	table := strings.ToLower(reg.Table)
+	var out, spare []int64
+	merge := func(ids []int64) {
+		if len(ids) > 0 {
+			spare = unionSorted(spare[:0], out, ids)
+			out, spare = spare, out
 		}
 	}
-	s.mu.RUnlock()
-	return dedupe(out)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if n := reg.CellCount(); n < int64(len(s.cells)) {
+		for row := reg.RowStart; row <= reg.RowEnd; row++ {
+			for col := reg.ColStart; col <= reg.ColEnd; col++ {
+				merge(s.cells[cellKey{table: table, row: row, col: col}])
+			}
+		}
+		return out
+	}
+	for k, ids := range s.cells {
+		if k.table == table && reg.Covers(k.row, k.col) {
+			merge(ids)
+		}
+	}
+	return out
+}
+
+// unionSorted appends to dst the union of the sorted lists a and b, each ID
+// once, in order.
+func unionSorted(dst, a, b []int64) []int64 {
+	put := func(id int64) {
+		if len(dst) == 0 || dst[len(dst)-1] != id {
+			dst = append(dst, id)
+		}
+	}
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] <= b[0] {
+			put(a[0])
+			a = a[1:]
+		} else {
+			put(b[0])
+			b = b[1:]
+		}
+	}
+	for _, id := range a {
+		put(id)
+	}
+	for _, id := range b {
+		put(id)
+	}
+	return dst
 }
 
 // RecordCount implements Store.
@@ -325,17 +366,8 @@ func (s *CellStore) RecordCount() int {
 }
 
 func dedupe(ids []int64) []int64 {
-	if len(ids) <= 1 {
-		return ids
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := ids[:1]
-	for _, id := range ids[1:] {
-		if id != out[len(out)-1] {
-			out = append(out, id)
-		}
-	}
-	return out
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // --- manager -------------------------------------------------------------------
@@ -370,6 +402,11 @@ type Manager struct {
 	byTable   map[string][]int64 // user table -> annotation IDs
 	clock     func() time.Time
 	systemTag string // author prefix treated as "the system" for system-managed tables
+	// gen counts the changes applied to the annotation set. Every applier
+	// bumps it after its change, under m.mu, so a reader that loads it
+	// before a lookup and sees it unchanged afterwards knows the lookup's
+	// answer still stands.
+	gen atomic.Uint64
 }
 
 // Option customises manager construction.
@@ -404,6 +441,12 @@ func NewManager(cat *catalog.Catalog, resolver TableResolver, opts ...Option) *M
 	}
 	return m
 }
+
+// Generation returns the count of changes applied to the annotation set so
+// far: adds, removals, archive flips and annotation-table drops. A lookup
+// made after loading generation g answers for every later moment at which
+// Generation still returns g.
+func (m *Manager) Generation() uint64 { return m.gen.Load() }
 
 // StoreName returns the active storage scheme name.
 func (m *Manager) StoreName() string { return m.store.Name() }
@@ -504,6 +547,7 @@ func (m *Manager) ApplyDropAnnotationTable(userTable, name string) error {
 		kept = append(kept, id)
 	}
 	m.byTable[key] = kept
+	m.gen.Add(1)
 	return nil
 }
 
@@ -572,6 +616,7 @@ func (m *Manager) Remove(id int64) {
 		}
 	}
 	m.byTable[key] = kept
+	m.gen.Add(1)
 }
 
 // applyAdd registers an annotation in the maps and the storage scheme. The
@@ -584,6 +629,7 @@ func (m *Manager) applyAdd(a *Annotation) {
 	key := strings.ToLower(a.UserTable)
 	m.byTable[key] = append(m.byTable[key], a.ID)
 	m.store.Add(a)
+	m.gen.Add(1)
 }
 
 // Get returns the annotation with the given ID, or nil.
@@ -791,6 +837,7 @@ func (m *Manager) applyArchiveLocked(r ArchiveRecord) {
 			}
 		}
 	}
+	m.gen.Add(1)
 }
 
 // UndoArchive puts the annotations r names back as they were before it: the
@@ -806,6 +853,7 @@ func (m *Manager) UndoArchive(r ArchiveRecord) {
 			}
 		}
 	}
+	m.gen.Add(1)
 }
 
 // --- durability ---------------------------------------------------------------

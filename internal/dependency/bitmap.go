@@ -4,7 +4,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
+	"bdbms/internal/annotation"
 	"bdbms/internal/rle"
 )
 
@@ -17,7 +19,23 @@ type Bitmap struct {
 	mu      sync.RWMutex
 	table   string
 	numCols int
-	rows    map[int64][]bool
+	rows    map[int64]*markedRow
+}
+
+// markedRow is one row with at least one outdated cell: its bits, and the
+// synthetic annotations queries attach for them (Marks), built on the first
+// read after the row last changed. Readers build under the read lock and
+// publish with a compare-and-swap; Set and Clear drop them under the write
+// lock, so a published list always matches the bits.
+type markedRow struct {
+	bits  []bool
+	marks atomic.Pointer[[]*annotation.Annotation]
+}
+
+// Marker builds the synthetic annotation a query attaches to an outdated
+// cell.
+type Marker interface {
+	Mark(rowID int64, col int) *annotation.Annotation
 }
 
 // NewBitmap creates a bitmap for a table with numCols columns.
@@ -25,7 +43,7 @@ func NewBitmap(table string, numCols int) *Bitmap {
 	if numCols < 1 {
 		numCols = 1
 	}
-	return &Bitmap{table: table, numCols: numCols, rows: make(map[int64][]bool)}
+	return &Bitmap{table: table, numCols: numCols, rows: make(map[int64]*markedRow)}
 }
 
 // Table returns the table this bitmap belongs to.
@@ -43,10 +61,11 @@ func (b *Bitmap) Set(rowID int64, col int) {
 	defer b.mu.Unlock()
 	row, ok := b.rows[rowID]
 	if !ok {
-		row = make([]bool, b.numCols)
+		row = &markedRow{bits: make([]bool, b.numCols)}
 		b.rows[rowID] = row
 	}
-	row[col] = true
+	row.bits[col] = true
+	row.marks.Store(nil)
 }
 
 // Clear resets cell (rowID, col).
@@ -60,8 +79,9 @@ func (b *Bitmap) Clear(rowID int64, col int) {
 	if !ok {
 		return
 	}
-	row[col] = false
-	for _, set := range row {
+	row.bits[col] = false
+	row.marks.Store(nil)
+	for _, set := range row.bits {
 		if set {
 			return
 		}
@@ -77,7 +97,7 @@ func (b *Bitmap) IsSet(rowID int64, col int) bool {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	row, ok := b.rows[rowID]
-	return ok && row[col]
+	return ok && row.bits[col]
 }
 
 // Any reports whether any cell of the table is outdated. Rows with no set
@@ -98,12 +118,55 @@ func (b *Bitmap) RowOutdated(rowID int64) bool {
 	if !ok {
 		return false
 	}
-	for _, set := range row {
+	for _, set := range row.bits {
 		if set {
 			return true
 		}
 	}
 	return false
+}
+
+// Marks returns row rowID's synthetic annotations, one slot per column, nil
+// where the cell is current; nil when no cell of the row is outdated. They
+// are built by m on the first read after the row last changed and shared by
+// every later read, so the caller must not modify them, and every reader of
+// one bitmap must pass a Marker that builds the same annotations. m runs
+// under the bitmap's read lock and must not call back into the bitmap.
+func (b *Bitmap) Marks(rowID int64, m Marker) []*annotation.Annotation {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.marksLocked(rowID, m)
+}
+
+// MarksOf sets dst[i] to Marks(rowIDs[i], m) for every i, under one read
+// lock. dst must be at least as long as rowIDs.
+func (b *Bitmap) MarksOf(dst [][]*annotation.Annotation, rowIDs []int64, m Marker) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	for i, rowID := range rowIDs {
+		dst[i] = b.marksLocked(rowID, m)
+	}
+}
+
+// marksLocked is Marks; the caller holds b.mu for reading.
+func (b *Bitmap) marksLocked(rowID int64, m Marker) []*annotation.Annotation {
+	row, ok := b.rows[rowID]
+	if !ok {
+		return nil
+	}
+	if p := row.marks.Load(); p != nil {
+		return *p
+	}
+	built := make([]*annotation.Annotation, b.numCols)
+	for col, set := range row.bits {
+		if set {
+			built[col] = m.Mark(rowID, col)
+		}
+	}
+	if row.marks.CompareAndSwap(nil, &built) {
+		return built
+	}
+	return *row.marks.Load()
 }
 
 // Count returns the number of outdated cells.
@@ -112,7 +175,7 @@ func (b *Bitmap) Count() int {
 	defer b.mu.RUnlock()
 	n := 0
 	for _, row := range b.rows {
-		for _, set := range row {
+		for _, set := range row.bits {
 			if set {
 				n++
 			}
@@ -127,7 +190,7 @@ func (b *Bitmap) OutdatedCells() []Cell {
 	defer b.mu.RUnlock()
 	var out []Cell
 	for rowID, row := range b.rows {
-		for col, set := range row {
+		for col, set := range row.bits {
 			if set {
 				out = append(out, Cell{Table: b.table, RowID: rowID, Col: col})
 			}
@@ -152,7 +215,7 @@ func (b *Bitmap) serialize(maxRowID int64) string {
 	for rowID := int64(1); rowID <= maxRowID; rowID++ {
 		row, ok := b.rows[rowID]
 		for col := 0; col < b.numCols; col++ {
-			if ok && row[col] {
+			if ok && row.bits[col] {
 				sb.WriteByte('1')
 			} else {
 				sb.WriteByte('0')

@@ -560,6 +560,7 @@ func TestSQLEquivalenceFuzz(t *testing.T) {
 	batchScans.Store(0)
 	batchMarkedAggs.Store(0)
 	batchGatedRows.Store(0)
+	decorateWindows.Store(0)
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			// Seed 3 (so -short keeps it) is the four-chunk case.
@@ -574,6 +575,9 @@ func TestSQLEquivalenceFuzz(t *testing.T) {
 	}
 	if batchGatedRows.Load() == 0 {
 		t.Error("no generated join probe or Top-N dropped a row on the column vectors; the gated path is untested")
+	}
+	if decorateWindows.Load() == 0 {
+		t.Error("no generated query read an annotation window; windowed decoration is untested")
 	}
 }
 
@@ -594,6 +598,7 @@ func TestSQLEquivalenceFuzzSpill(t *testing.T) {
 	batchScans.Store(0)
 	batchMarkedAggs.Store(0)
 	batchGatedRows.Store(0)
+	decorateWindows.Store(0)
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed-%d-spill", seed), func(t *testing.T) {
 			// Seed 11 (so -short keeps it) is the four-chunk case.
@@ -611,6 +616,9 @@ func TestSQLEquivalenceFuzzSpill(t *testing.T) {
 	}
 	if batchGatedRows.Load() == 0 {
 		t.Error("spill-forcing seeds never dropped a row at a join probe or Top-N gate")
+	}
+	if decorateWindows.Load() == 0 {
+		t.Error("spill-forcing seeds never read an annotation window")
 	}
 }
 

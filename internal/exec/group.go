@@ -529,6 +529,7 @@ func (g *groupAggIter) consumeBatches() error {
 	bs := g.batches
 	off := bs.src.offset
 	marks := g.marks
+	var rowMarks [][]*annotation.Annotation
 	if marks != nil {
 		batchMarkedAggs.Add(1)
 	}
@@ -547,6 +548,13 @@ func (g *groupAggIter) consumeBatches() error {
 				return g.specErr
 			}
 		}
+		if marks != nil {
+			if cap(rowMarks) < len(b.rowIDs) {
+				rowMarks = make([][]*annotation.Annotation, len(b.rowIDs))
+			}
+			rowMarks = rowMarks[:len(b.rowIDs)]
+			marks.bm.MarksOf(rowMarks, b.rowIDs, marks)
+		}
 		for _, i := range b.sel {
 			g.keyBuf = g.keyBuf[:0]
 			for ki, idx := range g.keyIdx {
@@ -558,9 +566,9 @@ func (g *groupAggIter) consumeBatches() error {
 			// The row's annotations: nil, standing for annWidth empty cells,
 			// unless the row carries outdated marks.
 			var anns [][]*annotation.Annotation
-			if marks != nil && marks.bm.RowOutdated(b.rowIDs[i]) {
+			if marks != nil && rowMarks[i] != nil {
 				anns = make([][]*annotation.Annotation, g.annWidth)
-				marks.appendOutdated(anns, b.rowIDs[i])
+				marks.appendMarks(anns, rowMarks[i])
 			}
 			bkt := g.grouper.lookup(g.keyBuf)
 			delta := false

@@ -7,8 +7,6 @@ import (
 	"math"
 	"strings"
 
-	"bdbms/internal/annotation"
-	"bdbms/internal/dependency"
 	"bdbms/internal/sqlparse"
 	"bdbms/internal/stats"
 	"bdbms/internal/storage"
@@ -697,101 +695,4 @@ func (s *Session) rowStage(ctx context.Context, plan *stmtPlan, awhere sqlparse.
 		return nil, err
 	}
 	return &decorateIter{in: it, dec: s.newDecorator(plan.sources), awhere: awhere, params: params}, nil
-}
-
-// annSource is the per-source decoration plan: which annotation tables the
-// ANNOTATION clause requested and the outdated bitmap, both resolved once
-// per query instead of once per row.
-type annSource struct {
-	name     string
-	offset   int
-	numCols  int
-	want     bool
-	filter   annotation.Filter
-	bm       *dependency.Bitmap
-	colNames []string
-}
-
-// decorator attaches annotations and outdated marks to pipeline rows.
-// Resolving the per-source state once at construction lets the streaming
-// cursor decorate one row per Next call at the same cost per row as the
-// batch path.
-type decorator struct {
-	s         *Session
-	plans     []annSource
-	totalCols int
-	anyWork   bool
-	// wantAnns is set when some source has an ANNOTATION clause; without it
-	// the only decoration work there can be is outdated marks.
-	wantAnns bool
-}
-
-// newDecorator resolves the decoration plan of each source.
-func (s *Session) newDecorator(sources []*sourcePlan) *decorator {
-	d := &decorator{s: s, plans: make([]annSource, len(sources))}
-	for i, src := range sources {
-		d.totalCols += src.numCols
-		as := annSource{
-			name:    src.tbl.Name(),
-			offset:  src.offset,
-			numCols: src.numCols,
-		}
-		if len(src.ref.Annotations) > 0 {
-			as.want, d.wantAnns = true, true
-			if src.ref.Annotations[0] != "*" {
-				as.filter.AnnTables = src.ref.Annotations
-			}
-		}
-		if s.Dep != nil {
-			if bm := s.Dep.Bitmap(src.tbl.Name()); bm.Any() {
-				as.bm = bm
-				as.colNames = src.tbl.Schema().ColumnNames()
-			}
-		}
-		if as.want || as.bm != nil {
-			d.anyWork = true
-		}
-		d.plans[i] = as
-	}
-	return d
-}
-
-// decorate attaches the requested annotations and outdated marks to one row.
-func (d *decorator) decorate(r *execRow) {
-	r.anns = make([][]*annotation.Annotation, d.totalCols)
-	if !d.anyWork {
-		return
-	}
-	for j := range d.plans {
-		as := &d.plans[j]
-		if !as.want && as.bm == nil {
-			continue
-		}
-		rowID := r.origins[j].rowID
-		if as.want {
-			for c := 0; c < as.numCols; c++ {
-				r.anns[as.offset+c] = d.s.Ann.ForCell(as.name, rowID, c, as.filter)
-			}
-		}
-		if as.bm != nil && as.bm.RowOutdated(rowID) {
-			as.appendOutdated(r.anns, rowID)
-		}
-	}
-}
-
-// appendOutdated appends to anns, one row's annotation cells, a synthetic
-// annotation for each outdated cell of the source's row rowID.
-func (as *annSource) appendOutdated(anns [][]*annotation.Annotation, rowID int64) {
-	for c := 0; c < as.numCols; c++ {
-		if as.bm.IsSet(rowID, c) {
-			anns[as.offset+c] = append(anns[as.offset+c], &annotation.Annotation{
-				AnnTable:  OutdatedAnnTable,
-				UserTable: as.name,
-				Author:    "system:dependency-tracker",
-				Body: fmt.Sprintf("<Annotation>OUTDATED: %s.%s of row %d needs re-verification</Annotation>",
-					as.name, as.colNames[c], rowID),
-				Regions: []annotation.Region{annotation.CellRegion(as.name, rowID, c)},
-			})
-		}
-	}
 }

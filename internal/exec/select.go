@@ -340,14 +340,7 @@ func (s *Session) loadTable(ctx context.Context, tbl *storage.Table, ref sqlpars
 		if bm != nil && bm.RowOutdated(rowID) {
 			for c := 0; c < numCols; c++ {
 				if bm.IsSet(rowID, c) {
-					r.anns[c] = append(r.anns[c], &annotation.Annotation{
-						AnnTable:  OutdatedAnnTable,
-						UserTable: tbl.Name(),
-						Author:    "system:dependency-tracker",
-						Body: fmt.Sprintf("<Annotation>OUTDATED: %s.%s of row %d needs re-verification</Annotation>",
-							tbl.Name(), tbl.Schema().Columns[c].Name, rowID),
-						Regions: []annotation.Region{annotation.CellRegion(tbl.Name(), rowID, c)},
-					})
+					r.anns[c] = append(r.anns[c], outdatedMark(tbl.Name(), tbl.Schema().Columns[c].Name, rowID, c))
 				}
 			}
 		}
@@ -942,22 +935,46 @@ func evalAnnBool(e sqlparse.Expr, a *annotation.Annotation, params value.Row) (b
 	return v.Type() == value.Bool && v.Bool(), nil
 }
 
+// unionAnnotations returns a fresh list of a's annotations, then b's, each
+// stored annotation once (its first occurrence) and every synthetic one (ID
+// 0, an outdated mark); nil when both are empty. Short lists are deduplicated
+// against the result itself, longer ones through a map.
 func unionAnnotations(a, b []*annotation.Annotation) []*annotation.Annotation {
-	seen := map[int64]bool{}
-	var out []*annotation.Annotation
-	appendAll := func(list []*annotation.Annotation) {
+	n := len(a) + len(b)
+	if n == 0 {
+		return nil
+	}
+	out := make([]*annotation.Annotation, 0, n)
+	var seen map[int64]bool
+	if n > unionShortList {
+		seen = make(map[int64]bool, n)
+	}
+	for _, list := range [2][]*annotation.Annotation{a, b} {
 		for _, ann := range list {
-			// Synthetic annotations (outdated marks) have ID 0; keep them all.
-			if ann.ID != 0 && seen[ann.ID] {
-				continue
-			}
 			if ann.ID != 0 {
-				seen[ann.ID] = true
+				if seen != nil {
+					if seen[ann.ID] {
+						continue
+					}
+					seen[ann.ID] = true
+				} else if containsID(out, ann.ID) {
+					continue
+				}
 			}
 			out = append(out, ann)
 		}
 	}
-	appendAll(a)
-	appendAll(b)
 	return out
+}
+
+// unionShortList is the longest union deduplicated by scanning its result.
+const unionShortList = 16
+
+func containsID(anns []*annotation.Annotation, id int64) bool {
+	for _, a := range anns {
+		if a.ID == id {
+			return true
+		}
+	}
+	return false
 }
