@@ -98,21 +98,21 @@ func (v *bvec) valueAt(i int32) value.Value {
 	}
 }
 
-// appendKeyString appends the Value.String() rendering of row i — the group
-// key fragment — without boxing for the common kinds.
-func (v *bvec) appendKeyString(dst []byte, i int32) []byte {
-	if v.null(i) {
-		return append(dst, "NULL"...)
-	}
-	switch v.kind {
-	case storage.ColInt:
-		return strconv.AppendInt(dst, v.ints[i], 10)
-	case storage.ColFloat:
-		return strconv.AppendFloat(dst, v.flts[i], 'g', -1, 64)
-	case storage.ColText:
-		return append(dst, v.str(i)...)
+// appendGroupKey renders row i's group-key part exactly like the boxed
+// appendGroupKey, without boxing the common kinds.
+func (v *bvec) appendGroupKey(dst []byte, i int32) []byte {
+	var num [32]byte
+	switch {
+	case v.null(i):
+		return append(dst, keyNull)
+	case v.kind == storage.ColInt:
+		return appendKeyPart(dst, strconv.AppendInt(num[:0], v.ints[i], 10))
+	case v.kind == storage.ColFloat:
+		return appendKeyPart(dst, strconv.AppendFloat(num[:0], v.flts[i], 'g', -1, 64))
+	case v.kind == storage.ColText:
+		return appendKeyPart(dst, v.str(i))
 	default:
-		return append(dst, v.vals[i].String()...)
+		return appendGroupKey(dst, v.vals[i])
 	}
 }
 

@@ -10,11 +10,16 @@ package exec
 // the table as a whole is bounded by the session's spill budget.
 //
 // Output groups are emitted in first-seen order, exactly like the reference
-// executor's groupRows, even after spilling (every bucket carries the
-// sequence number of its first member).
+// executor's groupRows, even after spilling: the resident groups were all
+// seen before the first spilled one, and every spilled group's first record
+// carries the sequence number of its first member. A spilled member that
+// brings no annotations is written as an observation record — the key and
+// the values its aggregates read — and folded back by foldObs.
 
 import (
+	"encoding/binary"
 	"fmt"
+	"strconv"
 
 	"bdbms/internal/annotation"
 	"bdbms/internal/sqlparse"
@@ -214,6 +219,35 @@ func (a *aggState) update(kind aggKind, v value.Value) error {
 	return nil
 }
 
+// updateInt is update for a non-NULL INT, without boxing it for COUNT, SUM
+// and AVG — the rules consumeBatches applies to an INT vector.
+func (a *aggState) updateInt(kind aggKind, x int64) error {
+	switch kind {
+	case aggCount:
+		a.count++
+	case aggSum, aggAvg:
+		a.addInt(x)
+		a.n++
+	default:
+		return a.update(kind, value.NewInt(x))
+	}
+	return nil
+}
+
+// updateFloat is update for a non-NULL FLOAT.
+func (a *aggState) updateFloat(kind aggKind, x float64) error {
+	switch kind {
+	case aggCount:
+		a.count++
+	case aggSum, aggAvg:
+		a.addFloat(x)
+		a.n++
+	default:
+		return a.update(kind, value.NewFloat(x))
+	}
+	return nil
+}
+
 // merge folds src (accumulated over later members) into a.
 func (a *aggState) merge(kind aggKind, src *aggState) error {
 	a.count += src.count
@@ -265,9 +299,12 @@ func (a *aggState) final(kind aggKind) value.Value {
 	}
 }
 
-// groupBucket is the resident state of one group.
+// groupBucket is the resident state of one group. A spilled group keeps its
+// representative row encoded (raw non-empty, vals nil) from the merge until
+// it is emitted.
 type groupBucket struct {
 	vals value.Row
+	raw  []byte
 	anns [][]*annotation.Annotation
 	aggs []aggState
 }
@@ -299,7 +336,7 @@ type groupAggIter struct {
 	started bool
 	next    func() (*groupBucket, bool, error)
 	keyBuf  []byte
-	delta   groupBucket // reused scratch for appendDelta records
+	delta   groupBucket // reused scratch for spilled bucket records
 }
 
 // newGroupAggIter resolves the GROUP BY key slots eagerly (the reference
@@ -317,29 +354,31 @@ func newGroupAggIter(s *Session, in rowIter, st *sqlparse.SelectStmt, bindings [
 	specs, specErr := collectAggregates(st, bindings)
 	g := &groupAggIter{s: s, in: in, keyIdx: keyIdx, specs: specs, specErr: specErr, sf: sf}
 	g.grouper = newSpillGrouper(grouperOps[groupBucket]{
-		size:       g.bucketSize,
-		encode:     g.encodeBucket,
-		decode:     g.decodeBucket,
-		decodeInto: g.decodeBucketInto,
-		merge:      g.mergeBuckets,
+		size:   g.bucketSize,
+		encode: g.encodeBucket,
+		decode: g.decodeBucket,
+		merge:  g.mergeBuckets,
+		fold:   g.foldObs,
 	}, s.spillBudget(), sf)
 	return g, nil
 }
 
 func (g *groupAggIter) bucketSize(b *groupBucket) int {
-	return sizeOfValues(b.vals) + sizeOfAnnCells(b.anns) + len(b.aggs)*56
+	return sizeOfValues(b.vals) + len(b.raw) + sizeOfAnnCells(b.anns) + len(b.aggs)*56
 }
 
 func (g *groupAggIter) encodeBucket(dst []byte, b *groupBucket) []byte {
-	// A nil representative row marks a re-observation bucket: an earlier
-	// flush generation already spilled this group's row (and the merge keeps
-	// only the earliest generation's payload), so the record carries just the
-	// accumulators.
-	if b.vals == nil {
-		dst = append(dst, 0)
-	} else {
+	// A bucket record without a representative row carries an observation
+	// with annotations of a group whose row is already on disk.
+	switch {
+	case b.vals != nil:
 		dst = append(dst, 1)
 		dst = appendValueRow(dst, b.vals)
+	case len(b.raw) > 0:
+		dst = append(dst, 1)
+		dst = appendBytes(dst, b.raw)
+	default:
+		dst = append(dst, 0)
 	}
 	dst = appendAnnCells(dst, b.anns)
 	for i := range b.aggs {
@@ -363,22 +402,19 @@ func (g *groupAggIter) encodeBucket(dst []byte, b *groupBucket) []byte {
 	return dst
 }
 
-func (g *groupAggIter) decodeBucket(r *byteReader) (*groupBucket, error) {
-	b := &groupBucket{}
-	if err := g.decodeBucketInto(r, b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// decodeBucketInto decodes a spill record into a reusable bucket (the
-// accumulator slice is retained across calls; everything else is replaced).
-func (g *groupAggIter) decodeBucketInto(r *byteReader, b *groupBucket) error {
-	b.vals = nil
+// decodeBucket decodes a bucket record into b, reusing its raw and
+// accumulator slices. A kept bucket copies its row still encoded and gets all
+// its annotation cells; a record folding into one (keep unset) skips the row
+// and leaves empty cells nil.
+func (g *groupAggIter) decodeBucket(r *byteReader, b *groupBucket, keep bool) error {
+	b.vals, b.raw = nil, b.raw[:0]
 	if r.byteVal() != 0 {
-		b.vals = r.row()
+		raw := r.bytes()
+		if keep {
+			b.raw = append(b.raw, raw...)
+		}
 	}
-	b.anns = r.annCells()
+	b.anns = r.annCells(!keep)
 	if cap(b.aggs) < len(g.specs) {
 		b.aggs = make([]aggState, len(g.specs))
 	} else {
@@ -398,6 +434,85 @@ func (g *groupAggIter) decodeBucketInto(r *byteReader, b *groupBucket) error {
 		}
 	}
 	return r.err
+}
+
+// Observation records (recObs) hold, after the key, one tagged value per
+// slotted aggregate, in spec order; COUNT(*) needs none.
+const (
+	obsNull  byte = iota
+	obsInt        // varint
+	obsFloat      // 8 bytes, appendFloat
+	obsValue      // Value.Encode
+)
+
+// appendObsValue appends v's observation tag and payload.
+func appendObsValue(dst []byte, v value.Value) []byte {
+	switch v.Type() {
+	case value.Null:
+		return append(dst, obsNull)
+	case value.Int:
+		return appendVarint(append(dst, obsInt), v.Int())
+	case value.Float:
+		return appendFloat(append(dst, obsFloat), v.Float())
+	default:
+		return v.Encode(append(dst, obsValue))
+	}
+}
+
+// appendObs is appendObsValue for row i of a column vector, without boxing
+// INT and FLOAT.
+func (v *bvec) appendObs(dst []byte, i int32) []byte {
+	switch {
+	case v.null(i):
+		return append(dst, obsNull)
+	case v.kind == storage.ColInt:
+		return appendVarint(append(dst, obsInt), v.ints[i])
+	case v.kind == storage.ColFloat:
+		return appendFloat(append(dst, obsFloat), v.flts[i])
+	default:
+		return v.valueAt(i).Encode(append(dst, obsValue))
+	}
+}
+
+// foldObs adds one observation record to its group's bucket, by the update
+// rules consumeBatches applies to a row.
+func (g *groupAggIter) foldObs(b *groupBucket, r *byteReader) error {
+	for i := range g.specs {
+		spec := &g.specs[i]
+		a := &b.aggs[i]
+		if spec.slot < 0 {
+			a.count++
+			continue
+		}
+		var err error
+		switch r.byteVal() {
+		case obsNull:
+		case obsInt:
+			if x := r.varint(); r.err == nil {
+				err = a.updateInt(spec.kind, x)
+			}
+		case obsFloat:
+			if x := r.float(); r.err == nil {
+				err = a.updateFloat(spec.kind, x)
+			}
+		case obsValue:
+			if v := r.oneValue(); r.err == nil {
+				err = a.update(spec.kind, v)
+			}
+		default:
+			r.fail()
+		}
+		if r.err != nil {
+			return r.err
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if len(r.buf) != 0 {
+		return fmt.Errorf("%w: observation longer than its aggregates", errCorruptSpill)
+	}
+	return nil
 }
 
 // resetDelta clears and returns the reusable single-observation bucket the
@@ -430,16 +545,46 @@ func (g *groupAggIter) mergeBuckets(dst, src *groupBucket) error {
 	return nil
 }
 
-// groupKeyBytes renders the group key into the reused key buffer exactly like
-// the reference executor (strings.Join of Value.String() with NUL
-// separators), so the two paths always form identical groups.
+// Group keys. Each GROUP BY column adds one part: a NULL marker, or a marker
+// and the length-prefixed Value.String() rendering. The reference executor's
+// groupRows, groupKeyBytes and bvec.appendGroupKey build the same bytes, so
+// the three paths form identical groups. The rendering keeps numeric merging
+// (FLOAT 1.0 and INT 1 both render "1"); the marker keeps NULL apart from
+// the text 'NULL', and the length keeps ('x\x00y', 'z') apart from
+// ('x', 'y\x00z').
+const (
+	keyNull byte = iota
+	keyPart
+)
+
+func appendKeyPart[S string | []byte](dst []byte, s S) []byte {
+	dst = append(dst, keyPart)
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// appendGroupKey appends v's group-key part.
+func appendGroupKey(dst []byte, v value.Value) []byte {
+	var num [32]byte
+	switch v.Type() {
+	case value.Null:
+		return append(dst, keyNull)
+	case value.Int:
+		return appendKeyPart(dst, strconv.AppendInt(num[:0], v.Int(), 10))
+	case value.Float:
+		return appendKeyPart(dst, strconv.AppendFloat(num[:0], v.Float(), 'g', -1, 64))
+	case value.Text, value.Sequence:
+		return appendKeyPart(dst, v.Text())
+	default:
+		return appendKeyPart(dst, v.String())
+	}
+}
+
+// groupKeyBytes renders the group key into the reused key buffer.
 func (g *groupAggIter) groupKeyBytes(vals value.Row) []byte {
 	g.keyBuf = g.keyBuf[:0]
-	for i, idx := range g.keyIdx {
-		if i > 0 {
-			g.keyBuf = append(g.keyBuf, 0)
-		}
-		g.keyBuf = append(g.keyBuf, vals[idx].String()...)
+	for _, idx := range g.keyIdx {
+		g.keyBuf = appendGroupKey(g.keyBuf, vals[idx])
 	}
 	return g.keyBuf
 }
@@ -458,6 +603,11 @@ func (g *groupAggIter) foldAnns(b *groupBucket, anns [][]*annotation.Annotation)
 	g.grouper.grow(grown)
 }
 
+// consume folds the input rows into the grouper. An observation of a frozen
+// table's non-resident key spills: its first one as a bucket record carrying
+// the representative row, a later one as an observation record holding only
+// what it adds to the accumulators — unless it brings annotations, which
+// ride along in a bucket record without the row.
 func (g *groupAggIter) consume() error {
 	first := true
 	for {
@@ -477,7 +627,7 @@ func (g *groupAggIter) consume() error {
 			}
 		}
 		key := g.groupKeyBytes(r.values)
-		b := g.grouper.lookup(key)
+		b, flushed := g.grouper.lookup(key)
 		delta := false
 		switch {
 		case b != nil:
@@ -489,15 +639,22 @@ func (g *groupAggIter) consume() error {
 				aggs: make([]aggState, len(g.specs)),
 			}
 			g.grouper.insert(string(key), b)
+		case flushed && !hasAnns(r.anns):
+			rec := g.grouper.beginObs(key)
+			for i := range g.specs {
+				if slot := g.specs[i].slot; slot >= 0 {
+					rec = appendObsValue(rec, r.values[slot])
+				}
+			}
+			if err := g.grouper.appendObs(key, rec); err != nil {
+				return err
+			}
+			continue
 		default:
-			// Frozen table: this observation spills as a delta record. The
-			// member's annotations always ride along; the representative row
-			// only until the key's first delta is on disk (the merge keeps
-			// the earliest payload and drops the rest).
 			delta = true
 			b = g.resetDelta()
 			b.anns = r.anns
-			if !g.grouper.flushedBefore(key) {
+			if !flushed {
 				b.vals = r.values
 			}
 		}
@@ -512,7 +669,7 @@ func (g *groupAggIter) consume() error {
 			}
 		}
 		if delta {
-			if err := g.grouper.appendDelta(key, b); err != nil {
+			if err := g.grouper.appendDelta(key, b, !flushed); err != nil {
 				return err
 			}
 		}
@@ -520,11 +677,11 @@ func (g *groupAggIter) consume() error {
 }
 
 // consumeBatches is the vectorized twin of consume: it folds column vectors
-// into the same spillable hash table, building group keys without boxing and
-// updating INT/FLOAT SUM/AVG accumulators straight from the typed vectors.
-// Group formation, first-seen order, NULL handling, outdated marks, error
-// surfacing and spill behaviour are identical to the row path — the fuzzer
-// runs both and diffs.
+// into the same spillable hash table, building group keys and observation
+// records without boxing and updating INT/FLOAT accumulators straight from
+// the typed vectors. Group formation, first-seen order, NULL handling,
+// outdated marks, error surfacing and spill behaviour are identical to the
+// row path — the fuzzer runs both and diffs.
 func (g *groupAggIter) consumeBatches() error {
 	bs := g.batches
 	off := bs.src.offset
@@ -557,11 +714,8 @@ func (g *groupAggIter) consumeBatches() error {
 		}
 		for _, i := range b.sel {
 			g.keyBuf = g.keyBuf[:0]
-			for ki, idx := range g.keyIdx {
-				if ki > 0 {
-					g.keyBuf = append(g.keyBuf, 0)
-				}
-				g.keyBuf = b.vecs[idx-off].appendKeyString(g.keyBuf, i)
+			for _, idx := range g.keyIdx {
+				g.keyBuf = b.vecs[idx-off].appendGroupKey(g.keyBuf, i)
 			}
 			// The row's annotations: nil, standing for annWidth empty cells,
 			// unless the row carries outdated marks.
@@ -570,7 +724,7 @@ func (g *groupAggIter) consumeBatches() error {
 				anns = make([][]*annotation.Annotation, g.annWidth)
 				marks.appendMarks(anns, rowMarks[i])
 			}
-			bkt := g.grouper.lookup(g.keyBuf)
+			bkt, flushed := g.grouper.lookup(g.keyBuf)
 			delta := false
 			switch {
 			case bkt != nil:
@@ -587,14 +741,26 @@ func (g *groupAggIter) consumeBatches() error {
 					aggs: make([]aggState, len(g.specs)),
 				}
 				g.grouper.insert(string(g.keyBuf), bkt)
+			case flushed && anns == nil:
+				// Spilled as consume does: an observation record.
+				rec := g.grouper.beginObs(g.keyBuf)
+				for si := range g.specs {
+					if slot := g.specs[si].slot; slot >= 0 {
+						rec = b.vecs[slot-off].appendObs(rec, i)
+					}
+				}
+				if err := g.grouper.appendObs(g.keyBuf, rec); err != nil {
+					return err
+				}
+				continue
 			default:
-				// Frozen table: spill this observation as a delta record, as
-				// consume does. Empty annotation cells fold to nothing, so only
-				// the record carrying the representative row spells them out.
+				// A bucket record, as consume writes. Empty annotation cells
+				// fold to nothing, so only the record carrying the
+				// representative row spells them out.
 				delta = true
 				bkt = g.resetDelta()
 				bkt.anns = anns
-				if !g.grouper.flushedBefore(g.keyBuf) {
+				if !flushed {
 					bkt.vals = b.rowValues(i)
 					if anns == nil {
 						bkt.anns = make([][]*annotation.Annotation, g.annWidth)
@@ -630,7 +796,7 @@ func (g *groupAggIter) consumeBatches() error {
 				}
 			}
 			if delta {
-				if err := g.grouper.appendDelta(g.keyBuf, bkt); err != nil {
+				if err := g.grouper.appendDelta(g.keyBuf, bkt, !flushed); err != nil {
 					return err
 				}
 			}
@@ -648,21 +814,23 @@ func (g *groupAggIter) Next() (execRow, bool, error) {
 		if err := consume(); err != nil {
 			return execRow{}, false, err
 		}
-		next, err := g.grouper.finish()
-		if err != nil {
-			return execRow{}, false, err
-		}
-		g.next = next
+		g.next = g.grouper.finish()
 	}
 	b, ok, err := g.next()
 	if err != nil || !ok {
 		return execRow{}, false, err
 	}
-	aggVals := make(map[*sqlparse.AggregateExpr]value.Value, len(g.specs))
-	for i := range g.specs {
-		aggVals[g.specs[i].node] = b.aggs[i].final(g.specs[i].kind)
+	vals := b.vals
+	if len(b.raw) > 0 {
+		if vals, err = value.DecodeRow(b.raw); err != nil {
+			return execRow{}, false, err
+		}
 	}
-	return execRow{values: b.vals, anns: b.anns, aggVals: aggVals}, true, nil
+	aggVals := make([]aggResult, len(g.specs))
+	for i := range g.specs {
+		aggVals[i] = aggResult{node: g.specs[i].node, v: b.aggs[i].final(g.specs[i].kind)}
+	}
+	return execRow{values: vals, anns: b.anns, aggVals: &aggVals}, true, nil
 }
 
 // havingIter filters grouped rows by the HAVING condition, resolving

@@ -33,8 +33,16 @@ type execRow struct {
 	// aggVals holds the pre-computed aggregate results when this row was
 	// built by the streaming groupAggIter, which accumulates aggregates
 	// incrementally instead of retaining group members. Expression
-	// evaluation resolves AggregateExpr nodes from here when set.
-	aggVals map[*sqlparse.AggregateExpr]value.Value
+	// evaluation resolves AggregateExpr nodes from here, by pointer, when
+	// set. A pointer keeps execRow, which every operator copies, one word
+	// wide for it.
+	aggVals *[]aggResult
+}
+
+// aggResult is one aggregate node's result for a group.
+type aggResult struct {
+	node *sqlparse.AggregateExpr
+	v    value.Value
 }
 
 // binding describes one value slot of an execRow.
@@ -366,12 +374,13 @@ func (s *Session) groupRows(st *sqlparse.SelectStmt, bindings []binding, rows []
 	}
 	groups := map[string]*execRow{}
 	var order []string
+	var keyBuf []byte
 	for _, r := range rows {
-		var keyParts []string
+		keyBuf = keyBuf[:0]
 		for _, idx := range keyIdx {
-			keyParts = append(keyParts, r.values[idx].String())
+			keyBuf = appendGroupKey(keyBuf, r.values[idx])
 		}
-		key := strings.Join(keyParts, "\x00")
+		key := string(keyBuf)
 		g, ok := groups[key]
 		if !ok {
 			copyRow := execRow{
@@ -662,11 +671,12 @@ func (s *Session) evalValue(e sqlparse.Expr, bindings []binding, r execRow, grou
 	}
 	aggFn := func(agg *sqlparse.AggregateExpr) (value.Value, error) {
 		if r.aggVals != nil {
-			v, ok := r.aggVals[agg]
-			if !ok {
-				return value.Value{}, fmt.Errorf("%w: internal: unregistered aggregate %s", ErrUnsupported, agg.Func)
+			for _, res := range *r.aggVals {
+				if res.node == agg {
+					return res.v, nil
+				}
 			}
-			return v, nil
+			return value.Value{}, fmt.Errorf("%w: internal: unregistered aggregate %s", ErrUnsupported, agg.Func)
 		}
 		members := group
 		if members == nil {

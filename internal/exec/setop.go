@@ -18,6 +18,8 @@ package exec
 
 import (
 	"fmt"
+
+	"bdbms/internal/annotation"
 )
 
 // distinctBucket is one surviving DISTINCT row.
@@ -25,26 +27,32 @@ type distinctBucket struct {
 	row ARow
 }
 
+// distinctOps writes no observation records: a duplicate adds only its
+// annotations, so one without annotations is not spilled at all, and one
+// with them spills a bucket record.
 var distinctOps = grouperOps[distinctBucket]{
 	size: func(b *distinctBucket) int { return sizeOfARow(b.row) },
 	encode: func(dst []byte, b *distinctBucket) []byte {
 		return appendARowRec(dst, b.row)
 	},
-	decode: func(r *byteReader) (*distinctBucket, error) {
-		b := &distinctBucket{row: r.aRow()}
-		if r.err != nil {
-			return nil, r.err
-		}
-		return b, nil
-	},
-	decodeInto: func(r *byteReader, b *distinctBucket) error {
-		b.row = r.aRow()
+	decode: func(r *byteReader, b *distinctBucket, keep bool) error {
+		b.row = r.aRow(keep)
 		return r.err
 	},
 	merge: func(dst, src *distinctBucket) error {
 		mergeDupAnns(&dst.row, &src.row)
 		return nil
 	},
+}
+
+// hasAnns reports whether any cell carries an annotation.
+func hasAnns(anns [][]*annotation.Annotation) bool {
+	for _, cell := range anns {
+		if len(cell) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // mergeDupAnns unions a duplicate's annotations into the kept row,
@@ -81,19 +89,23 @@ func (d *distinctIter) consume() error {
 			return nil
 		}
 		d.keyBuf = appendRowKey(d.keyBuf[:0], row)
-		if b := d.grouper.lookup(d.keyBuf); b != nil {
+		b, flushed := d.grouper.lookup(d.keyBuf)
+		switch {
+		case b != nil:
 			mergeDupAnns(&b.row, &row)
-		} else if !d.grouper.overflowing() {
+		case !d.grouper.overflowing():
 			d.grouper.insert(string(d.keyBuf), &distinctBucket{row: row})
-		} else {
-			// Frozen table: every non-resident observation streams to disk as
-			// a delta. Once a delta for this row is on disk its values are
-			// redundant — only the annotations of later duplicates matter.
+		case flushed && !hasAnns(row.Anns):
+			// A bare duplicate of a row already on disk adds nothing.
+		default:
+			// Frozen table: the observation streams to disk. Once the row is
+			// on disk its values are redundant — only the annotations of
+			// later duplicates matter.
 			delta := distinctBucket{row: row}
-			if d.grouper.flushedBefore(d.keyBuf) {
+			if flushed {
 				delta.row = ARow{Anns: row.Anns}
 			}
-			if err := d.grouper.appendDelta(d.keyBuf, &delta); err != nil {
+			if err := d.grouper.appendDelta(d.keyBuf, &delta, !flushed); err != nil {
 				return err
 			}
 		}
@@ -106,11 +118,7 @@ func (d *distinctIter) Next() (ARow, bool, error) {
 		if err := d.consume(); err != nil {
 			return ARow{}, false, err
 		}
-		next, err := d.grouper.finish()
-		if err != nil {
-			return ARow{}, false, err
-		}
-		d.next = next
+		d.next = d.grouper.finish()
 	}
 	b, ok, err := d.next()
 	if err != nil || !ok {

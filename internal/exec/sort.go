@@ -327,7 +327,7 @@ func (s *sortIter) advance(h *sortRunHead) (bool, error) {
 	r := &byteReader{buf: rec}
 	h.cur.seq = r.uvarint()
 	h.cur.key = r.row()
-	h.cur.row = r.aRow()
+	h.cur.row = r.aRow(true)
 	if r.err != nil {
 		return false, r.err
 	}

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -135,6 +134,9 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// errCorruptSpill reports a spill record that cannot be decoded or placed.
+var errCorruptSpill = errors.New("exec: corrupt spill record")
+
 // byteReader decodes the codec above; the first error sticks.
 type byteReader struct {
 	buf []byte
@@ -143,7 +145,7 @@ type byteReader struct {
 
 func (r *byteReader) fail() {
 	if r.err == nil {
-		r.err = fmt.Errorf("exec: corrupt spill record")
+		r.err = errCorruptSpill
 	}
 }
 
@@ -225,8 +227,18 @@ func (r *byteReader) row() value.Row {
 	return row
 }
 
+// appendValueRow frames value.EncodeRow's encoding of row like appendBytes,
+// encoding in place: the row goes first and is shifted past its length.
 func appendValueRow(dst []byte, row value.Row) []byte {
-	return appendBytes(dst, value.EncodeRow(row))
+	start := len(dst)
+	dst = value.AppendRow(dst, row)
+	n := len(dst) - start
+	var hdr [binary.MaxVarintLen64]byte
+	h := binary.PutUvarint(hdr[:], uint64(n))
+	dst = append(dst, hdr[:h]...)
+	copy(dst[start+h:], dst[start:start+n])
+	copy(dst[start:], hdr[:h])
+	return dst
 }
 
 func (r *byteReader) oneValue() value.Value {
@@ -318,12 +330,19 @@ func appendAnnCells(dst []byte, anns [][]*annotation.Annotation) []byte {
 	return dst
 }
 
-func (r *byteReader) annCells() [][]*annotation.Annotation {
+// annCells decodes the cells appendAnnCells wrote. With sparse set it
+// returns nil when every cell is empty, so a record that only folds into a
+// kept bucket allocates nothing for them.
+func (r *byteReader) annCells(sparse bool) [][]*annotation.Annotation {
 	n := r.uvarint()
-	if r.err != nil {
+	if r.err != nil || n > uint64(len(r.buf)) { // every cell takes a byte
+		r.fail()
 		return nil
 	}
-	anns := make([][]*annotation.Annotation, n)
+	var anns [][]*annotation.Annotation
+	if !sparse {
+		anns = make([][]*annotation.Annotation, n)
+	}
 	for c := uint64(0); c < n; c++ {
 		m := r.uvarint()
 		if r.err != nil {
@@ -334,6 +353,9 @@ func (r *byteReader) annCells() [][]*annotation.Annotation {
 			if r.err != nil {
 				return nil
 			}
+			if anns == nil {
+				anns = make([][]*annotation.Annotation, n)
+			}
 			anns[c] = append(anns[c], a)
 		}
 	}
@@ -341,9 +363,9 @@ func (r *byteReader) annCells() [][]*annotation.Annotation {
 }
 
 // appendARowRec frames one ARow. A nil Values slice is encoded as a
-// payload-free record (flag 0): the DISTINCT grouper spills those for keys
-// whose first observation already went to disk, since the merge discards
-// every later observation's values anyway.
+// payload-free record (flag 0): the DISTINCT grouper spills those for a
+// duplicate with annotations whose first observation already went to disk,
+// since the merge discards every later observation's values anyway.
 func appendARowRec(dst []byte, row ARow) []byte {
 	if row.Values == nil {
 		dst = append(dst, 0)
@@ -354,12 +376,19 @@ func appendARowRec(dst []byte, row ARow) []byte {
 	return appendAnnCells(dst, row.Anns)
 }
 
-func (r *byteReader) aRow() ARow {
+// aRow decodes appendARowRec's record. With keep unset — a record that only
+// folds into a kept bucket — it skips the values and leaves empty annotation
+// cells nil.
+func (r *byteReader) aRow(keep bool) ARow {
 	var vals value.Row
 	if r.byteVal() != 0 {
-		vals = r.row()
+		if keep {
+			vals = r.row()
+		} else {
+			r.bytes()
+		}
 	}
-	return ARow{Values: vals, Anns: r.annCells()}
+	return ARow{Values: vals, Anns: r.annCells(!keep)}
 }
 
 // --- size estimation ------------------------------------------------------------------------
@@ -392,96 +421,101 @@ func sizeOfARow(row ARow) int {
 
 // --- spillable hash table -------------------------------------------------------------------
 
+// A partition run holds two kinds of record, in the order they were
+// appended. Every record starts with its kind byte.
+const (
+	// recBucket: uvarint seq, the key, then the operator's bucket encoding.
+	// A key's first record is always a bucket record, and it carries the
+	// group's representative row. A later one carries an observation with
+	// annotations, or of a key beyond the flushed markers' cap; the merge
+	// folds it into the first and discards its row, if any.
+	recBucket byte = iota
+	// recObs: the key, then what one observation adds to its group's
+	// accumulators (grouperOps.fold). It has no seq — the key's first record
+	// fixed its place in first-seen order — and no row or annotation cells.
+	recObs
+)
+
 // grouperOps parameterizes spillGrouper over its bucket type: grouped
 // aggregation buckets (representative row + accumulators) and DISTINCT
-// buckets (one output row) share the partition/flush/merge machinery.
+// buckets (one output row) share the partition/merge machinery.
 type grouperOps[B any] struct {
 	// size estimates the resident bytes of a bucket.
 	size func(b *B) int
-	// encode serializes a bucket into a spill record.
+	// encode serializes a bucket into a bucket record.
 	encode func(dst []byte, b *B) []byte
-	// decode deserializes a spill record.
-	decode func(r *byteReader) (*B, error)
-	// decodeInto, when non-nil, deserializes a spill record into a reusable
-	// scratch bucket. The merge phase uses it for records that fold into an
-	// already-resident entry — by far the common case for a spilling
-	// aggregation, where it saves two allocations per record.
-	decodeInto func(r *byteReader, b *B) error
+	// decode deserializes a bucket record into b. keep is set for a bucket
+	// the merge keeps (a key's first record) or emits; a record that only
+	// folds into a kept bucket may skip its representative row and leave
+	// empty annotation cells nil, and b is then a reused scratch.
+	decode func(r *byteReader, b *B, keep bool) error
 	// merge folds src (observed later) into dst (observed earlier).
 	merge func(dst, src *B) error
-}
-
-type groupEntry[B any] struct {
-	seq    uint64
-	bucket *B
+	// fold adds one observation record to dst. It is nil for an operator
+	// that writes no observation records.
+	fold func(dst *B, r *byteReader) error
 }
 
 // spillGrouper is a hash table keyed by string that preserves first-seen
 // order and bounds its resident size: once the budget is reached the resident
 // table freezes — keys already resident keep folding in memory for free, and
 // every observation of any other key streams to a hash partition on a temp
-// file as a small delta record (appendDelta). finish flushes the resident
-// entries once, merges each partition's records back together by key, and
-// streams the entries in global first-seen order (every record carries the
-// sequence number of the observation that produced it; the merge keeps the
-// earliest).
+// file. A key's first spilled observation is a bucket record carrying the
+// representative row; a later one with no annotations is an observation
+// record holding only what it adds to the accumulators.
+//
+// Resident keys are all inserted before the table freezes, so they precede
+// every spilled key in first-seen order: finish emits them from memory, drops
+// the table, then merges each partition's records back together by key and
+// streams the merged groups in first-seen order (every bucket record carries
+// the sequence number of the observation that produced it).
 type spillGrouper[B any] struct {
 	ops    grouperOps[B]
 	budget int
 	sf     *spillFile
 
-	m       map[string]*groupEntry[B]
-	order   []string
-	used    int
-	nextSeq uint64
-
-	parts   []*heap.RunWriter
-	spilled bool
-	encBuf  []byte
-
-	// flushed remembers keys that already have a delta record on disk, capped
-	// at flushedCap entries so the side table stays a small fraction of the
-	// budget. A key found here already has a spilled record carrying its
-	// representative payload (the merge keeps the earliest observation's
-	// payload and discards every later one), so callers may strip the payload
-	// from the key's subsequent deltas. Keys beyond the cap simply spill
-	// their payload every time, which the merge discards: slower, never
-	// wrong.
-	flushed    map[string]struct{}
+	// m holds the resident buckets. A nil bucket marks a non-resident key
+	// whose first bucket record is already on disk, so one probe answers both
+	// "is it resident?" and "may this observation leave its row out?". The
+	// markers are capped at flushedCap, a small fraction of the budget; a key
+	// beyond the cap spills a bucket record with its row every time, which
+	// the merge discards: slower, never wrong.
+	m          map[string]*B
+	order      []*B // resident buckets in first-seen order
+	used       int
+	marked     int
 	flushedCap int
+	nextSeq    uint64
+
+	parts      []*heap.RunWriter
+	encBuf     []byte
+	spillBytes int // bytes of the records appended to parts
 }
+
+// spilledRecords and spilledBytes count the records the groupers appended to
+// their partitions, and their bytes, added when a grouper starts its merge.
+// The spill tests use them to pin how much a spilled observation writes.
+var spilledRecords, spilledBytes atomic.Int64
 
 func newSpillGrouper[B any](ops grouperOps[B], budget int, sf *spillFile) *spillGrouper[B] {
-	return &spillGrouper[B]{ops: ops, budget: budget, sf: sf, m: map[string]*groupEntry[B]{}, flushedCap: budget / 32}
-}
-
-// flushedBefore reports whether an earlier delta already spilled this key
-// (and with it the key's representative payload). Indexing the map through
-// string(key) does not allocate, so the consume loops can probe with their
-// reusable key buffers.
-func (g *spillGrouper[B]) flushedBefore(key []byte) bool {
-	_, ok := g.flushed[string(key)]
-	return ok
+	return &spillGrouper[B]{ops: ops, budget: budget, sf: sf, m: map[string]*B{}, flushedCap: budget / 32}
 }
 
 // lookup returns the resident bucket for a key held in a reusable byte
-// buffer, or nil. The map index through string(key) does not allocate on a
-// hit, which is what the per-row consume loops need: one lookup per input
-// row, allocation only when a group is genuinely new (insert).
-func (g *spillGrouper[B]) lookup(key []byte) *B {
-	if e, ok := g.m[string(key)]; ok {
-		return e.bucket
-	}
-	return nil
+// buffer, or nil; flushed reports a non-resident key whose first bucket
+// record is on disk. The map index through string(key) does not allocate,
+// which is what the per-row consume loops need: one probe per input row,
+// allocation only when a group is genuinely new (insert).
+func (g *spillGrouper[B]) lookup(key []byte) (b *B, flushed bool) {
+	b, ok := g.m[string(key)]
+	return b, ok && b == nil
 }
 
-// insert adds a fresh bucket for a key lookup just missed, at the next
-// sequence number. Callers must check overflowing() first: once the budget is
-// reached, non-resident keys go through appendDelta instead.
+// insert adds a fresh bucket for a key lookup just missed. Callers must check
+// overflowing() first: once the budget is reached, non-resident keys spill.
 func (g *spillGrouper[B]) insert(key string, b *B) {
-	g.m[key] = &groupEntry[B]{seq: g.nextSeq, bucket: b}
-	g.nextSeq++
-	g.order = append(g.order, key)
+	g.m[key] = b
+	g.order = append(g.order, b)
 	g.used += len(key) + g.ops.size(b) + 48
 }
 
@@ -489,64 +523,66 @@ func (g *spillGrouper[B]) insert(key string, b *B) {
 func (g *spillGrouper[B]) grow(n int) { g.used += n }
 
 // overflowing reports whether the resident table has reached the budget and
-// is frozen: observations of non-resident keys must spill as delta records.
+// is frozen: observations of non-resident keys must spill.
 func (g *spillGrouper[B]) overflowing() bool { return g.used > g.budget }
 
-// appendDelta spills one observation of a non-resident key to the key's hash
-// partition. The bucket is a caller-owned scratch holding just this
-// observation's state; it is encoded immediately and never retained, so the
-// per-observation cost is one varint-framed record append — no map insert, no
-// bucket allocation, no later re-flush. The key is remembered in the flushed
-// set (capped) so the caller can strip the representative payload from the
-// key's subsequent deltas.
-func (g *spillGrouper[B]) appendDelta(key []byte, b *B) error {
-	pgr, err := g.sf.pager()
-	if err != nil {
-		return err
-	}
+// appendDelta spills one observation of a non-resident key as a bucket
+// record. The bucket is a caller-owned scratch holding just this
+// observation's state; it is encoded immediately and never retained. mark
+// asks to remember the key as flushed (capped), so that its later
+// observations may leave the representative row out; callers pass it for a
+// record that carries the row.
+func (g *spillGrouper[B]) appendDelta(key []byte, b *B, mark bool) error {
 	if g.parts == nil {
+		pgr, err := g.sf.pager()
+		if err != nil {
+			return err
+		}
 		g.parts = make([]*heap.RunWriter, spillPartitions)
 		for i := range g.parts {
 			g.parts[i] = heap.NewRunWriter(pgr)
 		}
-		g.spilled = true
 		spillEvents.Add(1)
 	}
-	g.encBuf = g.encBuf[:0]
+	g.encBuf = append(g.encBuf[:0], recBucket)
 	g.encBuf = appendUvarint(g.encBuf, g.nextSeq)
 	g.nextSeq++
 	g.encBuf = appendBytes(g.encBuf, key)
 	g.encBuf = g.ops.encode(g.encBuf, b)
-	if err := g.parts[partitionBytes(key, 0)].Append(g.encBuf); err != nil {
+	if err := g.appendRec(key, g.encBuf); err != nil {
 		return err
 	}
-	if !g.flushedBefore(key) && g.flushedCap > 0 {
-		if g.flushed == nil {
-			g.flushed = make(map[string]struct{}, 64)
-		}
-		if len(g.flushed) < g.flushedCap {
-			g.flushed[string(key)] = struct{}{}
-		}
+	if mark && g.marked < g.flushedCap {
+		g.m[string(key)] = nil
+		g.marked++
 	}
 	return nil
 }
 
-func partitionOf(key string) int { return partitionAt(key, 0) }
-
-// partitionAt hashes a key into one of the spill partitions, salted by the
-// re-partitioning depth so a hot partition's keys redistribute when its merge
-// recurses (an unsalted hash would map them all to one sub-partition again).
-// FNV-1a, inlined so the per-delta hot path allocates nothing.
-func partitionAt(key string, depth int) int {
-	h := (uint32(2166136261) ^ uint32(byte(depth))) * 16777619
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return int(h % spillPartitions)
+// beginObs starts an observation record of key in the grouper's scratch
+// buffer; the caller appends what the observation adds and hands the buffer
+// to appendObs. Only a key lookup reported flushed may be observed this way:
+// its bucket record, which the merge folds the observation into, is already
+// in the same partition.
+func (g *spillGrouper[B]) beginObs(key []byte) []byte {
+	return appendBytes(append(g.encBuf[:0], recObs), key)
 }
 
-// partitionBytes is partitionAt for a key held in a reusable byte buffer;
-// the two must agree for every key.
+// appendObs appends an observation record begun by beginObs.
+func (g *spillGrouper[B]) appendObs(key, rec []byte) error {
+	g.encBuf = rec
+	return g.appendRec(key, rec)
+}
+
+func (g *spillGrouper[B]) appendRec(key, rec []byte) error {
+	g.spillBytes += len(rec)
+	return g.parts[partitionBytes(key, 0)].Append(rec)
+}
+
+// partitionBytes hashes a key into one of the spill partitions, salted by the
+// re-partitioning depth so a hot partition's keys redistribute when its merge
+// recurses (an unsalted hash would map them all to one sub-partition again).
+// FNV-1a, inlined so the per-record hot path allocates nothing.
 func partitionBytes(key []byte, depth int) int {
 	h := (uint32(2166136261) ^ uint32(byte(depth))) * 16777619
 	for _, c := range key {
@@ -558,73 +594,51 @@ func partitionBytes(key []byte, depth int) int {
 // maxMergeDepth caps the recursive re-partitioning of the merge phase. Each
 // level splits a partition's keys 16 ways, so the cap is only reached when
 // 16^6 splits still leave more distinct keys than the budget holds — at that
-// point the merge proceeds in memory (the pre-existing behaviour for every
-// partition).
+// point the merge proceeds in memory.
 const maxMergeDepth = 6
 
-// spill writes every resident entry to its hash partition. It runs once, at
-// finish time, when delta records were appended: the resident entries must
-// join the same merge so each key ends up with a single output bucket. (A
-// resident key never has delta records — residency means every observation
-// folded in memory — but its record still lands in the partition its hash
-// selects, alongside other keys' deltas.)
-func (g *spillGrouper[B]) spill() error {
-	pgr, err := g.sf.pager()
-	if err != nil {
-		return err
-	}
-	if g.parts == nil {
-		g.parts = make([]*heap.RunWriter, spillPartitions)
-		for i := range g.parts {
-			g.parts[i] = heap.NewRunWriter(pgr)
-		}
-	}
-	g.spilled = true
-	spillEvents.Add(1)
-	for _, key := range g.order {
-		e := g.m[key]
-		g.encBuf = g.encBuf[:0]
-		g.encBuf = appendUvarint(g.encBuf, e.seq)
-		g.encBuf = appendString(g.encBuf, key)
-		g.encBuf = g.ops.encode(g.encBuf, e.bucket)
-		if err := g.parts[partitionOf(key)].Append(g.encBuf); err != nil {
-			return err
-		}
-	}
-	clear(g.m)
-	g.order = g.order[:0]
-	g.used = 0
-	return nil
-}
-
-// finish seals the table and returns a pull iterator over the entries in
-// global first-seen order. When nothing was spilled this iterates the
-// resident table; otherwise each partition is re-merged in memory (bounded
-// by groups-per-partition, 1/16th of the distinct keys on average), written
-// back as a seq-ordered run, and the partition runs are streamed through a
-// k-way merge whose resident cost is one page plus one decoded bucket per
-// partition.
-func (g *spillGrouper[B]) finish() (func() (*B, bool, error), error) {
-	if !g.spilled {
-		i := 0
-		return func() (*B, bool, error) {
-			if i >= len(g.order) {
-				return nil, false, nil
-			}
-			b := g.m[g.order[i]].bucket
+// finish seals the table and returns a pull iterator over the buckets in
+// global first-seen order. A returned bucket is valid until the next call: the resident buckets from memory, then — once they
+// are all out and the table is dropped, so the merge has the whole budget —
+// the spilled groups. Each partition is re-merged in memory (bounded by the
+// budget, re-partitioning when it is not), written back as a seq-ordered run,
+// and the partition runs are streamed through a k-way merge whose resident
+// cost is one page plus one record per partition.
+func (g *spillGrouper[B]) finish() func() (*B, bool, error) {
+	i := 0
+	var merged func() (*B, bool, error)
+	var failed error
+	return func() (*B, bool, error) {
+		if i < len(g.order) {
+			b := g.order[i]
 			i++
 			return b, true, nil
-		}, nil
+		}
+		if failed != nil || g.parts == nil && merged == nil {
+			return nil, false, failed
+		}
+		if merged == nil {
+			g.m, g.order = nil, nil
+			if merged, failed = g.mergeParts(); failed != nil {
+				return nil, false, failed
+			}
+		}
+		return merged()
 	}
-	if err := g.spill(); err != nil { // flush the residual table
-		return nil, err
-	}
+}
+
+// mergeParts merges every partition and returns the k-way merge over them.
+func (g *spillGrouper[B]) mergeParts() (func() (*B, bool, error), error) {
 	pgr, err := g.sf.pager()
 	if err != nil {
 		return nil, err
 	}
-	merged := make([]heap.Run, 0, len(g.parts))
-	for _, w := range g.parts {
+	parts := g.parts
+	g.parts = nil
+	spilledBytes.Add(int64(g.spillBytes))
+	merged := make([]heap.Run, 0, len(parts))
+	for _, w := range parts {
+		spilledRecords.Add(int64(w.Records()))
 		run, err := w.Finish()
 		if err != nil {
 			return nil, err
@@ -635,17 +649,19 @@ func (g *spillGrouper[B]) finish() (func() (*B, bool, error), error) {
 		}
 		merged = append(merged, outs...)
 	}
-	g.parts = nil
 	return g.mergeBySeq(pgr, merged)
 }
 
-// mergePartition folds one partition's records (several per key when flushes
-// interleaved) into single entries and writes them back as seq-ordered runs
-// whose key sets are disjoint, ready for the final k-way merge.
+// mergePartition folds one partition's records (several per key) into single
+// entries and writes them back as a seq-ordered run — (seq, bucket) records —
+// with key sets disjoint from every other run, ready for the final k-way
+// merge. A key's records arrive in append order, so its first record is the
+// bucket record holding its representative row and the smallest seq, and the
+// entries are created in ascending seq.
 //
 // The resident merge table itself respects the spill budget: each key's
 // records fold into its resident entry as they stream past (a single dominant
-// key costs one entry no matter how many flushes it survived), but once the
+// key costs one entry no matter how many records it has), but once the
 // resident keys exceed the budget, records of every further key are routed —
 // framing intact, in order — to sub-partitions under a depth-salted hash and
 // merged recursively. A key's first record decides its side, and the hash is
@@ -654,16 +670,25 @@ func (g *spillGrouper[B]) finish() (func() (*B, bool, error), error) {
 func (g *spillGrouper[B]) mergePartition(pgr pager.Pager, run heap.Run, depth int) ([]heap.Run, error) {
 	type ent struct {
 		seq    uint64
-		key    string
 		bucket *B
 	}
-	byKey := map[string]*ent{}
-	var order []*ent
+	byKey := map[string]*B{}
+	var order []ent
 	resident := 0
 	var sub []*heap.RunWriter
-	var scratch *B
-	rd := heap.NewRunReader(pgr, run)
+	route := func(key, rec []byte) error {
+		if sub == nil {
+			sub = make([]*heap.RunWriter, spillPartitions)
+			for i := range sub {
+				sub[i] = heap.NewRunWriter(pgr)
+			}
+		}
+		return sub[partitionBytes(key, depth+1)].Append(rec)
+	}
+	overBudget := func() bool { return resident > g.budget && depth < maxMergeDepth }
+	var scratch B
 	var rdr byteReader
+	rd := heap.NewRunReader(pgr, run)
 	for {
 		rec, ok, err := rd.Next()
 		if err != nil {
@@ -674,67 +699,62 @@ func (g *spillGrouper[B]) mergePartition(pgr pager.Pager, run heap.Run, depth in
 		}
 		rdr = byteReader{buf: rec}
 		r := &rdr
-		seq := r.uvarint()
-		keyBytes := r.bytes()
-		if e, ok := byKey[string(keyBytes)]; ok {
-			// Records of one key arrive in append order, i.e. ascending seq:
-			// the resident entry is the earlier observation.
-			var b *B
-			if g.ops.decodeInto != nil {
-				if scratch == nil {
-					scratch = new(B)
+		switch r.byteVal() {
+		case recBucket:
+			seq := r.uvarint()
+			key := r.bytes()
+			if r.err != nil {
+				return nil, r.err
+			}
+			if e := byKey[string(key)]; e != nil {
+				if err := g.ops.decode(r, &scratch, false); err != nil {
+					return nil, err
 				}
-				err = g.ops.decodeInto(r, scratch)
-				b = scratch
-			} else {
-				b, err = g.ops.decode(r)
-			}
-			if err == nil && r.err != nil {
-				err = r.err
-			}
-			if err != nil {
-				return nil, err
-			}
-			if err := g.ops.merge(e.bucket, b); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if resident > g.budget && depth < maxMergeDepth {
-			// Over budget: defer this key (and all its later records, which
-			// hash identically) to a sub-partition instead of growing the
-			// resident table. The record is re-appended verbatim — seq, key
-			// and bucket framing included.
-			if sub == nil {
-				sub = make([]*heap.RunWriter, spillPartitions)
-				for i := range sub {
-					sub[i] = heap.NewRunWriter(pgr)
+				if err := g.ops.merge(e, &scratch); err != nil {
+					return nil, err
 				}
+				continue
 			}
-			if err := sub[partitionBytes(keyBytes, depth+1)].Append(rec); err != nil {
+			if overBudget() {
+				if err := route(key, rec); err != nil {
+					return nil, err
+				}
+				continue
+			}
+			b := new(B)
+			if err := g.ops.decode(r, b, true); err != nil {
 				return nil, err
 			}
-			continue
+			byKey[string(key)] = b
+			order = append(order, ent{seq: seq, bucket: b})
+			resident += len(key) + g.ops.size(b) + 48
+		case recObs:
+			key := r.bytes()
+			if r.err != nil {
+				return nil, r.err
+			}
+			if e := byKey[string(key)]; e != nil && g.ops.fold != nil {
+				if err := g.ops.fold(e, r); err != nil {
+					return nil, err
+				}
+				continue
+			}
+			// A routed key's bucket record went to a sub-partition, and its
+			// observations follow it there. Anything else has no bucket
+			// record before it.
+			if g.ops.fold == nil || !overBudget() {
+				return nil, fmt.Errorf("%w: observation of a key with no bucket record", errCorruptSpill)
+			}
+			if err := route(key, rec); err != nil {
+				return nil, err
+			}
+		default:
+			return nil, fmt.Errorf("%w: unknown record kind", errCorruptSpill)
 		}
-		b, err := g.ops.decode(r)
-		if err == nil && r.err != nil {
-			err = r.err
-		}
-		if err != nil {
-			return nil, err
-		}
-		key := string(keyBytes)
-		e := &ent{seq: seq, key: key, bucket: b}
-		byKey[key] = e
-		order = append(order, e)
-		resident += len(key) + g.ops.size(b) + 48
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i].seq < order[j].seq })
 	w := heap.NewRunWriter(pgr)
 	for _, e := range order {
-		g.encBuf = g.encBuf[:0]
-		g.encBuf = appendUvarint(g.encBuf, e.seq)
-		g.encBuf = appendString(g.encBuf, e.key)
+		g.encBuf = appendUvarint(g.encBuf[:0], e.seq)
 		g.encBuf = g.ops.encode(g.encBuf, e.bucket)
 		if err := w.Append(g.encBuf); err != nil {
 			return nil, err
@@ -762,31 +782,27 @@ func (g *spillGrouper[B]) mergePartition(pgr pager.Pager, run heap.Run, depth in
 	return runs, nil
 }
 
-// mergeBySeq streams the seq-ordered partition runs in global seq order.
+// mergeBySeq streams the seq-ordered partition runs in global seq order. A
+// head keeps its record encoded; only the emitted one is decoded, into one
+// reused bucket.
 func (g *spillGrouper[B]) mergeBySeq(pgr pager.Pager, runs []heap.Run) (func() (*B, bool, error), error) {
 	type head struct {
-		seq    uint64
-		bucket *B
-		rd     *heap.RunReader
+		seq uint64
+		rec []byte // the bucket encoding after the seq
+		rd  *heap.RunReader
 	}
 	var heads []*head
+	var rdr byteReader
+	var emit B
 	advance := func(h *head) (bool, error) {
 		rec, ok, err := h.rd.Next()
 		if err != nil || !ok {
 			return false, err
 		}
-		r := &byteReader{buf: rec}
+		r := byteReader{buf: rec}
 		h.seq = r.uvarint()
-		_ = r.bytes() // key, not needed after partition merge
-		b, err := g.ops.decode(r)
-		if err == nil && r.err != nil {
-			err = r.err
-		}
-		if err != nil {
-			return false, err
-		}
-		h.bucket = b
-		return true, nil
+		h.rec = r.buf
+		return true, r.err
 	}
 	for _, run := range runs {
 		h := &head{rd: heap.NewRunReader(pgr, run)}
@@ -808,7 +824,10 @@ func (g *spillGrouper[B]) mergeBySeq(pgr pager.Pager, runs []heap.Run) (func() (
 				best = i
 			}
 		}
-		b := heads[best].bucket
+		rdr = byteReader{buf: heads[best].rec}
+		if err := g.ops.decode(&rdr, &emit, true); err != nil {
+			return nil, false, err
+		}
 		ok, err := advance(heads[best])
 		if err != nil {
 			return nil, false, err
@@ -816,6 +835,6 @@ func (g *spillGrouper[B]) mergeBySeq(pgr pager.Pager, runs []heap.Run) (func() (
 		if !ok {
 			heads = append(heads[:best], heads[best+1:]...)
 		}
-		return b, true, nil
+		return &emit, true, nil
 	}, nil
 }

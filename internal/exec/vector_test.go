@@ -282,3 +282,43 @@ func TestBatchedAggregateCarriesOutdatedMarks(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupKeyParts pins the group-key encoding the three executors share:
+// the boxed and the vector form agree, NULL differs from the text 'NULL', a
+// NUL byte cannot move the boundary between two parts, and INT 1 and
+// FLOAT 1.0 render alike.
+func TestGroupKeyParts(t *testing.T) {
+	key := func(vs ...value.Value) string {
+		var b []byte
+		for _, v := range vs {
+			b = appendGroupKey(b, v)
+		}
+		return string(b)
+	}
+	if key(value.NewNull()) == key(value.NewText("NULL")) {
+		t.Error("NULL and 'NULL' share a key")
+	}
+	if key(value.NewText("x\x00y"), value.NewText("z")) == key(value.NewText("x"), value.NewText("y\x00z")) {
+		t.Error("('x\\x00y', 'z') and ('x', 'y\\x00z') share a key")
+	}
+	if key(value.NewInt(1)) != key(value.NewFloat(1.0)) {
+		t.Error("INT 1 and FLOAT 1.0 no longer share a key")
+	}
+	vecs := []bvec{
+		{kind: storage.ColInt, typ: value.Int, ints: []int64{-7, 0}, valid: []byte{1, 0}},
+		{kind: storage.ColFloat, typ: value.Float, flts: []float64{2.5, 1e300}},
+		{kind: storage.ColText, typ: value.Sequence, strs: []string{"ACGT", "NULL"}},
+		{kind: storage.ColText, typ: value.Text, dict: []string{"", "a\x00b"}, codes: []byte{1, 0}},
+	}
+	for i := int32(0); i < 2; i++ {
+		var got []byte
+		var row []value.Value
+		for c := range vecs {
+			got = vecs[c].appendGroupKey(got, i)
+			row = append(row, vecs[c].valueAt(i))
+		}
+		if want := key(row...); string(got) != want {
+			t.Errorf("row %d: vector key %q, boxed key %q", i, got, want)
+		}
+	}
+}

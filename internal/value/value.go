@@ -429,12 +429,15 @@ func DecodeValue(buf []byte) (Value, int, error) {
 }
 
 // EncodeRow serialises a row with its value count prefix.
-func EncodeRow(r Row) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(r)))
+func EncodeRow(r Row) []byte { return AppendRow(nil, r) }
+
+// AppendRow appends EncodeRow's encoding of r to dst.
+func AppendRow(dst []byte, r Row) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(r)))
 	for _, v := range r {
-		buf = v.Encode(buf)
+		dst = v.Encode(dst)
 	}
-	return buf
+	return dst
 }
 
 // DecodeRow deserialises a row produced by EncodeRow.
