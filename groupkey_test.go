@@ -65,3 +65,52 @@ func TestGroupByKeepsNullAndTextNullApart(t *testing.T) {
 		t.Errorf("groups = %v, %v: want the NULL group first, then the text 'NULL'", res.Rows[0].Values, res.Rows[1].Values)
 	}
 }
+
+// TestDistinctAndSetOpsKeepNulSeparatedRowsApart: a DISTINCT or set-operation
+// row key length-prefixes each column, so two rows whose TEXT columns differ
+// only in where a NUL byte splits them stay two rows, while a type tag keeps
+// INT 1 and FLOAT 1 apart. Every executor agrees, in memory and spilled.
+func TestDistinctAndSetOpsKeepNulSeparatedRowsApart(t *testing.T) {
+	db := Open()
+	defer db.Close()
+	db.MustExec(`CREATE TABLE T (ID INT NOT NULL PRIMARY KEY, A TEXT, B TEXT)`)
+	db.MustExec(`CREATE TABLE N (ID INT NOT NULL PRIMARY KEY, I INT, F FLOAT)`)
+	db.MustExec(`INSERT INTO N VALUES (1, 1, 1.0)`)
+	s := db.Session("admin")
+	ins, err := s.Prepare(`INSERT INTO T VALUES (?, ?, ?)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range [][2]string{{"x\x00TEXT:y", "z"}, {"x", "y\x00TEXT:z"}} {
+		if _, err := ins.Exec(i, r[0], r[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		sql  string
+		want int
+	}{
+		{`SELECT DISTINCT A, B FROM T`, 2},
+		{`SELECT A, B FROM T UNION SELECT A, B FROM T`, 2},
+		{`SELECT A, B FROM T INTERSECT SELECT A, B FROM T`, 2},
+		{`SELECT A, B FROM T EXCEPT SELECT A, B FROM T WHERE ID = 0`, 1},
+		{`SELECT COUNT(*) FROM T GROUP BY A, B`, 2},
+		{`SELECT I FROM N UNION SELECT F FROM N`, 2},
+	}
+	for _, budget := range []int{0, 1} {
+		for _, path := range []string{"reference", "row path", "batched"} {
+			s.SpillBudget = budget
+			s.NoOptimize = path == "reference"
+			s.NoVectorize = path == "row path"
+			for _, c := range cases {
+				res, err := s.Exec(c.sql)
+				if err != nil {
+					t.Fatalf("%s (%s, budget %d): %v", c.sql, path, budget, err)
+				}
+				if len(res.Rows) != c.want {
+					t.Errorf("%s (%s, budget %d) = %d rows, want %d", c.sql, path, budget, len(res.Rows), c.want)
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package dependency
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -20,6 +22,21 @@ type Bitmap struct {
 	table   string
 	numCols int
 	rows    map[int64]*markedRow
+	// marked holds the entries of rows in ascending RowID order, so MarksOf
+	// can merge a batch's RowIDs against it instead of probing the map per
+	// RowID.
+	marked []markedEntry
+}
+
+type markedEntry struct {
+	rowID int64
+	row   *markedRow
+}
+
+// markedAt returns where rowID's entry is, or would be, in b.marked.
+func (b *Bitmap) markedAt(rowID int64) int {
+	i, _ := slices.BinarySearchFunc(b.marked, rowID, func(e markedEntry, id int64) int { return cmp.Compare(e.rowID, id) })
+	return i
 }
 
 // markedRow is one row with at least one outdated cell: its bits, and the
@@ -63,6 +80,7 @@ func (b *Bitmap) Set(rowID int64, col int) {
 	if !ok {
 		row = &markedRow{bits: make([]bool, b.numCols)}
 		b.rows[rowID] = row
+		b.marked = slices.Insert(b.marked, b.markedAt(rowID), markedEntry{rowID, row})
 	}
 	row.bits[col] = true
 	row.marks.Store(nil)
@@ -87,6 +105,8 @@ func (b *Bitmap) Clear(rowID int64, col int) {
 		}
 	}
 	delete(b.rows, rowID)
+	i := b.markedAt(rowID)
+	b.marked = slices.Delete(b.marked, i, i+1)
 }
 
 // IsSet reports whether cell (rowID, col) is outdated.
@@ -139,12 +159,27 @@ func (b *Bitmap) Marks(rowID int64, m Marker) []*annotation.Annotation {
 }
 
 // MarksOf sets dst[i] to Marks(rowIDs[i], m) for every i, under one read
-// lock. dst must be at least as long as rowIDs.
+// lock. dst must be at least as long as rowIDs, and rowIDs must be ascending
+// (a chunk's RowIDs and a gathered batch's are): MarksOf merge-walks them
+// against the marked rows and never probes the map.
 func (b *Bitmap) MarksOf(dst [][]*annotation.Annotation, rowIDs []int64, m Marker) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
+	clear(dst[:len(rowIDs)])
+	if len(rowIDs) == 0 {
+		return
+	}
+	k := b.markedAt(rowIDs[0])
 	for i, rowID := range rowIDs {
-		dst[i] = b.marksLocked(rowID, m)
+		for k < len(b.marked) && b.marked[k].rowID < rowID {
+			k++
+		}
+		if k == len(b.marked) {
+			return
+		}
+		if e := &b.marked[k]; e.rowID == rowID {
+			dst[i] = b.rowMarks(rowID, e.row, m)
+		}
 	}
 }
 
@@ -154,6 +189,12 @@ func (b *Bitmap) marksLocked(rowID int64, m Marker) []*annotation.Annotation {
 	if !ok {
 		return nil
 	}
+	return b.rowMarks(rowID, row, m)
+}
+
+// rowMarks returns the marks of row, the marked row rowID, building and
+// publishing them on the first read; the caller holds b.mu for reading.
+func (b *Bitmap) rowMarks(rowID int64, row *markedRow, m Marker) []*annotation.Annotation {
 	if p := row.marks.Load(); p != nil {
 		return *p
 	}

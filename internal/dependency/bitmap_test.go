@@ -161,3 +161,133 @@ func TestBitmapMarksBesideWriters(t *testing.T) {
 		}
 	}
 }
+
+// TestBitmapMarksOfMatchesMarks compares MarksOf with per-row Marks on
+// random bit sets, after random Set and Clear steps, for whole chunk-sized
+// windows of RowIDs, windows straddling a chunk boundary and sparse
+// ascending lists such as an index probe gathers.
+func TestBitmapMarksOfMatchesMarks(t *testing.T) {
+	const rows, cols, chunk = 3 * 1024, 4, 1024
+	bm := NewBitmap("T", cols)
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 400; i++ {
+		bm.Set(1+r.Int63n(rows), r.Intn(cols))
+	}
+	check := func(step int, ids []int64) {
+		t.Helper()
+		dst := make([][]*annotation.Annotation, len(ids)+1)
+		dst[len(ids)] = bm.Marks(ids[0], testMark) // past the list: left alone
+		sentinel := dst[len(ids)]
+		for i := range ids {
+			dst[i] = []*annotation.Annotation{} // stale content must be overwritten
+		}
+		bm.MarksOf(dst, ids, testMark)
+		for i, id := range ids {
+			if want := bm.Marks(id, testMark); !sameMarks(dst[i], want) {
+				t.Fatalf("step %d: row %d: MarksOf %v, Marks %v", step, id, dst[i], want)
+			}
+		}
+		if !sameMarks(dst[len(ids)], sentinel) {
+			t.Fatalf("step %d: MarksOf wrote past its list", step)
+		}
+		if len(bm.marked) != len(bm.rows) {
+			t.Fatalf("step %d: %d marked entries for %d marked rows", step, len(bm.marked), len(bm.rows))
+		}
+		for i, e := range bm.marked {
+			if i > 0 && bm.marked[i-1].rowID >= e.rowID {
+				t.Fatalf("step %d: marked entries out of order at %d: %d then %d", step, i, bm.marked[i-1].rowID, e.rowID)
+			}
+			if bm.rows[e.rowID] != e.row {
+				t.Fatalf("step %d: row %d's entry is not its bits", step, e.rowID)
+			}
+		}
+	}
+	for step := 0; step < 300; step++ {
+		for i := 0; i < 20; i++ {
+			rowID, col := 1+r.Int63n(rows), r.Intn(cols)
+			if r.Intn(2) == 0 {
+				bm.Set(rowID, col)
+			} else {
+				bm.Clear(rowID, col)
+			}
+		}
+		// A chunk-sized window, one straddling a boundary, a sparse list.
+		lo := int64(1 + r.Intn(rows-chunk))
+		if step%3 == 1 {
+			lo = int64(chunk - r.Intn(100))
+		}
+		window := make([]int64, chunk)
+		for i := range window {
+			window[i] = lo + int64(i)
+		}
+		check(step, window)
+		var sparse []int64
+		for id := int64(1 + r.Intn(5)); id <= rows+10; id += 1 + r.Int63n(40) {
+			sparse = append(sparse, id)
+		}
+		check(step, sparse)
+	}
+}
+
+// TestBitmapMarksOfBesideConcurrentSet merges ascending RowID lists against
+// the marked rows while another goroutine sets and clears bits on other
+// rows. Under -race this checks the sorted list is only touched under the
+// write lock; rows the writer never touches must read exactly as marked.
+func TestBitmapMarksOfBesideConcurrentSet(t *testing.T) {
+	const rows, cols = 2048, 3
+	bm := NewBitmap("T", cols)
+	for id := int64(7); id <= rows; id += 7 {
+		bm.Set(id, int(id%cols))
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r := rand.New(rand.NewSource(5))
+		for i := 0; i < 5000; i++ {
+			rowID := 7*r.Int63n(rows/7) + 3 // never a multiple of 7
+			if col := r.Intn(cols); r.Intn(2) == 0 {
+				bm.Set(rowID, col)
+			} else {
+				bm.Clear(rowID, col)
+			}
+		}
+	}()
+	errs := make(chan error, 2)
+	for g := 0; g < 2; g++ {
+		go func(g int) {
+			ids := make([]int64, 0, rows)
+			for id := int64(1 + g); id <= rows; id += 1 + int64(g) {
+				ids = append(ids, id)
+			}
+			dst := make([][]*annotation.Annotation, len(ids))
+			for {
+				select {
+				case <-done:
+					errs <- nil
+					return
+				default:
+				}
+				bm.MarksOf(dst, ids, testMark)
+				for i, id := range ids {
+					marks := dst[i]
+					if id%7 == 0 {
+						if marks == nil || marks[id%cols] == nil || marks[id%cols].Body != fmt.Sprintf("row %d col %d", id, id%cols) {
+							errs <- fmt.Errorf("stable row %d: marks %v", id, marks)
+							return
+						}
+						continue
+					}
+					if marks != nil && id%7 != 3 {
+						errs <- fmt.Errorf("row %d is never marked but reads %v", id, marks)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	for g := 0; g < 2; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}

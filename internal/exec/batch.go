@@ -9,11 +9,14 @@ package exec
 // interface call at a time.
 //
 // Every full-scan source of a snapshot query reads batches: a single source,
-// the first (probe) source of a join and every join build side. Everything
-// downstream keeps its row-at-a-time contract: batchRowsIter adapts batches
-// back to execRow (values + origins, exactly what scanIter emits) and is the
-// one place that boxes a scanned value, so joins, sorts, set ops, spill and
-// annotation decoration are untouched. Grouped aggregation additionally
+// the first (probe) source of a join and every join build side. So does an
+// index probe that yields more than one RowID when a current generation of
+// the mirror already exists: it gathers just the listed rows out of the
+// chunks into the batch's own vectors, and never builds or patches the
+// mirror for them. Everything downstream keeps its row-at-a-time contract:
+// batchRowsIter adapts batches back to execRow (values + origins, exactly
+// what scanIter emits) and is the one place that boxes a scanned value, so
+// joins, sorts, set ops, spill and annotation decoration are untouched. Grouped aggregation additionally
 // consumes batches directly when no ANNOTATION clause or AWHERE intervenes
 // (group.go).
 //
@@ -29,6 +32,8 @@ package exec
 
 import (
 	"context"
+	"slices"
+	"sort"
 	"strconv"
 	"sync/atomic"
 
@@ -116,7 +121,8 @@ func (v *bvec) appendGroupKey(dst []byte, i int32) []byte {
 	}
 }
 
-// batch is one chunk plus the selection vector the filter kernels narrowed.
+// batch is one chunk, or the rows gathered from several, plus the selection
+// vector the filter kernels narrowed.
 type batch struct {
 	rowIDs []int64
 	vecs   []bvec
@@ -135,17 +141,21 @@ func (b *batch) rowValues(i int32) value.Row {
 
 // batchScanIter streams a table's columnar mirror chunk by chunk, applying
 // kernel predicates to the selection vector and the remaining pushed
-// predicates row-wise against a scratch row.
+// predicates row-wise against a scratch row. With a RowID list (ids) it
+// gathers only the listed rows instead, up to ColChunkRows per batch.
 type batchScanIter struct {
 	ctx      context.Context
 	src      *sourcePlan
 	cd       *storage.ColData
+	ids      []int64 // an index probe's ascending RowIDs still to gather; nil = every row
 	kernels  []kernelPred
 	rowPreds []compiledPred
-	params   value.Row
-	never    bool // a NULL comparison constant: nothing can match
+	// kernelBuf backs kernels for the common one or two (a range's bounds).
+	kernelBuf [2]kernelPred
+	params    value.Row
+	never     bool // a NULL comparison constant: nothing can match
 
-	ci int // next chunk
+	ci int // next chunk (gathering: the first chunk that may hold ids[0])
 
 	// reused scratch
 	b        batch
@@ -153,24 +163,36 @@ type batchScanIter struct {
 	selAlt   []int32
 	codesBuf [][]byte
 	validBuf [][]byte
+	pos      []int32 // gathering: the hit positions within one chunk
+	codes    []byte  // gathering: one column's dictionary codes at pos
 	scratch  value.Row
 }
 
 // nextBatch returns the next non-empty batch of surviving rows.
 func (it *batchScanIter) nextBatch() (*batch, bool, error) {
-	for it.ci < len(it.cd.Chunks) {
+	for !it.never {
 		if err := it.ctx.Err(); err != nil {
 			return nil, false, err
 		}
-		chunk := it.cd.Chunks[it.ci]
-		it.ci++
-		if it.never || chunk.Rows() == 0 {
-			// An empty chunk has no selection to narrow (otherSel addresses
-			// the buffer's first element).
-			continue
+		var n int
+		if it.ids != nil {
+			if n = it.gather(); n == 0 {
+				return nil, false, nil
+			}
+		} else {
+			if it.ci == len(it.cd.Chunks) {
+				return nil, false, nil
+			}
+			chunk := it.cd.Chunks[it.ci]
+			it.ci++
+			if n = chunk.Rows(); n == 0 {
+				// An empty chunk has no selection to narrow (otherSel
+				// addresses the buffer's first element).
+				continue
+			}
+			it.loadChunk(chunk)
 		}
-		it.loadChunk(chunk)
-		sel := it.fullSelection(chunk.Rows())
+		sel := it.fullSelection(n)
 		for k := range it.kernels {
 			sel = applyKernel(&it.b.vecs[it.kernels[k].slot], &it.kernels[k], sel, it.otherSel(sel))
 			if len(sel) == 0 {
@@ -191,6 +213,156 @@ func (it *batchScanIter) nextBatch() (*batch, bool, error) {
 		return &it.b, true, nil
 	}
 	return nil, false, nil
+}
+
+// gather fills the batch with the next listed rows the mirror holds, up to
+// ColChunkRows of them, and returns how many it gathered (0 once the list or
+// the mirror is exhausted). Per chunk it binary-searches the first chunk
+// whose last RowID reaches the next wanted ID, merge-walks the wanted IDs
+// against the chunk's RowIDs and copies only the hit positions; dictionary
+// text is gathered as plain strings, since one batch may span chunks with
+// different dictionaries. A listed RowID the mirror lacks is skipped, as
+// scanIter skips a row deleted between listing and fetch.
+func (it *batchScanIter) gather() int {
+	chunks := it.cd.Chunks
+	if len(chunks) == 0 {
+		return 0
+	}
+	b := &it.b
+	if b.vecs == nil {
+		it.initGather(chunks[0]) // every chunk has the table's column kinds
+	}
+	b.rowIDs = b.rowIDs[:0]
+	for c := range b.vecs {
+		v := &b.vecs[c]
+		v.ints, v.flts, v.strs, v.vals, v.valid = v.ints[:0], v.flts[:0], v.strs[:0], v.vals[:0], nil
+	}
+	ids := it.ids
+	for len(ids) > 0 && len(b.rowIDs) < storage.ColChunkRows {
+		it.ci += sort.Search(len(chunks)-it.ci, func(k int) bool {
+			rids := chunks[it.ci+k].RowIDs
+			return len(rids) > 0 && rids[len(rids)-1] >= ids[0]
+		})
+		if it.ci == len(chunks) {
+			ids = ids[len(ids):]
+			break
+		}
+		chunk := chunks[it.ci]
+		rids := chunk.RowIDs
+		last := rids[len(rids)-1]
+		room := storage.ColChunkRows - len(b.rowIDs)
+		pos := it.pos[:0]
+		p, j := 0, 0
+		for j < len(ids) && ids[j] <= last && len(pos) < room {
+			id := ids[j]
+			j++
+			if rids[p] < id {
+				// Dense RowIDs step to the next row; a gap searches.
+				if rids[p+1] >= id {
+					p++
+				} else {
+					k, _ := slices.BinarySearch(rids[p:], id)
+					p += k
+				}
+			}
+			if rids[p] == id {
+				pos = append(pos, int32(p))
+			}
+		}
+		ids = ids[j:]
+		it.pos = pos
+		if len(pos) > 0 {
+			it.gatherChunk(chunk, pos)
+		}
+	}
+	it.ids = ids // empty once exhausted, never nil: a nil list means a full scan
+	return len(b.rowIDs)
+}
+
+// initGather sizes the gather vectors once, for the largest batch the RowID
+// list can fill, carving the columns of one kind out of one allocation: a
+// short probe pays a handful of allocations, not one per column and growth.
+func (it *batchScanIter) initGather(chunk *storage.ColChunk) {
+	n := min(len(it.ids), storage.ColChunkRows)
+	var kinds [storage.ColOther + 1]int
+	for c := range chunk.Cols {
+		kinds[chunk.Cols[c].Kind]++
+	}
+	ints := make([]int64, (1+kinds[storage.ColInt])*n) // the RowIDs, then the INT columns
+	it.b.rowIDs, ints = ints[:0:n], ints[n:]
+	flts := make([]float64, kinds[storage.ColFloat]*n)
+	strs := make([]string, kinds[storage.ColText]*n)
+	vals := make([]value.Value, kinds[storage.ColOther]*n)
+	it.b.vecs = make([]bvec, len(chunk.Cols))
+	for c := range chunk.Cols {
+		col, v := &chunk.Cols[c], &it.b.vecs[c]
+		v.kind, v.typ = col.Kind, col.Type
+		switch col.Kind {
+		case storage.ColInt:
+			v.ints, ints = ints[:0:n], ints[n:]
+		case storage.ColFloat:
+			v.flts, flts = flts[:0:n], flts[n:]
+		case storage.ColText:
+			v.strs, strs = strs[:0:n], strs[n:]
+		default:
+			v.vals, vals = vals[:0:n], vals[n:]
+		}
+	}
+	sels := make([]int32, 2*n)
+	it.pos, it.sel = sels[:0:n], sels[n:]
+}
+
+// gatherChunk appends the chunk's rows at pos (ascending) to the batch.
+func (it *batchScanIter) gatherChunk(chunk *storage.ColChunk, pos []int32) {
+	b := &it.b
+	before := len(b.rowIDs)
+	for _, p := range pos {
+		b.rowIDs = append(b.rowIDs, chunk.RowIDs[p])
+	}
+	for c := range chunk.Cols {
+		col, v := &chunk.Cols[c], &b.vecs[c]
+		switch {
+		case col.Kind == storage.ColInt:
+			for _, p := range pos {
+				v.ints = append(v.ints, col.Ints[p])
+			}
+		case col.Kind == storage.ColFloat:
+			for _, p := range pos {
+				v.flts = append(v.flts, col.Floats[p])
+			}
+		case col.Dict != nil:
+			it.codes = col.AppendCodesAt(it.codes[:0], pos)
+			for _, code := range it.codes {
+				v.strs = append(v.strs, col.Dict[code])
+			}
+		case col.Kind == storage.ColText:
+			for _, p := range pos {
+				v.strs = append(v.strs, col.Strs[p])
+			}
+		default:
+			for _, p := range pos {
+				v.vals = append(v.vals, col.Vals[p])
+			}
+		}
+		if v.valid == nil && (col.Valid != nil || col.ValidRLE != nil) {
+			// The batch's first chunk with NULLs in the column: the rows
+			// gathered before it were all valid.
+			if it.validBuf == nil {
+				it.validBuf = make([][]byte, len(b.vecs))
+			}
+			if it.validBuf[c] == nil {
+				it.validBuf[c] = make([]byte, 0, cap(b.rowIDs))
+			}
+			v.valid = it.validBuf[c][:0]
+			for range before {
+				v.valid = append(v.valid, 1)
+			}
+		}
+		if v.valid != nil {
+			v.valid = col.AppendValidAt(v.valid, pos)
+			it.validBuf[c] = v.valid
+		}
+	}
 }
 
 // loadChunk points the batch's vectors at the chunk, expanding compressed
@@ -282,25 +454,41 @@ func (it *batchScanIter) applyRowPreds(sel []int32) ([]int32, error) {
 //   - the session has not disabled vectorization (NoVectorize);
 //   - the query runs under an MVCC snapshot (cursors inside explicit
 //     transactions read the live heap and stay on the row path);
-//   - the source is a full scan (index probes produce row subsets);
-//   - the table has a columnar mirror (small enough, no build error);
+//   - the source is a full scan (ids == nil), or an index probe whose
+//     ascending RowID list ids holds more than one RowID (scanSource keeps a
+//     single row on the row scan: it has nothing to vectorize);
+//   - the table has a columnar mirror (small enough, no build error). A full
+//     scan builds or patches it; a probe only reads a generation that is
+//     already current (Table.CurrentColumnar), because a patch re-reads a
+//     chunk per written row and a build the whole table;
 //   - the snapshot sees the current heap for the table AND the mirror is
 //     still current — the two-sided handshake described in
 //     internal/storage/columnar.go.
 //
 // Pushed predicates never block batching: constant comparisons on
 // INT/FLOAT/TEXT/SEQUENCE columns become typed kernels, everything else
-// evaluates row-wise per batch with identical semantics.
-func (s *Session) tryBatchScan(ctx context.Context, src *sourcePlan, params value.Row, snap *storage.Snapshot) *batchScanIter {
-	if s.NoVectorize || snap == nil || !src.access.fullScan() {
+// evaluates row-wise per batch with identical semantics. A probe's RowID
+// list is only a superset, so every pushed predicate is applied to the
+// gathered rows too.
+func (s *Session) tryBatchScan(ctx context.Context, src *sourcePlan, params value.Row, snap *storage.Snapshot, ids []int64) *batchRowsIter {
+	if s.NoVectorize || snap == nil {
 		return nil
 	}
-	cd := src.tbl.ColumnarData()
+	var cd *storage.ColData
+	if ids == nil {
+		cd = src.tbl.ColumnarData()
+	} else {
+		cd = src.tbl.CurrentColumnar()
+	}
 	if cd == nil || !snap.SeesCurrentHeap(src.tbl) || cd.WriteSeq != src.tbl.WriteSeq() {
 		return nil
 	}
 	batchScans.Add(1)
-	it := &batchScanIter{ctx: ctx, src: src, cd: cd, params: params}
+	// The adapter and its scan are one allocation: a short probe pays for
+	// little beyond the rows it gathers.
+	a := &batchRowsIter{scan: batchScanIter{ctx: ctx, src: src, cd: cd, ids: ids, params: params}}
+	it := &a.scan
+	it.kernels = it.kernelBuf[:0]
 	schema := src.tbl.Schema()
 	for _, p := range src.preds {
 		k, kind := compileKernel(s, p, src, schema, params)
@@ -313,14 +501,14 @@ func (s *Session) tryBatchScan(ctx context.Context, src *sourcePlan, params valu
 			it.rowPreds = append(it.rowPreds, p)
 		}
 	}
-	return it
+	return a
 }
 
 // batchRowsIter adapts batches back to the row-at-a-time contract: it emits
 // exactly what scanIter would — the decoded row values plus a (table, RowID)
 // origin — so every downstream operator works unchanged.
 type batchRowsIter struct {
-	src *batchScanIter
+	scan batchScanIter
 	// keep, when set, is the consumer's gate, asked before a row is boxed; a
 	// row it rejects is skipped. A gate may reject a row only when its
 	// consumer provably emits nothing for it and nothing between the scan and
@@ -335,7 +523,7 @@ type batchRowsIter struct {
 func (a *batchRowsIter) Next() (execRow, bool, error) {
 	// Surface cancellation per emitted row, like scanIter: a buffered batch
 	// must not keep a canceled cursor streaming for up to 1024 more rows.
-	if err := a.src.ctx.Err(); err != nil {
+	if err := a.scan.ctx.Err(); err != nil {
 		return execRow{}, false, err
 	}
 	for {
@@ -344,7 +532,7 @@ func (a *batchRowsIter) Next() (execRow, bool, error) {
 				batchGatedRows.Add(a.gated)
 				a.gated = 0
 			}
-			b, ok, err := a.src.nextBatch()
+			b, ok, err := a.scan.nextBatch()
 			if err != nil || !ok {
 				return execRow{}, false, err
 			}
@@ -358,7 +546,7 @@ func (a *batchRowsIter) Next() (execRow, bool, error) {
 		}
 		return execRow{
 			values:  a.b.rowValues(i),
-			origins: []origin{{table: a.src.src.tbl.Name(), rowID: a.b.rowIDs[i]}},
+			origins: []origin{{table: a.scan.src.tbl.Name(), rowID: a.b.rowIDs[i]}},
 		}, true, nil
 	}
 }

@@ -437,7 +437,7 @@ func (s *Session) buildSelectIter(ctx context.Context, sel *sqlparse.SelectStmt,
 		// to the marked rows only.
 		if d, ok := it.(*decorateIter); ok && !d.dec.wantAnns && d.awhere == nil {
 			if b, ok := d.in.(*batchRowsIter); ok {
-				g.batches = b.src
+				g.batches = &b.scan
 				g.annWidth = d.dec.totalCols
 				// A batch scan is the plan's only source.
 				if as := &d.dec.plans[0]; as.bm != nil {

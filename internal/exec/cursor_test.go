@@ -48,8 +48,8 @@ func TestQueryStreamsLazily(t *testing.T) {
 	// the row-at-a-time scan, lazy per row.
 	switch src := dec.in.(type) {
 	case *batchRowsIter:
-		if src.src.ci > 1 {
-			t.Errorf("batch scan decoded %d chunks for the first result; cursor is not lazy", src.src.ci)
+		if src.scan.ci > 1 {
+			t.Errorf("batch scan decoded %d chunks for the first result; cursor is not lazy", src.scan.ci)
 		}
 	case *scanIter:
 		if src.pos > 2 {

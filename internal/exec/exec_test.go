@@ -38,7 +38,7 @@ func (r engineResolver) MaxRowID(table string) (int64, error) {
 	return tbl.NextRowID() - 1, nil
 }
 
-func newSession(t *testing.T) *Session {
+func newSession(t testing.TB) *Session {
 	t.Helper()
 	eng := storage.NewMemoryEngine()
 	ann := annotation.NewManager(eng.Catalog(), engineResolver{eng: eng})
@@ -53,7 +53,7 @@ func newSession(t *testing.T) *Session {
 	return s
 }
 
-func mustExec(t *testing.T, s *Session, sql string) *Result {
+func mustExec(t testing.TB, s *Session, sql string) *Result {
 	t.Helper()
 	res, err := s.Exec(sql)
 	if err != nil {

@@ -671,14 +671,23 @@ func (s *Session) buildPipeline(ctx context.Context, plan *physicalPlan, binding
 // scanSource streams one source in RowID order: vectorized when tryBatchScan
 // applies — the adapter emits the same rows (values, origins, order) the row
 // scan would, so everything downstream is oblivious — and through its RowID
-// list and the row scan otherwise.
+// list and the row scan otherwise. An index source is probed once: the batch
+// scan is offered the probe's RowIDs, and the row scan reads the same list if
+// it declines.
 func (s *Session) scanSource(ctx context.Context, src *sourcePlan, params value.Row, snap *storage.Snapshot) (rowIter, error) {
-	if bs := s.tryBatchScan(ctx, src, params, snap); bs != nil {
-		return &batchRowsIter{src: bs}, nil
+	if src.access.fullScan() {
+		if bs := s.tryBatchScan(ctx, src, params, snap, nil); bs != nil {
+			return bs, nil
+		}
 	}
 	ids, err := s.scanRowIDs(src, params, snap)
 	if err != nil {
 		return nil, err
+	}
+	if !src.access.fullScan() && len(ids) > 1 {
+		if bs := s.tryBatchScan(ctx, src, params, snap, ids); bs != nil {
+			return bs, nil
+		}
 	}
 	return &scanIter{ctx: ctx, src: src, ids: ids, params: params, snap: snap}, nil
 }

@@ -510,15 +510,13 @@ func (s *Session) project(st *sqlparse.SelectStmt, plan *selectPlan, params valu
 // appendRowKey appends a distinctness key for the row to buf and returns the
 // extended buffer. Callers reuse one buffer across rows so keying a row costs
 // a single string allocation (the map key) instead of a string per cell plus
-// a join.
+// a join. Each value is its type tag (INT 1 and FLOAT 1 stay distinct), then
+// its length-prefixed rendering, so no byte inside a value — NUL included —
+// can move the boundary between two columns.
 func appendRowKey(buf []byte, r ARow) []byte {
-	for i, v := range r.Values {
-		if i > 0 {
-			buf = append(buf, 0)
-		}
+	for _, v := range r.Values {
 		buf = append(buf, v.Type().String()...)
-		buf = append(buf, ':')
-		buf = append(buf, v.String()...)
+		buf = appendKeyPart(buf, v.String())
 	}
 	return buf
 }

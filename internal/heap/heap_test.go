@@ -438,8 +438,13 @@ func TestInsertCostIndependentOfFileLength(t *testing.T) {
 	if allocs := testing.AllocsPerRun(30, insert(fileOfPages(t, 4096))); allocs > 0 {
 		t.Errorf("Insert into a 4096-page file: %.0f allocations, want 0", allocs)
 	}
+	// Measured the way AllocsPerRun counts: one warm-up call, then the loop
+	// under GOMAXPROCS(1), so no other goroutine's allocations land in the
+	// process-wide TotalAlloc between the two readings.
 	bytesPerInsert := func(pages int) uint64 {
 		run := insert(fileOfPages(t, pages))
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		run()
 		const n = 30
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

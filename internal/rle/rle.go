@@ -114,6 +114,24 @@ func (s *Sequence) AppendDecoded(dst []byte) []byte {
 	return dst
 }
 
+// AppendAt appends the characters at positions pos, which must be ascending
+// and in range, to dst by one forward walk of the runs: a gather of a few
+// positions never expands the sequence.
+func (s *Sequence) AppendAt(dst []byte, pos []int32) []byte {
+	ri, end := 0, 0 // run ri covers positions [end-runs[ri].Len, end)
+	if len(s.runs) > 0 {
+		end = s.runs[0].Len
+	}
+	for _, p := range pos {
+		for int(p) >= end {
+			ri++
+			end += s.runs[ri].Len
+		}
+		dst = append(dst, s.runs[ri].Char)
+	}
+	return dst
+}
+
 // Len returns the decompressed length.
 func (s *Sequence) Len() int { return s.n }
 

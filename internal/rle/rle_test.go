@@ -280,3 +280,24 @@ func TestQuickParseRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendAt gathers ascending positions by one walk of the runs and
+// matches indexing the decoded string.
+func TestAppendAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		raw := randomStructure(rng, 300)
+		if raw == "" {
+			continue
+		}
+		var pos []int32
+		var want []byte
+		for p := rng.Intn(4); p < len(raw); p += 1 + rng.Intn(6) {
+			pos = append(pos, int32(p))
+			want = append(want, raw[p])
+		}
+		if got := Encode(raw).AppendAt([]byte("x"), pos); string(got) != "x"+string(want) {
+			t.Fatalf("AppendAt(%q, %v) = %q, want %q", raw, pos, got[1:], want)
+		}
+	}
+}

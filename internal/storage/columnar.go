@@ -19,6 +19,10 @@ package storage
 //     non-empty overlay means some row must be read as a before-image, and
 //     the scan falls back to the row-at-a-time path.
 //
+// Only a full scan builds or patches a generation (ColumnarData). A reader of
+// an index probe's few rows takes one only if it is already current
+// (CurrentColumnar) and reads the heap otherwise.
+//
 // A write does not drop the mirror. While one exists, Table.write appends the
 // written RowID to a bounded dirty list (a table never scanned vectorized
 // tracks nothing), and the next ColumnarData call builds generation n+1 by
@@ -127,6 +131,37 @@ func (v *ColVec) DecodeValid(dst []byte) []byte {
 	return v.Valid
 }
 
+// AppendCodesAt appends the dictionary codes of rows pos (ascending) to dst,
+// walking a run-length form once instead of expanding it.
+func (v *ColVec) AppendCodesAt(dst []byte, pos []int32) []byte {
+	if v.CodesRLE != nil {
+		return v.CodesRLE.AppendAt(dst, pos)
+	}
+	for _, p := range pos {
+		dst = append(dst, v.Codes[p])
+	}
+	return dst
+}
+
+// AppendValidAt appends the validity (1 = valid) of rows pos (ascending) to
+// dst, walking a run-length form once instead of expanding it.
+func (v *ColVec) AppendValidAt(dst []byte, pos []int32) []byte {
+	switch {
+	case v.ValidRLE != nil:
+		return v.ValidRLE.AppendAt(dst, pos)
+	case v.Valid != nil:
+		for _, p := range pos {
+			dst = append(dst, v.Valid[p])
+		}
+		return dst
+	default:
+		for range pos {
+			dst = append(dst, 1)
+		}
+		return dst
+	}
+}
+
 // ColChunk is up to ColChunkRows consecutive rows in column-major form.
 type ColChunk struct {
 	RowIDs []int64
@@ -185,13 +220,25 @@ func (t *Table) dropColumnar() {
 	t.colStats.dropped.Add(1)
 }
 
+// CurrentColumnar returns the cached generation of the table's columnar
+// mirror when it still mirrors the current heap, and nil otherwise. Unlike
+// ColumnarData it never builds or patches one: a reader of a few rows must
+// not pay a chunk re-read per written row, let alone a read of the whole
+// table. The caller must still verify currency against its own snapshot.
+func (t *Table) CurrentColumnar() *ColData {
+	if cd := t.colCache.Load(); cd != nil && cd.WriteSeq == t.writeSeq.Load() {
+		return cd
+	}
+	return nil
+}
+
 // ColumnarData returns the current generation of the table's columnar mirror,
 // building (and caching) it when missing or stale. It returns nil when the
 // table is too large to mirror or a heap read fails; callers fall back to the
 // row scan. The caller must still verify currency against its own snapshot —
 // see the package comment.
 func (t *Table) ColumnarData() *ColData {
-	if cd := t.colCache.Load(); cd != nil && cd.WriteSeq == t.writeSeq.Load() {
+	if cd := t.CurrentColumnar(); cd != nil {
 		return cd
 	}
 	t.colMu.Lock()
