@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -840,6 +841,79 @@ func BenchmarkDistinct(b *testing.B) {
 		if len(res.Rows) == 0 {
 			b.Fatal("no rows")
 		}
+	}
+}
+
+// BenchmarkAnnotatedRangeScan reads 256-row primary-key ranges of a 5-column,
+// 20 000-row table with ANNOTATION(*), the shape of curation_htap's A2: the
+// range gathers its rows from the columnar mirror and every Seq cell carries
+// annotations. "scan" copies all three projected columns out with Rows.Scan,
+// "annotations" reads only Rows.Annotations; both report allocations and
+// bytes per result row.
+func BenchmarkAnnotatedRangeScan(b *testing.B) {
+	db := Open()
+	defer db.Close()
+	db.MustExec(`CREATE TABLE Gene (GID INT NOT NULL PRIMARY KEY, Name TEXT, Seq SEQUENCE, Fam TEXT, Score FLOAT)`)
+	ins, err := db.Prepare(`INSERT INTO Gene VALUES (?, ?, ?, ?, ?)`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := biogen.New(13)
+	const rows, span = 20000, 256
+	for i := 0; i < rows; i++ {
+		if _, err := ins.Exec(i, gen.GeneName(i), gen.DNASequence(64), fmt.Sprintf("fam%d", i%40), float64(i%1000)/10); err != nil {
+			b.Fatal(err)
+		}
+	}
+	db.MustExec(`CREATE ANNOTATION TABLE Notes ON Gene`)
+	for lo := 0; lo < rows; lo += 50 {
+		db.MustExec(fmt.Sprintf(`ADD ANNOTATION TO Gene.Notes VALUE '<Annotation>reviewed %d</Annotation>' ON (SELECT Seq FROM Gene WHERE GID >= %d AND GID < %d)`, lo, lo, lo+50))
+	}
+	db.MustExec(`SELECT COUNT(*) FROM Gene`) // builds the columnar mirror the ranges gather from
+	queries := make([]string, 32)
+	for i := range queries {
+		lo := i * 613 % (rows - span)
+		queries[i] = fmt.Sprintf(`SELECT GID, Name, Seq FROM Gene ANNOTATION(*) WHERE GID >= %d AND GID <= %d`, lo, lo+span-1)
+	}
+	for _, mode := range []string{"scan", "annotations"} {
+		b.Run(mode, func(b *testing.B) {
+			var (
+				gid  int64
+				name string
+				seq  string
+				anns int
+			)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, err := db.Query(context.Background(), queries[i%len(queries)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				n := 0
+				for r.Next() {
+					n++
+					if mode == "scan" {
+						if err := r.Scan(&gid, &name, &seq); err != nil {
+							b.Fatal(err)
+						}
+					} else {
+						anns += len(r.Annotations()[2])
+					}
+				}
+				if err := r.Err(); err != nil || n != span {
+					b.Fatalf("%d rows, err %v", n, err)
+				}
+				r.Close()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			perRow := float64(b.N * span)
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/perRow, "allocs/row")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/perRow, "B/row")
+		})
 	}
 }
 

@@ -14,11 +14,25 @@ package exec
 // the mirror already exists: it gathers just the listed rows out of the
 // chunks into the batch's own vectors, and never builds or patches the
 // mirror for them. Everything downstream keeps its row-at-a-time contract:
-// batchRowsIter adapts batches back to execRow (values + origins, exactly
-// what scanIter emits) and is the one place that boxes a scanned value, so
-// joins, sorts, set ops, spill and annotation decoration are untouched. Grouped aggregation additionally
-// consumes batches directly when no ANNOTATION clause or AWHERE intervenes
+// batchRowsIter adapts batches back to execRow, with the origins scanIter
+// gives, but leaves each row a position in its batch. A value is boxed only
+// when a stage reads it, through execRow.val (one value) or execRow.vals
+// (the whole row, once), and a cursor boxes only the projected columns its
+// caller reads (Rows.Row; Rows.Scan copies from the vectors and
+// Rows.Annotations boxes nothing). Grouped aggregation additionally consumes
+// batches directly when no ANNOTATION clause or AWHERE intervenes
 // (group.go).
+//
+// The retention rule: the vectors a row points into are reused by the
+// scan's next pull — a gather overwrites them, a chunk load re-expands its
+// dictionary codes and validity into the same buffers — so an unboxed row
+// is valid only until its scan is pulled again. A stage that keeps a row
+// past its next pull of its input boxes it first: join build sides and
+// UPDATE/DELETE read phases (drainIter), a hash or cross join's current left
+// row (combineRows), group buckets, and everything after projection (sort,
+// Top-N, DISTINCT, set operations and spill take projected rows, which are
+// boxed). Chunks themselves are immutable, so a row read before the next
+// pull sees the snapshot's generation whatever writers do meanwhile.
 //
 // The operators that discard most of their input decide on the vectors
 // before the adapter boxes a row (late materialization): a hash join's probe
@@ -129,8 +143,8 @@ type batch struct {
 	sel    []int32 // surviving row indexes, ascending
 }
 
-// rowValues materializes row i as a fresh value.Row (downstream operators
-// retain row references, so the slice cannot be reused).
+// rowValues boxes row i into a fresh value.Row (execRow.vals, and the
+// batched aggregation's group buckets, keep it).
 func (b *batch) rowValues(i int32) value.Row {
 	vals := make(value.Row, len(b.vecs))
 	for c := range b.vecs {
@@ -505,8 +519,9 @@ func (s *Session) tryBatchScan(ctx context.Context, src *sourcePlan, params valu
 }
 
 // batchRowsIter adapts batches back to the row-at-a-time contract: it emits
-// exactly what scanIter would — the decoded row values plus a (table, RowID)
-// origin — so every downstream operator works unchanged.
+// the rows scanIter would, in the same order and with the same (table,
+// RowID) origin, each still a position in the current batch (see the
+// retention rule above).
 type batchRowsIter struct {
 	scan batchScanIter
 	// keep, when set, is the consumer's gate, asked before a row is boxed; a
@@ -545,7 +560,8 @@ func (a *batchRowsIter) Next() (execRow, bool, error) {
 			continue
 		}
 		return execRow{
-			values:  a.b.rowValues(i),
+			b:       a.b,
+			at:      i,
 			origins: []origin{{table: a.scan.src.tbl.Name(), rowID: a.b.rowIDs[i]}},
 		}, true, nil
 	}

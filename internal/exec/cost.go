@@ -480,12 +480,13 @@ func (it *restoreIter) Next() (execRow, bool, error) {
 			if !ok {
 				break
 			}
-			vals := make(value.Row, len(r.values))
+			rv := r.vals()
+			vals := make(value.Row, len(rv))
 			origins := make([]origin, len(srcs))
 			off := 0
 			for p, si := range order {
 				src := srcs[si]
-				copy(vals[src.offset:src.offset+src.numCols], r.values[off:off+src.numCols])
+				copy(vals[src.offset:src.offset+src.numCols], rv[off:off+src.numCols])
 				origins[si] = r.origins[p]
 				off += src.numCols
 			}

@@ -638,6 +638,11 @@ type Rows struct {
 	// Streaming state (ait != nil): the assembled SELECT pipeline, already
 	// projected.
 	ait aRowIter
+	// lazyB, when set, and lazyAt locate the current row's values in its
+	// batch: Next left them unboxed (pull), cur holds only the projected
+	// annotation cells, and Row boxes the projected values, once, or Scan
+	// copies them out.
+	lazyB *batch
 	// closers release the spill files of blocking operators; run once by
 	// finish (end of stream, error, or Close).
 	closers []func()
@@ -646,12 +651,14 @@ type Rows struct {
 	rows []ARow
 	pos  int
 
-	limit    int // rows still to emit; -1 = unlimited
-	cur      ARow
+	limit int // rows still to emit; -1 = unlimited
+	cur   ARow
+	// The flags sit together, and lazyAt beside killed, so that a cursor
+	// stays in one 256-byte allocation.
 	valid    bool
 	ended    bool // iteration finished (exhausted, errored or closed)
-	err      error
 	closed   bool
+	err      error
 	affected int
 	message  string
 	unlock   func()
@@ -662,6 +669,7 @@ type Rows struct {
 	// context watcher); everything else is single-goroutine.
 	killErr error
 	killed  atomic.Bool
+	lazyAt  int32
 	// txmu, set on cursors opened inside a transaction, is the owning
 	// transaction's mutex: Next holds it for the duration of each pull so
 	// the context watcher's auto-rollback cannot rewrite heap pages and
@@ -697,6 +705,10 @@ func (r *Rows) Next() bool {
 		r.txmu.Lock()
 		defer r.txmu.Unlock()
 	}
+	if r.lazyB != nil {
+		// The row's batch may be overwritten by the pull below.
+		r.lazyB, r.cur = nil, ARow{}
+	}
 	if r.killed.Load() && !r.ended {
 		r.err = r.killErr
 		r.finish()
@@ -712,7 +724,7 @@ func (r *Rows) Next() bool {
 		return false
 	}
 	if r.ait != nil {
-		row, ok, err := r.ait.Next()
+		ok, err := r.pull()
 		if err != nil {
 			r.err = err
 			r.finish()
@@ -722,7 +734,6 @@ func (r *Rows) Next() bool {
 			r.finish()
 			return false
 		}
-		r.cur = row
 	} else {
 		if r.pos >= len(r.rows) {
 			r.finish()
@@ -738,8 +749,56 @@ func (r *Rows) Next() bool {
 	return true
 }
 
+// pull reads the next result row of the pipeline into cur. Under a bare
+// projection, a row still in its batch whose projection evaluates nothing
+// gets only its annotation cells projected: its values stay where lazyB and
+// lazyAt say, boxed only if the caller reads them.
+func (r *Rows) pull() (bool, error) {
+	p, bare := r.ait.(*projectIter)
+	if !bare {
+		row, ok, err := r.ait.Next()
+		if ok && err == nil {
+			r.cur = row
+		}
+		return ok, err
+	}
+	row, ok, err := p.in.Next()
+	if err != nil || !ok {
+		return false, err
+	}
+	if row.b == nil || p.proj.evaluates {
+		out, err := p.proj.row(row)
+		if err != nil {
+			return false, err
+		}
+		r.cur = out
+		return true, nil
+	}
+	r.cur = ARow{Anns: p.proj.anns(&row)}
+	r.lazyB, r.lazyAt = row.b, row.at
+	return true, nil
+}
+
 // Row returns the current row (valid after a true Next).
-func (r *Rows) Row() ARow { return r.cur }
+func (r *Rows) Row() ARow {
+	if r.lazyB != nil {
+		row := execRow{b: r.lazyB, at: r.lazyAt}
+		// The projection evaluates nothing, so it cannot fail.
+		r.cur.Values, _ = r.ait.(*projectIter).proj.values(&row)
+		r.lazyB = nil
+	}
+	return r.cur
+}
+
+// value returns column i of the current row, read from its batch while
+// lazyB is set.
+func (r *Rows) value(i int) value.Value {
+	if r.lazyB == nil {
+		return r.cur.Values[i]
+	}
+	row := execRow{b: r.lazyB, at: r.lazyAt}
+	return r.ait.(*projectIter).proj.value(&row, i)
+}
 
 // Annotations returns the per-column annotations of the current row.
 func (r *Rows) Annotations() [][]*annotation.Annotation { return r.cur.Anns }
@@ -771,17 +830,22 @@ func (r *Rows) finish() {
 }
 
 // Scan copies the current row's values into dest, which must contain one
-// pointer per output column. Supported targets: *string, *int, *int64,
-// *float64, *bool, *time.Time, *value.Value and *any.
+// pointer per output column. A row still in its batch is copied straight
+// from the column vectors, without boxing a result row. Supported targets:
+// *string, *int, *int64, *float64, *bool, *time.Time, *value.Value and *any.
 func (r *Rows) Scan(dest ...any) error {
 	if !r.valid {
 		return fmt.Errorf("exec: Scan called without a successful Next")
 	}
-	if len(dest) != len(r.cur.Values) {
-		return fmt.Errorf("exec: Scan expects %d destination(s), got %d", len(r.cur.Values), len(dest))
+	n := len(r.cur.Values)
+	if r.lazyB != nil {
+		n = len(r.cols)
+	}
+	if len(dest) != n {
+		return fmt.Errorf("exec: Scan expects %d destination(s), got %d", n, len(dest))
 	}
 	for i, d := range dest {
-		if err := scanValue(r.cur.Values[i], d); err != nil {
+		if err := scanValue(r.value(i), d); err != nil {
 			return fmt.Errorf("exec: Scan column %d (%s): %w", i, r.colName(i), err)
 		}
 	}
@@ -882,7 +946,7 @@ func (r *Rows) materialize() (*Result, error) {
 		res.Rows = r.rows
 	} else {
 		for r.Next() {
-			res.Rows = append(res.Rows, r.cur)
+			res.Rows = append(res.Rows, r.Row())
 		}
 	}
 	r.Close()

@@ -446,7 +446,7 @@ func (s *Session) execUpdate(ctx context.Context, st *sqlparse.UpdateStmt, param
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rowID, oldRow := r.origins[0].rowID, r.values
+		rowID, oldRow := r.origins[0].rowID, r.vals()
 		newRow := oldRow.Clone()
 		for i, set := range st.Set {
 			v, err := s.evalRowExpr(set.Value, tbl, oldRow, params)
@@ -483,7 +483,7 @@ func (s *Session) execDelete(ctx context.Context, st *sqlparse.DeleteStmt, param
 		if err := tbl.Delete(rowID); err != nil {
 			return nil, err
 		}
-		if err := s.afterWrite(authz.OpDelete, tbl, rowID, r.values, nil, cols); err != nil {
+		if err := s.afterWrite(authz.OpDelete, tbl, rowID, r.vals(), nil, cols); err != nil {
 			return nil, err
 		}
 	}

@@ -580,11 +580,11 @@ func appendGroupKey(dst []byte, v value.Value) []byte {
 	}
 }
 
-// groupKeyBytes renders the group key into the reused key buffer.
-func (g *groupAggIter) groupKeyBytes(vals value.Row) []byte {
+// groupKeyBytes renders the row's group key into the reused key buffer.
+func (g *groupAggIter) groupKeyBytes(r *execRow) []byte {
 	g.keyBuf = g.keyBuf[:0]
 	for _, idx := range g.keyIdx {
-		g.keyBuf = appendGroupKey(g.keyBuf, vals[idx])
+		g.keyBuf = appendGroupKey(g.keyBuf, r.val(idx))
 	}
 	return g.keyBuf
 }
@@ -598,6 +598,23 @@ func (g *groupAggIter) foldAnns(b *groupBucket, anns [][]*annotation.Annotation)
 			before := len(b.anns[c])
 			b.anns[c] = unionAnnotations(b.anns[c], anns[c])
 			grown += (len(b.anns[c]) - before) * 8
+		}
+	}
+	g.grouper.grow(grown)
+}
+
+// foldMarks appends one member's outdated marks (mk, by column of source as)
+// to its resident group's cells in place, charging the growth to the spill
+// budget. It is foldAnns for the batch path, where no ANNOTATION clause
+// applies: the cells hold only marks, which have ID 0, so the union would
+// keep every one of them in order, and the bucket owns its cells (built by
+// appendMarks or a union, never shared with a row).
+func (g *groupAggIter) foldMarks(b *groupBucket, as *annSource, mk []*annotation.Annotation) {
+	as.appendMarks(b.anns, mk)
+	grown := 0
+	for _, m := range mk {
+		if m != nil {
+			grown += 8
 		}
 	}
 	g.grouper.grow(grown)
@@ -626,7 +643,7 @@ func (g *groupAggIter) consume() error {
 				return g.specErr
 			}
 		}
-		key := g.groupKeyBytes(r.values)
+		key := g.groupKeyBytes(&r)
 		b, flushed := g.grouper.lookup(key)
 		delta := false
 		switch {
@@ -634,7 +651,7 @@ func (g *groupAggIter) consume() error {
 			g.foldAnns(b, r.anns)
 		case !g.grouper.overflowing():
 			b = &groupBucket{
-				vals: r.values,
+				vals: r.vals(),
 				anns: r.anns,
 				aggs: make([]aggState, len(g.specs)),
 			}
@@ -643,7 +660,7 @@ func (g *groupAggIter) consume() error {
 			rec := g.grouper.beginObs(key)
 			for i := range g.specs {
 				if slot := g.specs[i].slot; slot >= 0 {
-					rec = appendObsValue(rec, r.values[slot])
+					rec = appendObsValue(rec, r.val(slot))
 				}
 			}
 			if err := g.grouper.appendObs(key, rec); err != nil {
@@ -655,14 +672,14 @@ func (g *groupAggIter) consume() error {
 			b = g.resetDelta()
 			b.anns = r.anns
 			if !flushed {
-				b.vals = r.values
+				b.vals = r.vals()
 			}
 		}
 		for i := range g.specs {
 			spec := &g.specs[i]
 			v := value.Value{}
 			if spec.slot >= 0 {
-				v = r.values[spec.slot]
+				v = r.val(spec.slot)
 			}
 			if err := b.aggs[i].update(spec.kind, v); err != nil {
 				return err
@@ -717,19 +734,23 @@ func (g *groupAggIter) consumeBatches() error {
 			for _, idx := range g.keyIdx {
 				g.keyBuf = b.vecs[idx-off].appendGroupKey(g.keyBuf, i)
 			}
-			// The row's annotations: nil, standing for annWidth empty cells,
-			// unless the row carries outdated marks.
-			var anns [][]*annotation.Annotation
-			if marks != nil && rowMarks[i] != nil {
-				anns = make([][]*annotation.Annotation, g.annWidth)
-				marks.appendMarks(anns, rowMarks[i])
+			var mk []*annotation.Annotation // the row's outdated marks, by column
+			if marks != nil {
+				mk = rowMarks[i]
 			}
 			bkt, flushed := g.grouper.lookup(g.keyBuf)
+			// The row's annotation cells, when it needs its own: nil, standing
+			// for annWidth empty cells, unless the row carries outdated marks.
+			var anns [][]*annotation.Annotation
+			if mk != nil && bkt == nil {
+				anns = make([][]*annotation.Annotation, g.annWidth)
+				marks.appendMarks(anns, mk)
+			}
 			delta := false
 			switch {
 			case bkt != nil:
-				if anns != nil {
-					g.foldAnns(bkt, anns)
+				if mk != nil {
+					g.foldMarks(bkt, marks, mk)
 				}
 			case !g.grouper.overflowing():
 				if anns == nil {
@@ -849,7 +870,7 @@ func (it *havingIter) Next() (execRow, bool, error) {
 		if err != nil || !ok {
 			return execRow{}, false, err
 		}
-		keep, err := it.s.evalBool(it.expr, it.bindings, r, r.group, it.params)
+		keep, err := it.s.evalBool(it.expr, it.bindings, r, it.params)
 		if err != nil {
 			return execRow{}, false, err
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 
 	"bdbms/internal/heap"
 	"bdbms/internal/sqlparse"
@@ -153,7 +154,8 @@ func (it *scanIter) Next() (execRow, bool, error) {
 	return execRow{}, false, nil
 }
 
-// drainIter materializes the remainder of an iterator.
+// drainIter materializes the remainder of an iterator, boxing every row: it
+// keeps them past the input's next pull.
 func drainIter(it rowIter) ([]execRow, error) {
 	var out []execRow
 	for {
@@ -164,6 +166,7 @@ func drainIter(it rowIter) ([]execRow, error) {
 		if !ok {
 			return out, nil
 		}
+		r.vals()
 		out = append(out, r)
 	}
 }
@@ -184,7 +187,7 @@ func (it *filterIter) Next() (execRow, bool, error) {
 		if err != nil || !ok {
 			return execRow{}, false, err
 		}
-		keep, err := evalPreds(it.preds, r.values, 0, it.params)
+		keep, err := evalPreds(it.preds, r.vals(), 0, it.params)
 		if err != nil {
 			return execRow{}, false, err
 		}
@@ -213,7 +216,7 @@ func (it *residualIter) Next() (execRow, bool, error) {
 		}
 		keep := true
 		for _, e := range it.exprs {
-			ok, err := it.s.evalBool(e, it.bindings, r, nil, it.params)
+			ok, err := it.s.evalBool(e, it.bindings, r, it.params)
 			if err != nil {
 				return execRow{}, false, err
 			}
@@ -231,11 +234,13 @@ func (it *residualIter) Next() (execRow, bool, error) {
 // --- joins ---------------------------------------------------------------------------------
 
 // combineRows concatenates two partial rows into a fresh execRow. Values and
-// origins are copied so joined rows never alias their inputs.
-func combineRows(left, right execRow) execRow {
-	vals := make(value.Row, 0, len(left.values)+len(right.values))
-	vals = append(vals, left.values...)
-	vals = append(vals, right.values...)
+// origins are copied so joined rows never alias their inputs; the left row
+// is boxed in place, once for all its matches.
+func combineRows(left *execRow, right execRow) execRow {
+	lv, rv := left.vals(), right.vals()
+	vals := make(value.Row, 0, len(lv)+len(rv))
+	vals = append(vals, lv...)
+	vals = append(vals, rv...)
 	origins := make([]origin, 0, len(left.origins)+len(right.origins))
 	origins = append(origins, left.origins...)
 	origins = append(origins, right.origins...)
@@ -263,12 +268,31 @@ func appendJoinKey(dst []byte, v value.Value, class compareClass) ([]byte, bool)
 	}
 	switch class {
 	case classNumeric:
-		v = value.NewFloat(v.Float())
+		v = numericJoinKey(v)
 	case classString:
 		v = value.NewText(v.Text())
 	}
 	dst = binary.AppendUvarint(dst, uint64(v.KeyLen()))
 	return v.EncodeKey(dst), true
+}
+
+// numericJoinKey maps a number to the one form every number equal to it
+// takes: an INT that float64 holds exactly (|i| <= 2^53) and every
+// non-integral or out-of-range FLOAT as a FLOAT, a larger INT and an integral
+// FLOAT equal to one as the INT. Converting every INT to FLOAT instead would
+// round INTs above 2^53 together.
+func numericJoinKey(v value.Value) value.Value {
+	const exact = 1 << 53
+	if v.Type() == value.Int {
+		if i := v.Int(); i >= -exact && i <= exact {
+			return value.NewFloat(float64(i))
+		}
+		return v
+	}
+	if f := v.Float(); (f > exact || f < -exact) && f < 1<<63 && f >= -1<<63 && f == math.Trunc(f) {
+		return value.NewInt(int64(f))
+	}
+	return v
 }
 
 func joinKey(buf []byte, vals value.Row, cols []joinKeyCol) ([]byte, bool) {
@@ -306,7 +330,7 @@ func newHashJoinIter(ctx context.Context, left rowIter, rightRows []execRow, lef
 	var buf []byte
 	for _, r := range rightRows {
 		var ok bool
-		buf, ok = joinKey(buf, r.values, rightKey)
+		buf, ok = joinKey(buf, r.vals(), rightKey)
 		if !ok {
 			continue // NULL key never matches
 		}
@@ -348,7 +372,7 @@ func (it *hashJoinIter) Next() (execRow, bool, error) {
 		if it.haveLeft && it.mpos < len(it.matches) {
 			right := it.matches[it.mpos]
 			it.mpos++
-			return combineRows(it.cur, right), true, nil
+			return combineRows(&it.cur, right), true, nil
 		}
 		l, ok, err := it.left.Next()
 		if err != nil || !ok {
@@ -358,7 +382,7 @@ func (it *hashJoinIter) Next() (execRow, bool, error) {
 		it.haveLeft = true
 		it.mpos = 0
 		var keyOK bool
-		it.keyBuf, keyOK = joinKey(it.keyBuf, l.values, it.leftKey)
+		it.keyBuf, keyOK = joinKey(it.keyBuf, it.cur.vals(), it.leftKey)
 		if !keyOK {
 			it.matches = nil
 			continue
@@ -387,7 +411,7 @@ func (it *crossJoinIter) Next() (execRow, bool, error) {
 		if it.haveLeft && it.rpos < len(it.right) {
 			right := it.right[it.rpos]
 			it.rpos++
-			return combineRows(it.cur, right), true, nil
+			return combineRows(&it.cur, right), true, nil
 		}
 		if len(it.right) == 0 {
 			return execRow{}, false, nil

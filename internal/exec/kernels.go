@@ -12,9 +12,9 @@ package exec
 //     false before Compare runs);
 //   - a NULL constant matches nothing — the whole scan short-circuits
 //     (kernelNever);
-//   - numeric comparisons go through float64 even for INT columns, exactly
-//     like Compare (including its imprecision above 2^53 — the fuzzer holds
-//     the batched and row paths to identical answers);
+//   - numeric comparisons are exact, like Compare: an INT column against an
+//     INT constant compares int64s, and an INT against a FLOAT never rounds
+//     the INT (value.CompareIntFloat);
 //   - text comparisons use strings.Compare on the raw payload.
 //
 // Anything a kernel cannot express with those exact semantics — OR trees,
@@ -34,7 +34,9 @@ import (
 type kernelPred struct {
 	slot       int // local column index within the source
 	lt, eq, gt bool
-	f          float64 // numeric constant (ColInt/ColFloat columns)
+	isInt      bool    // the numeric constant is the INT i, else the FLOAT f
+	i          int64   // INT constant (ColInt/ColFloat columns)
+	f          float64 // FLOAT constant (ColInt/ColFloat columns)
 	s          string  // string constant (ColText columns)
 }
 
@@ -91,7 +93,7 @@ func compileKernel(s *Session, p compiledPred, src *sourcePlan, schema *catalog.
 	ct := schema.Columns[local].Type
 	switch {
 	case (ct == value.Int || ct == value.Float) && (cv.Type() == value.Int || cv.Type() == value.Float):
-		k.f = cv.Float()
+		k.isInt, k.i, k.f = cv.Type() == value.Int, cv.Int(), cv.Float()
 	case (ct == value.Text || ct == value.Sequence) && (cv.Type() == value.Text || cv.Type() == value.Sequence):
 		k.s = cv.Text()
 	default:
@@ -134,12 +136,20 @@ func applyKernel(v *bvec, k *kernelPred, sel, out []int32) []int32 {
 }
 
 func filterInts(ints []int64, valid []byte, k *kernelPred, sel, out []int32) []int32 {
-	c := k.f
+	if !k.isInt {
+		for _, i := range sel {
+			if (valid == nil || valid[i] != 0) && k.matchCmp(value.CompareIntFloat(ints[i], k.f)) {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	c := k.i
 	for _, i := range sel {
 		if valid != nil && valid[i] == 0 {
 			continue
 		}
-		x := float64(ints[i])
+		x := ints[i]
 		var m bool
 		switch {
 		case x < c:
@@ -157,6 +167,14 @@ func filterInts(ints []int64, valid []byte, k *kernelPred, sel, out []int32) []i
 }
 
 func filterFloats(flts []float64, valid []byte, k *kernelPred, sel, out []int32) []int32 {
+	if k.isInt {
+		for _, i := range sel {
+			if (valid == nil || valid[i] != 0) && k.matchCmp(-value.CompareIntFloat(k.i, flts[i])) {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
 	c := k.f
 	for _, i := range sel {
 		if valid != nil && valid[i] == 0 {

@@ -345,9 +345,10 @@ func indexProbeValue(colType value.Type, v value.Value) (probe value.Value, exac
 			return value.Value{}, false, false
 		}
 		if colType == value.Float {
-			// Compare evaluates both sides as float64, so the cast IS the
-			// comparison semantics.
-			return value.NewFloat(v.Float()), true, true
+			// An INT above 2^53 rounds to the nearest float; no float lies
+			// between the two, so inclusive bounds make the probe a superset.
+			f := v.Float()
+			return value.NewFloat(f), value.CompareIntFloat(v.Int(), f) == 0, true
 		}
 		// INT column, FLOAT constant: probe the nearest integers on either
 		// side; bounds become inclusive supersets unless f is integral.

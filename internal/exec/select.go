@@ -23,13 +23,22 @@ type origin struct {
 // execRow is an intermediate row flowing through the SELECT pipeline: the
 // concatenated values of the FROM tables, per-value annotation sets, and the
 // originating (table, RowID) pairs.
+//
+// A row a batch scan emits stays a position in its batch (b, at) until a
+// stage reads a value: val boxes one value, vals boxes the row once and
+// keeps it. Every stage reads values through those two accessors. The
+// batch's vectors hold the row only until the scan's next pull, so a stage
+// that keeps a row past its next pull of its input boxes it first (vals).
 type execRow struct {
-	values  value.Row
+	values  value.Row // nil while b is set
+	b       *batch
+	at      int32
 	anns    [][]*annotation.Annotation
 	origins []origin
-	// group holds the member rows when this row represents a GROUP BY group
-	// built by the reference executor's groupRows.
-	group []execRow
+	// group points at the member rows when this row represents a GROUP BY
+	// group built by the reference executor's groupRows. A pointer, like
+	// aggVals, keeps execRow one word wide for it.
+	group *[]execRow
 	// aggVals holds the pre-computed aggregate results when this row was
 	// built by the streaming groupAggIter, which accumulates aggregates
 	// incrementally instead of retaining group members. Expression
@@ -37,6 +46,24 @@ type execRow struct {
 	// set. A pointer keeps execRow, which every operator copies, one word
 	// wide for it.
 	aggVals *[]aggResult
+}
+
+// val returns the value in slot i, boxing only it while the row is still a
+// position in its batch.
+func (r *execRow) val(i int) value.Value {
+	if r.b != nil {
+		return r.b.vecs[i].valueAt(r.at)
+	}
+	return r.values[i]
+}
+
+// vals returns the row's values, boxing a batch row's into a fresh value.Row
+// first; the row keeps them, so it no longer reads its batch.
+func (r *execRow) vals() value.Row {
+	if r.b != nil {
+		r.values, r.b = r.b.rowValues(r.at), nil
+	}
+	return r.values
 }
 
 // aggResult is one aggregate node's result for a group.
@@ -197,7 +224,7 @@ func (s *Session) buildSelect(ctx context.Context, st *sqlparse.SelectStmt, para
 	if st.Having != nil {
 		var kept []execRow
 		for _, r := range rows {
-			ok, err := s.evalBool(st.Having, plan.bindings, r, r.group, params)
+			ok, err := s.evalBool(st.Having, plan.bindings, r, params)
 			if err != nil {
 				return nil, err
 			}
@@ -296,7 +323,7 @@ func (s *Session) buildRowsNaive(ctx context.Context, st *sqlparse.SelectStmt, b
 	if st.Where != nil {
 		var kept []execRow
 		for _, r := range rows {
-			ok, err := s.evalBool(st.Where, bindings, r, nil, params)
+			ok, err := s.evalBool(st.Where, bindings, r, params)
 			if err != nil {
 				return nil, err
 			}
@@ -387,6 +414,7 @@ func (s *Session) groupRows(st *sqlparse.SelectStmt, bindings []binding, rows []
 				values:  r.values.Clone(),
 				anns:    make([][]*annotation.Annotation, len(r.anns)),
 				origins: append([]origin{}, r.origins...),
+				group:   new([]execRow),
 			}
 			for c := range r.anns {
 				copyRow.anns[c] = append([]*annotation.Annotation{}, r.anns[c]...)
@@ -400,7 +428,7 @@ func (s *Session) groupRows(st *sqlparse.SelectStmt, bindings []binding, rows []
 			}
 			g.origins = append(g.origins, r.origins...)
 		}
-		g.group = append(g.group, r)
+		*g.group = append(*g.group, r)
 	}
 	var out []execRow
 	for _, key := range order {
@@ -436,6 +464,13 @@ type projector struct {
 	outCols  []outCol
 	bindings []binding
 	params   value.Row
+	// evaluates is set when some output column is an evaluated expression:
+	// only then can projecting a row's values fail.
+	evaluates bool
+	// shareLo, when >= 0, says the output columns are the value slots
+	// shareLo, shareLo+1, … without PROMOTE, so a row's projected annotation
+	// cells are a window of its own.
+	shareLo int32
 }
 
 // newProjector resolves the projection layout (including PROMOTE and *) of
@@ -453,41 +488,83 @@ func newProjector(s *Session, items []planItem, bindings []binding, params value
 		}
 		p.cols = append(p.cols, item.name)
 		p.outCols = append(p.outCols, outCol{item: item, index: -1})
+		p.evaluates = p.evaluates || item.slot < 0
+	}
+	p.shareLo = -1
+	for i, oc := range p.outCols {
+		slot, ok := p.sourceSlot(i)
+		if !ok || (oc.index < 0 && len(oc.item.promoteSlots) > 0) || (i > 0 && slot != int(p.shareLo)+i) {
+			p.shareLo = -1
+			break
+		}
+		if i == 0 {
+			p.shareLo = int32(slot)
+		}
 	}
 	return p
 }
 
 // row projects one pipeline row into a result row.
 func (p *projector) row(r execRow) (ARow, error) {
-	out := ARow{
-		Values: make(value.Row, 0, len(p.outCols)),
-		Anns:   make([][]*annotation.Annotation, 0, len(p.outCols)),
+	vals, err := p.values(&r)
+	if err != nil {
+		return ARow{}, err
 	}
-	for _, oc := range p.outCols {
-		if oc.index >= 0 { // star expansion: direct value copy
-			out.Values = append(out.Values, r.values[oc.index])
-			out.Anns = append(out.Anns, append([]*annotation.Annotation{}, r.anns[oc.index]...))
+	return ARow{Values: vals, Anns: p.anns(&r)}, nil
+}
+
+// value returns output column i of the row, boxing at most that value; only
+// for a projector that does not evaluate.
+func (p *projector) value(r *execRow, i int) value.Value {
+	slot, _ := p.sourceSlot(i)
+	return r.val(slot)
+}
+
+// values returns the row's output values in a fresh value.Row.
+func (p *projector) values(r *execRow) (value.Row, error) {
+	out := make(value.Row, len(p.outCols))
+	for i, oc := range p.outCols {
+		if slot, ok := p.sourceSlot(i); ok {
+			out[i] = r.val(slot)
 			continue
 		}
-		// Annotation propagation: a projected column keeps the annotations
-		// of its source cell; PROMOTE copies annotations from other columns.
+		v, err := p.s.evalValue(oc.item.expr, p.bindings, *r, p.params)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// anns returns the row's output annotation cells. Annotation propagation: a
+// projected column keeps the annotations of its source cell, and PROMOTE
+// unions in those of other columns. A cell without PROMOTE is the row's own
+// slice, shared: decoration builds every row's cells fresh and capped, and
+// nothing appends to a cell in place, so sharing copies nothing. When the
+// output columns are a run of slots, the cells are a capped window of the
+// row's.
+func (p *projector) anns(r *execRow) [][]*annotation.Annotation {
+	if lo := int(p.shareLo); lo >= 0 {
+		hi := lo + len(p.outCols)
+		return r.anns[lo:hi:hi]
+	}
+	out := make([][]*annotation.Annotation, len(p.outCols))
+	for i, oc := range p.outCols {
+		if oc.index >= 0 {
+			out[i] = r.anns[oc.index]
+			continue
+		}
 		var anns []*annotation.Annotation
 		if slot := oc.item.slot; slot >= 0 {
-			out.Values = append(out.Values, r.values[slot])
-			anns = append(anns, r.anns[slot]...)
-		} else {
-			v, err := p.s.evalValue(oc.item.expr, p.bindings, r, r.group, p.params)
-			if err != nil {
-				return ARow{}, err
-			}
-			out.Values = append(out.Values, v)
+			anns = r.anns[slot]
 		}
 		for _, idx := range oc.item.promoteSlots {
 			anns = unionAnnotations(anns, r.anns[idx])
 		}
-		out.Anns = append(out.Anns, anns)
+		out[i] = anns
 	}
-	return out, nil
+	return out
 }
 
 // project applies the projection items (including PROMOTE and *) and returns
@@ -657,15 +734,15 @@ func hasAggregate(items []sqlparse.SelectItem) bool {
 	return false
 }
 
-// evalValue evaluates an expression over an execRow (with optional group
-// members for aggregates).
-func (s *Session) evalValue(e sqlparse.Expr, bindings []binding, r execRow, group []execRow, params value.Row) (value.Value, error) {
+// evalValue evaluates an expression over an execRow (with its group's
+// members, if any, for aggregates).
+func (s *Session) evalValue(e sqlparse.Expr, bindings []binding, r execRow, params value.Row) (value.Value, error) {
 	colFn := func(col *sqlparse.ColumnExpr) (value.Value, error) {
 		idx, _, err := resolveColumn(bindings, col)
 		if err != nil {
 			return value.Value{}, err
 		}
-		return r.values[idx], nil
+		return r.val(idx), nil
 	}
 	aggFn := func(agg *sqlparse.AggregateExpr) (value.Value, error) {
 		if r.aggVals != nil {
@@ -676,17 +753,17 @@ func (s *Session) evalValue(e sqlparse.Expr, bindings []binding, r execRow, grou
 			}
 			return value.Value{}, fmt.Errorf("%w: internal: unregistered aggregate %s", ErrUnsupported, agg.Func)
 		}
-		members := group
-		if members == nil {
-			members = []execRow{r}
+		members := []execRow{r}
+		if r.group != nil {
+			members = *r.group
 		}
 		return evalAggregate(agg, bindings, members)
 	}
 	return evalExpr(e, colFn, aggFn, params)
 }
 
-func (s *Session) evalBool(e sqlparse.Expr, bindings []binding, r execRow, group []execRow, params value.Row) (bool, error) {
-	v, err := s.evalValue(e, bindings, r, group, params)
+func (s *Session) evalBool(e sqlparse.Expr, bindings []binding, r execRow, params value.Row) (bool, error) {
+	v, err := s.evalValue(e, bindings, r, params)
 	if err != nil {
 		return false, err
 	}
@@ -724,8 +801,8 @@ func evalAggregate(agg *sqlparse.AggregateExpr, bindings []binding, members []ex
 		return value.Value{}, fmt.Errorf("%w: aggregate %s", ErrUnsupported, agg.Func)
 	}
 	var a aggState
-	for _, m := range members {
-		if err := a.update(kind, m.values[idx]); err != nil {
+	for i := range members {
+		if err := a.update(kind, members[i].val(idx)); err != nil {
 			return value.Value{}, err
 		}
 	}

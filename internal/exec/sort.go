@@ -133,7 +133,9 @@ type aRowIter interface {
 }
 
 // projectIter projects pipeline rows one at a time; the basic streaming
-// SELECT is scan -> decorate -> project.
+// SELECT is scan -> decorate -> project. A cursor whose top stage it is
+// pulls its input directly instead (Rows.lazy), to box values only when
+// they are read.
 type projectIter struct {
 	in   rowIter
 	proj *projector
@@ -185,7 +187,7 @@ func (it *projectKeyIter) Next() (keyedRow, bool, error) {
 		if k.outIdx >= 0 {
 			key[i] = out.Values[k.outIdx]
 		} else {
-			key[i] = r.values[k.slot]
+			key[i] = r.val(k.slot)
 		}
 	}
 	return keyedRow{row: out, key: key}, true, nil

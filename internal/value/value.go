@@ -8,6 +8,7 @@
 package value
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -181,15 +182,15 @@ func (v Value) Equal(o Value) bool {
 	return err == nil && c == 0
 }
 
-// numeric reports whether the type participates in numeric comparisons.
-func (t Type) numeric() bool { return t == Int || t == Float }
-
 // stringy reports whether the type is compared as a string.
 func (t Type) stringy() bool { return t == Text || t == Sequence }
 
 // Compare orders v relative to o: -1 if v < o, 0 if equal, +1 if v > o.
 // NULL compares before every non-NULL value; two NULLs compare equal. An
 // error is returned when the types are incomparable (e.g. INT vs TEXT).
+// Numbers compare by their exact values: INT with INT as int64, INT with
+// FLOAT without rounding the INT (so INT 1 equals FLOAT 1.0, but INT 2^53+1
+// does not equal FLOAT 2^53).
 func (v Value) Compare(o Value) (int, error) {
 	if v.typ == Null || o.typ == Null {
 		switch {
@@ -202,16 +203,14 @@ func (v Value) Compare(o Value) (int, error) {
 		}
 	}
 	switch {
-	case v.typ.numeric() && o.typ.numeric():
-		a, b := v.Float(), o.Float()
-		switch {
-		case a < b:
-			return -1, nil
-		case a > b:
-			return 1, nil
-		default:
-			return 0, nil
-		}
+	case v.typ == Int && o.typ == Int:
+		return cmp.Compare(v.i, o.i), nil
+	case v.typ == Int && o.typ == Float:
+		return CompareIntFloat(v.i, o.f), nil
+	case v.typ == Float && o.typ == Int:
+		return -CompareIntFloat(o.i, v.f), nil
+	case v.typ == Float && o.typ == Float:
+		return compareFloats(v.f, o.f), nil
 	case v.typ.stringy() && o.typ.stringy():
 		return strings.Compare(v.s, o.s), nil
 	case v.typ == Bool && o.typ == Bool:
@@ -235,6 +234,38 @@ func (v Value) Compare(o Value) (int, error) {
 	default:
 		return 0, fmt.Errorf("%w: cannot compare %s with %s", ErrTypeMismatch, v.typ, o.typ)
 	}
+}
+
+// compareFloats orders two floats; NaN is neither less nor greater than
+// anything, so it compares equal.
+func compareFloats(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	default:
+		return 0
+	}
+}
+
+// CompareIntFloat orders the integer i relative to the float f exactly,
+// without converting i to float64 (which rounds above 2^53). NaN compares
+// equal to every integer, as in compareFloats.
+func CompareIntFloat(i int64, f float64) int {
+	switch {
+	case f != f:
+		return 0
+	case f >= 1<<63:
+		return -1
+	case f < -1<<63:
+		return 1
+	}
+	t := math.Trunc(f) // in [-2^63, 2^63): int64(t) is exact
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return compareFloats(t, f)
 }
 
 // Cast converts v to the target type when a lossless or conventional
@@ -440,10 +471,12 @@ func AppendRow(dst []byte, r Row) []byte {
 	return dst
 }
 
-// DecodeRow deserialises a row produced by EncodeRow.
+// DecodeRow deserialises a row produced by EncodeRow. A count larger than
+// the bytes left (every value takes at least one) is refused before anything
+// is allocated for it.
 func DecodeRow(buf []byte) (Row, error) {
 	n, w := binary.Uvarint(buf)
-	if w <= 0 {
+	if w <= 0 || n > uint64(len(buf)-w) {
 		return nil, ErrBadEncoding
 	}
 	buf = buf[w:]

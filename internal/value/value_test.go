@@ -338,3 +338,53 @@ func TestKeyLenMatchesEncodeKey(t *testing.T) {
 		}
 	}
 }
+
+// Property: for INT pairs, Compare orders exactly as their index keys do,
+// also where float64 cannot tell two integers apart (above 2^53).
+func TestQuickCompareMatchesIntKeyOrder(t *testing.T) {
+	f := func(a, b int64) bool {
+		c, err := NewInt(a).Compare(NewInt(b))
+		return err == nil && c == bytes.Compare(NewInt(a).EncodeKey(nil), NewInt(b).EncodeKey(nil))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range [][2]int64{
+		{1 << 53, 1<<53 + 1}, {-1<<53 - 1, -1 << 53}, {math.MaxInt64 - 1, math.MaxInt64}, {math.MinInt64, math.MinInt64 + 1},
+	} {
+		if !f(p[0], p[1]) || !f(p[1], p[0]) || !f(p[0], p[0]) {
+			t.Errorf("Compare disagrees with EncodeKey on %d, %d", p[0], p[1])
+		}
+	}
+}
+
+// TestCompareIntFloatExact: INT against FLOAT compares the exact values, in
+// both argument orders, at and beyond float64's integer precision and at
+// the int64 range's ends, and INT 1 still equals FLOAT 1.0.
+func TestCompareIntFloatExact(t *testing.T) {
+	cases := []struct {
+		i    int64
+		f    float64
+		want int
+	}{
+		{1, 1.0, 0},
+		{3, 3.5, -1},
+		{-3, -3.5, 1},
+		{-2, -2.5, 1},
+		{1 << 53, 1 << 53, 0},
+		{1<<53 + 1, 1 << 53, 1},
+		{1<<53 + 1, 1<<53 + 2, -1},
+		{math.MaxInt64, 1 << 63, -1},
+		{math.MinInt64, -1 << 63, 0},
+		{math.MinInt64, math.Inf(-1), 1},
+		{0, math.Copysign(0, -1), 0},
+	}
+	for _, c := range cases {
+		if got, err := NewInt(c.i).Compare(NewFloat(c.f)); err != nil || got != c.want {
+			t.Errorf("INT %d vs FLOAT %g = %d, %v; want %d", c.i, c.f, got, err, c.want)
+		}
+		if got, err := NewFloat(c.f).Compare(NewInt(c.i)); err != nil || got != -c.want {
+			t.Errorf("FLOAT %g vs INT %d = %d, %v; want %d", c.f, c.i, got, err, -c.want)
+		}
+	}
+}
