@@ -521,10 +521,12 @@ func (a *accessPath) bind(s *Session, params value.Row) (r keyRange, ok bool) {
 			narrow(&r.lo, &r.loStrict, v, b.op == ">" && exact, +1)
 		}
 		if b.op != ">" && b.op != ">=" {
-			if !exact && b.op != "=" {
-				// Inexact upper bound: widen one key upward so no match is
-				// lost (e.g. INT col < 1.2 must include col = 1). An inexact
-				// equality matches nothing; its probe may return anything.
+			if !exact && b.op != "=" && v.Type() == value.Int {
+				// Inexact INT upper bound: widen one key upward so no match
+				// is lost (e.g. INT col < 1.2 must include col = 1). An
+				// inexact FLOAT probe (a big INT rounded) stays inclusive,
+				// which already covers every match. An inexact equality
+				// matches nothing; its probe may return anything.
 				v = value.NewInt(v.Int() + 1)
 			}
 			narrow(&r.hi, &r.hiStrict, v, b.op == "<" && exact, -1)

@@ -467,10 +467,6 @@ type projector struct {
 	// evaluates is set when some output column is an evaluated expression:
 	// only then can projecting a row's values fail.
 	evaluates bool
-	// shareLo, when >= 0, says the output columns are the value slots
-	// shareLo, shareLo+1, … without PROMOTE, so a row's projected annotation
-	// cells are a window of its own.
-	shareLo int32
 }
 
 // newProjector resolves the projection layout (including PROMOTE and *) of
@@ -489,17 +485,6 @@ func newProjector(s *Session, items []planItem, bindings []binding, params value
 		p.cols = append(p.cols, item.name)
 		p.outCols = append(p.outCols, outCol{item: item, index: -1})
 		p.evaluates = p.evaluates || item.slot < 0
-	}
-	p.shareLo = -1
-	for i, oc := range p.outCols {
-		slot, ok := p.sourceSlot(i)
-		if !ok || (oc.index < 0 && len(oc.item.promoteSlots) > 0) || (i > 0 && slot != int(p.shareLo)+i) {
-			p.shareLo = -1
-			break
-		}
-		if i == 0 {
-			p.shareLo = int32(slot)
-		}
 	}
 	return p
 }
@@ -541,14 +526,8 @@ func (p *projector) values(r *execRow) (value.Row, error) {
 // projected column keeps the annotations of its source cell, and PROMOTE
 // unions in those of other columns. A cell without PROMOTE is the row's own
 // slice, shared: decoration builds every row's cells fresh and capped, and
-// nothing appends to a cell in place, so sharing copies nothing. When the
-// output columns are a run of slots, the cells are a capped window of the
-// row's.
+// nothing appends to a cell in place, so sharing copies nothing.
 func (p *projector) anns(r *execRow) [][]*annotation.Annotation {
-	if lo := int(p.shareLo); lo >= 0 {
-		hi := lo + len(p.outCols)
-		return r.anns[lo:hi:hi]
-	}
 	out := make([][]*annotation.Annotation, len(p.outCols))
 	for i, oc := range p.outCols {
 		if oc.index >= 0 {

@@ -134,7 +134,7 @@ type aRowIter interface {
 
 // projectIter projects pipeline rows one at a time; the basic streaming
 // SELECT is scan -> decorate -> project. A cursor whose top stage it is
-// pulls its input directly instead (Rows.lazy), to box values only when
+// pulls its input directly instead (Rows.pull), to box values only when
 // they are read.
 type projectIter struct {
 	in   rowIter
