@@ -575,13 +575,13 @@ func BenchmarkHashJoin(b *testing.B) {
 	}
 }
 
-// loadStarSchema builds a skewed star: a 100k-row fact table, a 1k-row
-// attribute dimension holding ten rows per category key (so joining it
-// multiplies cardinality), and a 100-row dimension with exactly one row
+// loadStarSchema builds a skewed star: a fact table of factRows rows, a
+// 1k-row attribute dimension holding ten rows per category key (so joining
+// it multiplies cardinality), and a 100-row dimension with exactly one row
 // tagged 'hot' that only 1% of the fact rows point at. Running one query per
 // table warms the lazily-built planner statistics so both benchmark modes
 // plan from the same snapshot.
-func loadStarSchema(b *testing.B, db *DB) {
+func loadStarSchema(b *testing.B, db *DB, factRows int) {
 	b.Helper()
 	db.MustExec(`CREATE TABLE Fact (FID INT NOT NULL PRIMARY KEY, D1 TEXT, D2 TEXT, V INT)`)
 	db.MustExec(`CREATE TABLE Dim1 (D1ID INT NOT NULL PRIMARY KEY, Cat TEXT, Name TEXT)`)
@@ -590,7 +590,7 @@ func loadStarSchema(b *testing.B, db *DB) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 100000; i++ {
+	for i := 0; i < factRows; i++ {
 		if _, err := ins.Exec(i, fmt.Sprintf("A%03d", i%100), fmt.Sprintf("B%03d", i%100), i%7919); err != nil {
 			b.Fatal(err)
 		}
@@ -626,7 +626,7 @@ func loadStarSchema(b *testing.B, db *DB) {
 func BenchmarkJoin3Way(b *testing.B) {
 	db := Open()
 	defer db.Close()
-	loadStarSchema(b, db)
+	loadStarSchema(b, db, 100000)
 	query := `SELECT d1.Name, f.V FROM Fact f, Dim1 d1, Dim2 d2 WHERE f.D1 = d1.Cat AND f.D2 = d2.D2ID AND d2.Tag = 'hot'`
 	for _, mode := range []string{"syntactic", "cost-based"} {
 		b.Run(mode, func(b *testing.B) {
@@ -644,6 +644,43 @@ func BenchmarkJoin3Way(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkStarJoinAggregate is the shape of the analytics round's Q3: a
+// prepared COUNT/SUM over a 20k-row fact table joined to both dimensions,
+// 2 000 joined rows per execution. The planner probes Fact against the
+// selective Dim2 first, so the pipeline ends in a Restore to the syntactic
+// layout; B/op and allocs/op are the cost of one execution.
+func BenchmarkStarJoinAggregate(b *testing.B) {
+	db := Open()
+	defer db.Close()
+	loadStarSchema(b, db, 20000)
+	st, err := db.Prepare(`SELECT COUNT(*), SUM(f.V) FROM Fact f, Dim1 d1, Dim2 d2 WHERE f.D1 = d1.Cat AND f.D2 = d2.D2ID AND d2.Tag = 'hot'`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func() {
+		rows, err := st.Query(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		var count, sum int64
+		for rows.Next() {
+			if err := rows.Scan(&count, &sum); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := rows.Err(); err != nil || count != 2000 {
+			b.Fatalf("count %d, err %v", count, err)
+		}
+		rows.Close()
+	}
+	run() // plans, warms the statistics and builds the columnar mirror
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
 

@@ -19,8 +19,9 @@ package exec
 // stay deterministic.
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"bdbms/internal/sqlparse"
@@ -457,55 +458,116 @@ func topNWins(limit int, phys *physicalPlan) bool {
 // exactly the left-major order the scans and joins stream in (both emit
 // matches in ascending RowID order). Origin tuples are unique per output
 // row (a join emits each base-row combination at most once), so the sort is
-// deterministic. The operator is blocking: it materializes the join output,
-// trading memory for a plan that only exists because it filters early.
+// deterministic.
+//
+// The operator streams by runs. When the execution order keeps the first k
+// syntactic sources in place (order[i] == i for i < k), rows arrive sorted
+// by their first k RowIDs, so only a run of rows sharing them needs sorting,
+// and it is emitted before the next run is read; with k = 0 the whole join
+// output is one run. Restore holds at most one run (plus the first row of
+// the next), and a LIMIT that stops pulling stops the join mid-output.
+//
+// Rows are permuted in place: the operator below is always a join step (or
+// its post-join filter, which passes rows through), and combineRows builds
+// every joined row's values and origins fresh, so the row owns them. The
+// permutation goes through one reused scratch buffer and allocates nothing
+// per row.
 type restoreIter struct {
 	in   rowIter
 	plan *physicalPlan
-	rows []execRow
+	k    int       // leading syntactic sources the execution order keeps in place
+	run  []execRow // the current run, permuted and sorted
 	pos  int
-	done bool
+	// next is the first row of the following run, already permuted.
+	next    execRow
+	hasNext bool
+	done    bool
+	valBuf  value.Row
+	orgBuf  []origin
+}
+
+func newRestoreIter(in rowIter, plan *physicalPlan) *restoreIter {
+	k := 0
+	for k < len(plan.order) && plan.order[k] == k {
+		k++
+	}
+	return &restoreIter{in: in, plan: plan, k: k}
 }
 
 func (it *restoreIter) Next() (execRow, bool, error) {
-	if !it.done {
-		it.done = true
-		srcs := it.plan.sources
-		order := it.plan.order
-		for {
-			r, ok, err := it.in.Next()
-			if err != nil {
-				return execRow{}, false, err
-			}
-			if !ok {
-				break
-			}
-			rv := r.vals()
-			vals := make(value.Row, len(rv))
-			origins := make([]origin, len(srcs))
-			off := 0
-			for p, si := range order {
-				src := srcs[si]
-				copy(vals[src.offset:src.offset+src.numCols], rv[off:off+src.numCols])
-				origins[si] = r.origins[p]
-				off += src.numCols
-			}
-			it.rows = append(it.rows, execRow{values: vals, origins: origins})
+	if it.pos >= len(it.run) {
+		if err := it.fill(); err != nil || len(it.run) == 0 {
+			return execRow{}, false, err
 		}
-		sort.Slice(it.rows, func(a, b int) bool {
-			ra, rb := it.rows[a].origins, it.rows[b].origins
-			for k := range ra {
-				if ra[k].rowID != rb[k].rowID {
-					return ra[k].rowID < rb[k].rowID
-				}
-			}
-			return false
-		})
 	}
-	if it.pos >= len(it.rows) {
-		return execRow{}, false, nil
-	}
-	r := it.rows[it.pos]
+	r := it.run[it.pos]
 	it.pos++
 	return r, true, nil
+}
+
+// fill reads the next run and sorts it; the run is empty once the input is.
+func (it *restoreIter) fill() error {
+	clear(it.run) // emitted rows belong to the consumer now
+	it.run, it.pos = it.run[:0], 0
+	if it.hasNext {
+		it.run = append(it.run, it.next)
+		it.next, it.hasNext = execRow{}, false
+	}
+	for !it.done {
+		r, ok, err := it.in.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			it.done = true
+			break
+		}
+		it.permute(&r)
+		if len(it.run) > 0 && !it.sameRun(&it.run[0], &r) {
+			it.next, it.hasNext = r, true
+			break
+		}
+		it.run = append(it.run, r)
+	}
+	if len(it.run) > 1 {
+		slices.SortFunc(it.run, it.compare)
+	}
+	return nil
+}
+
+// permute moves the row's values and origins from the execution layout to
+// the syntactic one. The first k sources already sit at their syntactic
+// offsets, so only the tail moves.
+func (it *restoreIter) permute(r *execRow) {
+	srcs, order := it.plan.sources, it.plan.order
+	rv := r.vals()
+	it.valBuf = append(it.valBuf[:0], rv[srcs[it.k].offset:]...)
+	it.orgBuf = append(it.orgBuf[:0], r.origins[it.k:]...)
+	off := 0
+	for p := it.k; p < len(order); p++ {
+		src := srcs[order[p]]
+		copy(rv[src.offset:src.offset+src.numCols], it.valBuf[off:off+src.numCols])
+		r.origins[order[p]] = it.orgBuf[p-it.k]
+		off += src.numCols
+	}
+}
+
+// sameRun reports whether two permuted rows share their first k RowIDs.
+func (it *restoreIter) sameRun(a, b *execRow) bool {
+	for i := 0; i < it.k; i++ {
+		if a.origins[i].rowID != b.origins[i].rowID {
+			return false
+		}
+	}
+	return true
+}
+
+// compare orders two rows of one run by their remaining syntactic RowIDs.
+func (it *restoreIter) compare(a, b execRow) int {
+	for i := it.k; i < len(a.origins); i++ {
+		if c := cmp.Compare(a.origins[i].rowID, b.origins[i].rowID); c != 0 {
+			return c
+		}
+	}
+	return 0
 }

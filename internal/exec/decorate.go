@@ -110,11 +110,13 @@ func (s *Session) newDecorator(sources []*sourcePlan) *decorator {
 }
 
 // decorate attaches the requested annotations and outdated marks to one row.
+// With no ANNOTATION clause and no outdated marks it leaves r.anns nil, which
+// every reader takes for totalCols empty cells.
 func (d *decorator) decorate(r *execRow) {
-	r.anns = make([][]*annotation.Annotation, d.totalCols)
 	if !d.anyWork {
 		return
 	}
+	r.anns = make([][]*annotation.Annotation, d.totalCols)
 	for j := range d.plans {
 		as := &d.plans[j]
 		rowID := r.origins[j].rowID

@@ -326,9 +326,10 @@ type groupAggIter struct {
 	// sets it only when nothing between the scan and the aggregation needs
 	// boxed rows (no ANNOTATION clause, no AWHERE); annWidth is the
 	// decorator's total column count, so buckets carry the same annotation
-	// layout the row path would attach, and marks, when the scanned table has
-	// outdated cells, is its decoration plan: consumeBatches attaches to each
-	// marked row the marks the decorator would have.
+	// layout the row path would attach (none without marks), and marks, when
+	// the scanned table has outdated cells, is its decoration plan:
+	// consumeBatches attaches to each marked row the marks the decorator
+	// would have.
 	batches  *batchScanIter
 	annWidth int
 	marks    *annSource
@@ -532,6 +533,9 @@ func (g *groupAggIter) resetDelta() *groupBucket {
 }
 
 func (g *groupAggIter) mergeBuckets(dst, src *groupBucket) error {
+	if dst.anns == nil && hasAnns(src.anns) {
+		dst.anns = make([][]*annotation.Annotation, len(src.anns))
+	}
 	for c := range dst.anns {
 		if c < len(src.anns) {
 			dst.anns[c] = unionAnnotations(dst.anns[c], src.anns[c])
@@ -590,8 +594,12 @@ func (g *groupAggIter) groupKeyBytes(r *execRow) []byte {
 }
 
 // foldAnns unions one member's annotations into its resident group's,
-// charging the growth to the spill budget.
+// charging the growth to the spill budget. Either side's cells may be nil,
+// standing for empty cells.
 func (g *groupAggIter) foldAnns(b *groupBucket, anns [][]*annotation.Annotation) {
+	if b.anns == nil && hasAnns(anns) {
+		b.anns = make([][]*annotation.Annotation, len(anns))
+	}
 	grown := 0
 	for c := range b.anns {
 		if c < len(anns) && len(anns[c]) > 0 {
@@ -753,7 +761,8 @@ func (g *groupAggIter) consumeBatches() error {
 					g.foldMarks(bkt, marks, mk)
 				}
 			case !g.grouper.overflowing():
-				if anns == nil {
+				if anns == nil && marks != nil {
+					// A later member's marks fold into these cells in place.
 					anns = make([][]*annotation.Annotation, g.annWidth)
 				}
 				bkt = &groupBucket{
@@ -783,7 +792,7 @@ func (g *groupAggIter) consumeBatches() error {
 				bkt.anns = anns
 				if !flushed {
 					bkt.vals = b.rowValues(i)
-					if anns == nil {
+					if anns == nil && marks != nil {
 						bkt.anns = make([][]*annotation.Annotation, g.annWidth)
 					}
 				}

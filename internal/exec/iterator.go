@@ -312,31 +312,41 @@ func joinKey(buf []byte, vals value.Row, cols []joinKeyCol) ([]byte, bool) {
 // right-scan (RowID) order, so the output order equals what the naive
 // filtered cross product produces.
 type hashJoinIter struct {
-	ctx      context.Context
-	left     rowIter
-	build    map[string][]execRow
-	leftKey  []joinKeyCol // slots are global (into the left prefix row)
-	cur      execRow
-	matches  []execRow
-	mpos     int
-	keyBuf   []byte
-	haveLeft bool
+	ctx  context.Context
+	left rowIter
+	// The build side is the drained right rows, in scan order, and a chain
+	// through them per key: build maps a key to its first row, next[i] is
+	// the row after row i with the same key (-1 ends the chain).
+	right   []execRow
+	build   map[string]int32
+	next    []int32
+	leftKey []joinKeyCol // slots are global (into the left prefix row)
+	cur     execRow
+	match   int32 // the current left row's next match in right, -1 for none
+	keyBuf  []byte
 }
 
 // newHashJoinIter builds the hash table over the right rows. rightKey slots
 // are local to the right source's columns.
 func newHashJoinIter(ctx context.Context, left rowIter, rightRows []execRow, leftKey, rightKey []joinKeyCol) *hashJoinIter {
-	build := make(map[string][]execRow, len(rightRows))
+	build := make(map[string]int32, len(rightRows))
+	next := make([]int32, len(rightRows))
 	var buf []byte
-	for _, r := range rightRows {
+	// Building from the last row back puts each row at the head of its
+	// key's chain, so every chain runs in ascending RowID order.
+	for i := len(rightRows) - 1; i >= 0; i-- {
+		next[i] = -1
 		var ok bool
-		buf, ok = joinKey(buf, r.vals(), rightKey)
+		buf, ok = joinKey(buf, rightRows[i].vals(), rightKey)
 		if !ok {
 			continue // NULL key never matches
 		}
-		build[string(buf)] = append(build[string(buf)], r)
+		if head, ok := build[string(buf)]; ok {
+			next[i] = head
+		}
+		build[string(buf)] = int32(i)
 	}
-	return &hashJoinIter{ctx: ctx, left: left, build: build, leftKey: leftKey}
+	return &hashJoinIter{ctx: ctx, left: left, right: rightRows, build: build, next: next, leftKey: leftKey, match: -1}
 }
 
 // probeGate is the keep rule of a batch scan feeding this join's left input
@@ -369,9 +379,9 @@ func (it *hashJoinIter) Next() (execRow, bool, error) {
 		return execRow{}, false, err
 	}
 	for {
-		if it.haveLeft && it.mpos < len(it.matches) {
-			right := it.matches[it.mpos]
-			it.mpos++
+		if it.match >= 0 {
+			right := it.right[it.match]
+			it.match = it.next[it.match]
 			return combineRows(&it.cur, right), true, nil
 		}
 		l, ok, err := it.left.Next()
@@ -379,15 +389,14 @@ func (it *hashJoinIter) Next() (execRow, bool, error) {
 			return execRow{}, false, err
 		}
 		it.cur = l
-		it.haveLeft = true
-		it.mpos = 0
 		var keyOK bool
 		it.keyBuf, keyOK = joinKey(it.keyBuf, it.cur.vals(), it.leftKey)
 		if !keyOK {
-			it.matches = nil
 			continue
 		}
-		it.matches = it.build[string(it.keyBuf)]
+		if head, hit := it.build[string(it.keyBuf)]; hit {
+			it.match = head
+		}
 	}
 }
 

@@ -660,7 +660,7 @@ func (s *Session) buildPipeline(ctx context.Context, plan *physicalPlan, binding
 		}
 	}
 	if plan.reordered {
-		it = &restoreIter{in: it, plan: plan}
+		it = newRestoreIter(it, plan)
 	}
 	if len(plan.residual) > 0 {
 		// Residual conjuncts (aggregates over single rows, late resolution

@@ -526,9 +526,13 @@ func (p *projector) values(r *execRow) (value.Row, error) {
 // projected column keeps the annotations of its source cell, and PROMOTE
 // unions in those of other columns. A cell without PROMOTE is the row's own
 // slice, shared: decoration builds every row's cells fresh and capped, and
-// nothing appends to a cell in place, so sharing copies nothing.
+// nothing appends to a cell in place, so sharing copies nothing. A row
+// without cells (nil anns) projects one empty cell per output column.
 func (p *projector) anns(r *execRow) [][]*annotation.Annotation {
 	out := make([][]*annotation.Annotation, len(p.outCols))
+	if r.anns == nil {
+		return out
+	}
 	for i, oc := range p.outCols {
 		if oc.index >= 0 {
 			out[i] = r.anns[oc.index]

@@ -303,7 +303,8 @@ func (r *byteReader) annotationRec() *annotation.Annotation {
 	a.Archived = r.byteVal() != 0
 	a.ArchivedAt = time.Unix(0, r.varint()).UTC()
 	n := r.uvarint()
-	if r.err != nil {
+	if r.err != nil || n > uint64(len(r.buf)) { // every region takes bytes
+		r.fail()
 		return nil
 	}
 	a.Regions = make([]annotation.Region, 0, n)
@@ -332,7 +333,8 @@ func appendAnnCells(dst []byte, anns [][]*annotation.Annotation) []byte {
 
 // annCells decodes the cells appendAnnCells wrote. With sparse set it
 // returns nil when every cell is empty, so a record that only folds into a
-// kept bucket allocates nothing for them.
+// kept bucket allocates nothing for them. Zero cells — a row that never had
+// any — decode as nil either way.
 func (r *byteReader) annCells(sparse bool) [][]*annotation.Annotation {
 	n := r.uvarint()
 	if r.err != nil || n > uint64(len(r.buf)) { // every cell takes a byte
@@ -340,7 +342,7 @@ func (r *byteReader) annCells(sparse bool) [][]*annotation.Annotation {
 		return nil
 	}
 	var anns [][]*annotation.Annotation
-	if !sparse {
+	if !sparse && n > 0 {
 		anns = make([][]*annotation.Annotation, n)
 	}
 	for c := uint64(0); c < n; c++ {
