@@ -342,12 +342,16 @@ func (s *Session) buildStream(ctx context.Context, sel *sqlparse.SelectStmt, par
 		}
 		return nil, err
 	}
-	return &Rows{
+	rows := &Rows{
 		cols:    cols,
 		ait:     ait,
 		limit:   sel.Limit,
 		closers: closers,
-	}, nil
+	}
+	if ctx.Done() != nil {
+		rows.ctx = ctx
+	}
+	return rows, nil
 }
 
 // limitIter caps a nested operand's output at n rows, stopping its pulls
@@ -647,9 +651,12 @@ type Rows struct {
 	// finish (end of stream, error, or Close).
 	closers []func()
 
-	// Materialized state (ait == nil).
+	// Materialized state (ait == nil): the rows not yet handed out.
 	rows []ARow
-	pos  int
+	// ctx is a streaming cursor's query context when it can be canceled:
+	// Next checks it before handing out each row, so a canceled cursor
+	// stops at once, although an operator may still hold buffered rows.
+	ctx context.Context
 
 	limit int // rows still to emit; -1 = unlimited
 	cur   ARow
@@ -719,6 +726,15 @@ func (r *Rows) Next() bool {
 		r.valid = false
 		return false
 	}
+	if r.ctx != nil && !r.ended {
+		select {
+		case <-r.ctx.Done():
+			r.err = r.ctx.Err()
+			r.finish()
+			return false
+		default:
+		}
+	}
 	if r.limit == 0 {
 		r.finish()
 		return false
@@ -735,12 +751,11 @@ func (r *Rows) Next() bool {
 			return false
 		}
 	} else {
-		if r.pos >= len(r.rows) {
+		if len(r.rows) == 0 {
 			r.finish()
 			return false
 		}
-		r.cur = r.rows[r.pos]
-		r.pos++
+		r.cur, r.rows = r.rows[0], r.rows[1:]
 	}
 	if r.limit > 0 {
 		r.limit--
@@ -942,7 +957,7 @@ func nativeValue(v value.Value) any {
 // Session.Exec and Stmt.Exec.
 func (r *Rows) materialize() (*Result, error) {
 	res := &Result{Columns: r.cols}
-	if r.ait == nil && r.pos == 0 {
+	if r.ait == nil {
 		res.Rows = r.rows
 	} else {
 		for r.Next() {

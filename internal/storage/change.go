@@ -129,30 +129,36 @@ func (t *Table) write(c Change, beforeRec, afterRec []byte) error {
 
 // reindex moves row rowID from its keys under image before to its keys under
 // image after (nil = absent) in every B+-tree, leaving alone a tree whose key
-// the change did not touch.
+// the change did not touch. Keys are encoded into t.keyBuf: the trees copy
+// what they keep.
 func (t *Table) reindex(rowID int64, before, after value.Row) {
 	for col, tree := range t.indexes {
 		idx := t.schema.ColumnIndex(col)
-		oldKey, newKey := indexKey(before, idx), indexKey(after, idx)
+		buf := appendIndexKey(t.keyBuf[:0], before, idx)
+		split := len(buf)
+		buf = appendIndexKey(buf, after, idx)
+		t.keyBuf = buf
+		oldKey, newKey := buf[:split], buf[split:]
 		if bytes.Equal(oldKey, newKey) {
 			continue
 		}
-		if oldKey != nil {
+		if len(oldKey) > 0 {
 			_ = tree.Delete(oldKey, rowIDBytes(rowID)) // absent entry: nothing to remove
 		}
-		if newKey != nil {
+		if len(newKey) > 0 {
 			tree.Insert(newKey, rowIDBytes(rowID))
 		}
 	}
 }
 
-// indexKey returns the B+-tree key of row's column idx, nil when the row is
-// absent or the column is NULL (B+-trees do not index NULLs).
-func indexKey(row value.Row, idx int) []byte {
+// appendIndexKey appends the B+-tree key of row's column idx to dst, and
+// nothing when the row is absent or the column is NULL (B+-trees do not
+// index NULLs). A key is never empty.
+func appendIndexKey(dst []byte, row value.Row, idx int) []byte {
 	if idx < 0 || idx >= len(row) || row[idx].IsNull() {
-		return nil
+		return dst
 	}
-	return row[idx].EncodeKey(nil)
+	return row[idx].EncodeKey(dst)
 }
 
 // Apply makes row rowID equal target (nil = absent), whatever the row holds

@@ -317,6 +317,9 @@ type Table struct {
 	rowIndex map[int64]heap.RID
 	indexes  map[string]*btree.Tree
 	nextRow  int64
+	// keyBuf is the writer's scratch for index keys (reindex), guarded by
+	// mu held exclusively.
+	keyBuf []byte
 
 	// versions is the MVCC before-image list (see mvcc.go), guarded by mu.
 	// versionsBase is the absolute index of versions[0]: pruning shifts the
@@ -575,9 +578,11 @@ func (t *Table) ApplyCreateIndex(column string) error {
 	// never become visible while still being built. No writer can run here —
 	// DDL holds the table's write latch — so the scan sees every row.
 	tree := btree.New(btree.DefaultOrder)
+	var key []byte
 	if err := t.Scan(func(rowID int64, row value.Row) bool {
 		if !row[idx].IsNull() {
-			tree.Insert(row[idx].EncodeKey(nil), rowIDBytes(rowID))
+			key = row[idx].EncodeKey(key[:0])
+			tree.Insert(key, rowIDBytes(rowID))
 		}
 		return true
 	}); err != nil {
@@ -607,9 +612,9 @@ func (t *Table) HasIndex(column string) bool {
 	return ok
 }
 
-// LookupEqual returns the RowIDs whose indexed column equals v. The read
-// lock is held across the probe: B+-trees are mutated in place by writers
-// holding the write lock.
+// LookupEqual returns the RowIDs whose indexed column equals v, read
+// straight from the B+-tree leaf. The read lock is held across the probe:
+// B+-trees are mutated in place by writers holding the write lock.
 func (t *Table) LookupEqual(column string, v value.Value) ([]int64, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -617,10 +622,12 @@ func (t *Table) LookupEqual(column string, v value.Value) ([]int64, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoIndex, t.schema.Name, column)
 	}
+	var keyBuf [32]byte
 	var out []int64
-	for _, vb := range tree.Get(v.EncodeKey(nil)) {
+	tree.GetEach(v.EncodeKey(keyBuf[:0]), func(vb []byte) bool {
 		out = append(out, rowIDFromBytes(vb))
-	}
+		return true
+	})
 	return out, nil
 }
 
@@ -655,13 +662,14 @@ func (t *Table) IndexRange(column string, lo value.Value, loStrict bool, hi valu
 	if !ok {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoIndex, t.schema.Name, column)
 	}
+	var loBuf, hiBuf [32]byte
 	var start, loKey, hiKey []byte
 	if !lo.IsNull() {
-		loKey = lo.EncodeKey(nil)
+		loKey = lo.EncodeKey(loBuf[:0])
 		start = loKey
 	}
 	if !hi.IsNull() {
-		hiKey = hi.EncodeKey(nil)
+		hiKey = hi.EncodeKey(hiBuf[:0])
 	}
 	var out []int64
 	tree.AscendRange(start, nil, func(key []byte, values [][]byte) bool {
@@ -888,6 +896,10 @@ func (t *Table) CheckIntegrity() []string {
 			addf("index %q is on a column missing from the schema", col)
 			continue
 		}
+		if err := tree.Validate(); err != nil {
+			addf("index %q is structurally corrupt: %v", col, err)
+			continue
+		}
 		entries := 0
 		tree.AscendRange(nil, nil, func(key []byte, values [][]byte) bool {
 			for _, vb := range values {
@@ -915,12 +927,10 @@ func (t *Table) CheckIntegrity() []string {
 			}
 			want++
 			found := false
-			for _, vb := range tree.Get(row[idx].EncodeKey(nil)) {
-				if rowIDFromBytes(vb) == rowID {
-					found = true
-					break
-				}
-			}
+			tree.GetEach(row[idx].EncodeKey(nil), func(vb []byte) bool {
+				found = rowIDFromBytes(vb) == rowID
+				return !found
+			})
 			if !found {
 				addf("row %d missing from index %q", rowID, col)
 			}
