@@ -53,7 +53,7 @@ func DecodeChange(kind wal.Kind, payload []byte) (Change, error) {
 		c.RowID, c.Before, err = decodeStored(payload)
 	case wal.KindUpdate:
 		afterLen, n := binary.Uvarint(payload)
-		if n <= 0 || uint64(len(payload)-n) < afterLen {
+		if n <= 0 || payload[n-1] == 0 && n > 1 || uint64(len(payload)-n) < afterLen {
 			return c, fmt.Errorf("storage: malformed update payload")
 		}
 		split := n + int(afterLen)
@@ -74,7 +74,7 @@ func DecodeChange(kind wal.Kind, payload []byte) (Change, error) {
 // stored returns the current image of row rowID and the heap record holding
 // it, both nil when the row is absent. The caller must hold t.mu.
 func (t *Table) stored(rowID int64) (value.Row, []byte, error) {
-	rid, ok := t.rowIndex[rowID]
+	rid, ok := t.rows.get(rowID)
 	if !ok {
 		return nil, nil, nil
 	}
@@ -96,20 +96,23 @@ func (t *Table) write(c Change, beforeRec, afterRec []byte) error {
 	if bytes.Equal(beforeRec, afterRec) {
 		return nil
 	}
-	rid := t.rowIndex[c.RowID]
+	rid, _ := t.rows.get(c.RowID)
 	var err error
 	switch {
 	case c.After == nil:
 		if err = t.file.Delete(rid); err != nil {
 			return err
 		}
-		delete(t.rowIndex, c.RowID)
+		t.rows.del(c.RowID)
 		t.stats.NoteDelete(c.Before)
 	case c.Before == nil:
+		if err = checkRowID(c.RowID); err != nil {
+			return err
+		}
 		if rid, err = t.file.Insert(afterRec); err != nil {
 			return err
 		}
-		t.rowIndex[c.RowID] = rid
+		t.rows.set(c.RowID, rid)
 		t.stats.NoteInsert(c.After)
 		if c.RowID >= t.nextRow {
 			t.nextRow = c.RowID + 1
@@ -118,7 +121,7 @@ func (t *Table) write(c Change, beforeRec, afterRec []byte) error {
 		if rid, err = t.file.Update(rid, afterRec); err != nil {
 			return err
 		}
-		t.rowIndex[c.RowID] = rid
+		t.rows.set(c.RowID, rid)
 		t.stats.NoteUpdate(c.Before, c.After)
 	}
 	t.writeSeq.Add(1)
@@ -199,6 +202,11 @@ func (t *Table) Apply(rowID int64, target value.Row) error {
 func (t *Table) mutate(c Change, beforeRec, afterRec []byte) error {
 	if len(afterRec) > heap.MaxRecordSize {
 		return fmt.Errorf("%w: %d bytes", heap.ErrRecordTooLarge, len(afterRec))
+	}
+	if c.Before == nil {
+		if err := checkRowID(c.RowID); err != nil {
+			return err
+		}
 	}
 	kind, payload := changePayload(beforeRec, afterRec)
 	if _, err := t.engine.log.Append(kind, t.schema.Name, payload); err != nil {

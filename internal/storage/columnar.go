@@ -253,7 +253,7 @@ func (t *Table) ColumnarData() *ColData {
 	if prev != nil && prev.WriteSeq == wseq {
 		return prev
 	}
-	if len(t.rowIndex) > colCacheMaxRows {
+	if t.rows.len() > colCacheMaxRows {
 		if prev != nil {
 			t.dropColumnar()
 		}
@@ -277,18 +277,14 @@ func (t *Table) ColumnarData() *ColData {
 func (t *Table) nextChunks(prev *ColData) ([]*ColChunk, error) {
 	// Deletes thin chunks out and a patch never merges them: once those before
 	// the tail average under half full, lay every row out again.
-	if prev != nil && len(prev.Chunks) > 0 && len(t.rowIndex)*2 >= (len(prev.Chunks)-1)*ColChunkRows {
+	if prev != nil && len(prev.Chunks) > 0 && t.rows.len()*2 >= (len(prev.Chunks)-1)*ColChunkRows {
 		if chunks, ok, err := t.patchChunks(prev.Chunks); ok || err != nil {
 			return chunks, err
 		}
 	}
-	ids := make([]int64, 0, len(t.rowIndex))
-	for id := range t.rowIndex {
-		ids = append(ids, id)
-	}
 	// An empty table still gets a (chunkless) mirror so scans of it can stay
 	// on the batched path.
-	chunks, err := t.buildChunks(nil, sortDedupeIDs(ids))
+	chunks, err := t.buildChunks(nil, t.rows.appendIDs(make([]int64, 0, t.rows.len())))
 	if err == nil {
 		t.colStats.fullBuilds.Add(1)
 	}
@@ -331,7 +327,7 @@ func (t *Table) patchChunks(old []*ColChunk) (chunks []*ColChunk, ok bool, err e
 		ids := append(append(make([]int64, 0, ColChunkRows+sp.hi-sp.lo), old[sp.chunk].RowIDs...), dirty[sp.lo:sp.hi]...)
 		live := ids[:0]
 		for _, id := range sortDedupeIDs(ids) {
-			if _, ok := t.rowIndex[id]; ok {
+			if _, ok := t.rows.get(id); ok {
 				live = append(live, id)
 			}
 		}
@@ -352,7 +348,8 @@ func (t *Table) buildChunks(dst []*ColChunk, ids []int64) ([]*ColChunk, error) {
 		n := min(len(ids), ColChunkRows)
 		b := newChunkBuilder(t.schema, n)
 		for _, rowID := range ids[:n] {
-			rec, err := t.file.Get(t.rowIndex[rowID])
+			rid, _ := t.rows.get(rowID)
+			rec, err := t.file.Get(rid)
 			if err != nil {
 				return nil, err
 			}

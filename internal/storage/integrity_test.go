@@ -57,7 +57,7 @@ func TestCheckIntegrityClean(t *testing.T) {
 func TestCheckIntegrityDetectsMissingRowIndexEntry(t *testing.T) {
 	tbl := integrityTable(t)
 	tbl.mu.Lock()
-	delete(tbl.rowIndex, 2)
+	tbl.rows.del(2)
 	tbl.mu.Unlock()
 	requireProblem(t, tbl.CheckIntegrity(), "row index")
 }
@@ -65,9 +65,21 @@ func TestCheckIntegrityDetectsMissingRowIndexEntry(t *testing.T) {
 func TestCheckIntegrityDetectsDanglingRowIndexEntry(t *testing.T) {
 	tbl := integrityTable(t)
 	tbl.mu.Lock()
-	tbl.rowIndex[99] = heap.RID{Page: 0, Slot: 999}
+	tbl.rows.set(99, heap.RID{Page: 0, Slot: 999})
 	tbl.mu.Unlock()
 	requireProblem(t, tbl.CheckIntegrity(), "99")
+}
+
+func TestCheckIntegrityDetectsRowIndexCountDrift(t *testing.T) {
+	tbl := integrityTable(t)
+	tbl.mu.Lock()
+	tbl.rows.live++ // every entry still matches the heap; only the count is off
+	tbl.mu.Unlock()
+	problems := tbl.CheckIntegrity()
+	requireProblem(t, problems, "row index counts 4 live rows, the heap holds 3")
+	if len(problems) != 1 {
+		t.Errorf("want only the count reported, got %q", problems)
+	}
 }
 
 func TestCheckIntegrityDetectsMissingIndexEntry(t *testing.T) {

@@ -27,7 +27,7 @@ package storage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -336,17 +336,34 @@ func (s *Snapshot) RowIDs(t *Table) []int64 {
 	ov := s.overlayFor(t)
 	t.mu.RLock()
 	s.mergeLocked(ov, t)
-	ids := make([]int64, 0, len(t.rowIndex)+len(ov.rows))
-	for id := range t.rowIndex {
-		ids = append(ids, id)
-	}
+	ids := t.rows.appendIDs(make([]int64, 0, t.rows.len()+len(ov.rows)))
 	t.mu.RUnlock()
+	var gone []int64
 	for id, r := range ov.rows {
 		if r != nil {
-			ids = append(ids, id)
+			gone = append(gone, id)
 		}
 	}
-	return sortDedupeIDs(ids)
+	slices.Sort(gone)
+	return mergeIDs(ids, gone)
+}
+
+// mergeIDs merges the ascending extra into the ascending ids, whose capacity
+// must hold both, dropping duplicates.
+func mergeIDs(ids, extra []int64) []int64 {
+	if len(extra) == 0 {
+		return ids
+	}
+	i, j := len(ids)-1, len(extra)-1
+	ids = ids[:len(ids)+len(extra)]
+	for k := len(ids) - 1; j >= 0; k-- {
+		if i >= 0 && ids[i] > extra[j] {
+			ids[k], i = ids[i], i-1
+		} else {
+			ids[k], j = extra[j], j-1
+		}
+	}
+	return slices.Compact(ids)
 }
 
 // AugmentRowIDs widens an index-probe candidate list with every row the
@@ -376,15 +393,6 @@ func (s *Snapshot) AugmentRowIDs(t *Table, ids []int64) []int64 {
 }
 
 func sortDedupeIDs(ids []int64) []int64 {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := ids[:0]
-	var prev int64
-	for i, id := range ids {
-		if i > 0 && id == prev {
-			continue
-		}
-		out = append(out, id)
-		prev = id
-	}
-	return out
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }

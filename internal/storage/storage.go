@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -191,12 +192,11 @@ func (e *Engine) ApplyCreateTable(schema *catalog.Schema) (*Table, error) {
 // newTable builds an empty in-memory table over a fresh heap file.
 func (e *Engine) newTable(schema *catalog.Schema) *Table {
 	t := &Table{
-		engine:   e,
-		schema:   schema,
-		file:     heap.New(e.pool),
-		rowIndex: make(map[int64]heap.RID),
-		indexes:  make(map[string]*btree.Tree),
-		nextRow:  1,
+		engine:  e,
+		schema:  schema,
+		file:    heap.New(e.pool),
+		indexes: make(map[string]*btree.Tree),
+		nextRow: 1,
 	}
 	if schema.PrimaryKey != "" {
 		t.indexes[strings.ToLower(schema.PrimaryKey)] = btree.New(btree.DefaultOrder)
@@ -310,13 +310,13 @@ func (e *Engine) Pager() pager.Pager { return e.pgr }
 // Table is one relational table: a heap file of encoded rows plus optional
 // B+-tree secondary indexes.
 type Table struct {
-	engine   *Engine
-	mu       sync.RWMutex
-	schema   *catalog.Schema
-	file     *heap.File
-	rowIndex map[int64]heap.RID
-	indexes  map[string]*btree.Tree
-	nextRow  int64
+	engine  *Engine
+	mu      sync.RWMutex
+	schema  *catalog.Schema
+	file    *heap.File
+	rows    rowDir // RowID → heap RID (rowdir.go)
+	indexes map[string]*btree.Tree
+	nextRow int64
 	// keyBuf is the writer's scratch for index keys (reindex), guarded by
 	// mu held exclusively.
 	keyBuf []byte
@@ -366,7 +366,7 @@ func (t *Table) Name() string { return t.schema.Name }
 func (t *Table) RowCount() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.rowIndex)
+	return t.rows.len()
 }
 
 // NextRowID returns the RowID the next insert will receive. Used by the
@@ -538,13 +538,8 @@ func (t *Table) Scan(fn func(rowID int64, row value.Row) bool) error {
 // RowIDs returns the live RowIDs in ascending order.
 func (t *Table) RowIDs() []int64 {
 	t.mu.RLock()
-	ids := make([]int64, 0, len(t.rowIndex))
-	for id := range t.rowIndex {
-		ids = append(ids, id)
-	}
-	t.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	defer t.mu.RUnlock()
+	return t.rows.appendIDs(make([]int64, 0, t.rows.len()))
 }
 
 // CreateIndex builds a B+-tree index on the named column, backfilling it from
@@ -646,7 +641,7 @@ func (t *Table) IndexLookup(column string, v value.Value) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids, nil
 }
 
@@ -687,7 +682,7 @@ func (t *Table) IndexRange(column string, lo value.Value, loStrict bool, hi valu
 		}
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -703,14 +698,14 @@ func (t *Table) IndexOrderedRowIDs(column string) ([]int64, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoIndex, t.schema.Name, column)
 	}
-	out := make([]int64, 0, len(t.rowIndex))
+	out := make([]int64, 0, t.rows.len())
 	var perKey []int64
 	tree.AscendRange(nil, nil, func(key []byte, values [][]byte) bool {
 		perKey = perKey[:0]
 		for _, vb := range values {
 			perKey = append(perKey, rowIDFromBytes(vb))
 		}
-		sort.Slice(perKey, func(i, j int) bool { return perKey[i] < perKey[j] })
+		slices.Sort(perKey)
 		out = append(out, perKey...)
 		return true
 	})
@@ -869,7 +864,7 @@ func (t *Table) CheckIntegrity() []string {
 			return true
 		}
 		heapRows[rowID] = row
-		if got, ok := t.rowIndex[rowID]; !ok {
+		if got, ok := t.rows.get(rowID); !ok {
 			addf("heap row %d missing from the row index", rowID)
 		} else if got != rid {
 			addf("row index places row %d at %s, heap has it at %s", rowID, got, rid)
@@ -882,10 +877,14 @@ func (t *Table) CheckIntegrity() []string {
 	if scanErr != nil {
 		addf("heap scan failed: %v", scanErr)
 	}
-	for rowID := range t.rowIndex {
+	t.rows.ascend(func(rowID int64, _ heap.RID) bool {
 		if _, ok := heapRows[rowID]; !ok {
 			addf("row index entry %d has no heap record", rowID)
 		}
+		return true
+	})
+	if n := t.rows.len(); n != len(heapRows) {
+		addf("row index counts %d live rows, the heap holds %d", n, len(heapRows))
 	}
 
 	// Index pass: every tree entry points at a live row whose stored value
@@ -965,7 +964,10 @@ func (e *Engine) AttachTable(schema *catalog.Schema, pages []pager.PageID, nextR
 			err = decErr
 			return false
 		}
-		t.rowIndex[rowID] = rid
+		if err = checkRowID(rowID); err != nil {
+			return false
+		}
+		t.rows.set(rowID, rid)
 		if rowID >= t.nextRow {
 			t.nextRow = rowID + 1
 		}

@@ -434,7 +434,7 @@ func DecodeValue(buf []byte) (Value, int, error) {
 		}
 		return NewFloat(math.Float64frombits(binary.BigEndian.Uint64(rest[:8]))), 9, nil
 	case Text, Sequence:
-		n, w := binary.Uvarint(rest)
+		n, w := uvarint(rest)
 		if w <= 0 || uint64(len(rest)-w) < n {
 			return Value{}, 0, ErrBadEncoding
 		}
@@ -444,10 +444,10 @@ func DecodeValue(buf []byte) (Value, int, error) {
 		}
 		return NewText(s), 1 + w + int(n), nil
 	case Bool:
-		if len(rest) < 1 {
+		if len(rest) < 1 || rest[0] > 1 {
 			return Value{}, 0, ErrBadEncoding
 		}
-		return NewBool(rest[0] != 0), 2, nil
+		return NewBool(rest[0] == 1), 2, nil
 	case Timestamp:
 		if len(rest) < 8 {
 			return Value{}, 0, ErrBadEncoding
@@ -471,11 +471,23 @@ func AppendRow(dst []byte, r Row) []byte {
 	return dst
 }
 
-// DecodeRow deserialises a row produced by EncodeRow. A count larger than
-// the bytes left (every value takes at least one) is refused before anything
-// is allocated for it.
-func DecodeRow(buf []byte) (Row, error) {
+// uvarint is binary.Uvarint refusing the zero-padded forms it would accept
+// beside the one encoding binary.AppendUvarint writes, so that the decoders
+// here accept exactly what the encoders produce.
+func uvarint(buf []byte) (uint64, int) {
 	n, w := binary.Uvarint(buf)
+	if w > 1 && buf[w-1] == 0 {
+		return 0, 0
+	}
+	return n, w
+}
+
+// DecodeRow deserialises a row produced by EncodeRow: all of buf, so bytes
+// after the row's last value are refused. A count larger than the bytes left
+// (every value takes at least one) is refused before anything is allocated
+// for it.
+func DecodeRow(buf []byte) (Row, error) {
+	n, w := uvarint(buf)
 	if w <= 0 || n > uint64(len(buf)-w) {
 		return nil, ErrBadEncoding
 	}
@@ -488,6 +500,9 @@ func DecodeRow(buf []byte) (Row, error) {
 		}
 		row = append(row, v)
 		buf = buf[used:]
+	}
+	if len(buf) != 0 {
+		return nil, ErrBadEncoding
 	}
 	return row, nil
 }
