@@ -400,13 +400,20 @@ func (it *batchScanIter) loadChunk(chunk *storage.ColChunk) {
 			dict: col.Dict,
 			vals: col.Vals,
 		}
+		// A raw vector is the chunk's own, shared by every reader of the
+		// mirror generation: only a decoded copy may become scratch that a
+		// later chunk or gather overwrites.
 		if col.Dict != nil {
-			it.codesBuf[c] = col.DecodeCodes(it.codesBuf[c])
-			v.codes = it.codesBuf[c]
+			v.codes = col.DecodeCodes(it.codesBuf[c])
+			if col.CodesRLE != nil {
+				it.codesBuf[c] = v.codes
+			}
 		}
 		if col.Valid != nil || col.ValidRLE != nil {
-			it.validBuf[c] = col.DecodeValid(it.validBuf[c])
-			v.valid = it.validBuf[c]
+			v.valid = col.DecodeValid(it.validBuf[c])
+			if col.ValidRLE != nil {
+				it.validBuf[c] = v.valid
+			}
 		}
 	}
 }

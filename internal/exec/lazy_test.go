@@ -10,6 +10,7 @@ import (
 
 	"bdbms/internal/annotation"
 	"bdbms/internal/dependency"
+	"bdbms/internal/storage"
 )
 
 // renderHeld renders a row and its annotation cells for comparison.
@@ -174,5 +175,58 @@ func TestLazyRowsOutliveLaterPulls(t *testing.T) {
 	}
 	if batchScans.Load()-before < int64(2*4*len(queries)) {
 		t.Errorf("%d batch scans for %d cursors and their mirror patches: some cursor read the row path", batchScans.Load()-before, 4*len(queries))
+	}
+}
+
+// TestBatchScanLeavesMirrorVectorsIntact: a chunk's raw validity vector
+// belongs to the mirror generation, which every scan shares. A scan that
+// loaded it and then decoded the next chunk's run-length validity must not
+// decode into it: the first chunk's NULLs would read as empty text in every
+// later scan. The first chunk's NULLs alternate (kept raw), the second's are
+// one run (kept run-length).
+func TestBatchScanLeavesMirrorVectorsIntact(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, `CREATE TABLE V (ID INT NOT NULL PRIMARY KEY, B TEXT)`)
+	var ins strings.Builder
+	for i := 1; i <= 2*storage.ColChunkRows; i++ {
+		b := fmt.Sprintf("'b%d'", i%5)
+		if (i <= storage.ColChunkRows && i%9 == 0) || (i >= 1100 && i < 1110) {
+			b = "NULL"
+		}
+		fmt.Fprintf(&ins, "INSERT INTO V VALUES (%d, %s);\n", i, b)
+	}
+	if _, err := s.ExecAll(ins.String()); err != nil {
+		t.Fatal(err)
+	}
+	row := &Session{Eng: s.Eng, Ann: s.Ann, Prov: s.Prov, Dep: s.Dep, Auth: s.Auth, User: s.User, NoVectorize: true}
+	collect := func(sess *Session) []string {
+		rows, err := sess.Query(context.Background(), `SELECT ID, B FROM V`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for rows.Next() {
+			out = append(out, rows.Row().Values.String())
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := collect(row)
+	before := batchScans.Load()
+	for round := 0; round < 3; round++ {
+		got := collect(s)
+		if len(got) != len(want) {
+			t.Fatalf("round %d: %d rows, NoVectorize %d", round, len(got), len(want))
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("round %d: row %d is %s, NoVectorize %s", round, k, got[k], want[k])
+			}
+		}
+	}
+	if batchScans.Load()-before < 3 {
+		t.Fatal("the scans did not run vectorized")
 	}
 }

@@ -53,7 +53,7 @@ func DecodeChange(kind wal.Kind, payload []byte) (Change, error) {
 		c.RowID, c.Before, err = decodeStored(payload)
 	case wal.KindUpdate:
 		afterLen, n := binary.Uvarint(payload)
-		if n <= 0 || payload[n-1] == 0 && n > 1 || uint64(len(payload)-n) < afterLen {
+		if n <= 0 || n > 1 && payload[n-1] == 0 || uint64(len(payload)-n) < afterLen {
 			return c, fmt.Errorf("storage: malformed update payload")
 		}
 		split := n + int(afterLen)

@@ -338,14 +338,14 @@ func (s *Snapshot) RowIDs(t *Table) []int64 {
 	s.mergeLocked(ov, t)
 	ids := t.rows.appendIDs(make([]int64, 0, t.rows.len()+len(ov.rows)))
 	t.mu.RUnlock()
-	var gone []int64
+	var changed []int64
 	for id, r := range ov.rows {
 		if r != nil {
-			gone = append(gone, id)
+			changed = append(changed, id)
 		}
 	}
-	slices.Sort(gone)
-	return mergeIDs(ids, gone)
+	slices.Sort(changed)
+	return mergeIDs(ids, changed)
 }
 
 // mergeIDs merges the ascending extra into the ascending ids, whose capacity
