@@ -1,6 +1,9 @@
 package bdbms
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestGroupByKeepsNullAndTextNullApart: a GROUP BY key part is either NULL or
 // a length-prefixed rendering, so NULL and the text 'NULL' form two groups,
@@ -96,6 +99,54 @@ func TestDistinctAndSetOpsKeepNulSeparatedRowsApart(t *testing.T) {
 		{`SELECT A, B FROM T EXCEPT SELECT A, B FROM T WHERE ID = 0`, 1},
 		{`SELECT COUNT(*) FROM T GROUP BY A, B`, 2},
 		{`SELECT I FROM N UNION SELECT F FROM N`, 2},
+	}
+	for _, budget := range []int{0, 1} {
+		for _, path := range []string{"reference", "row path", "batched"} {
+			s.SpillBudget = budget
+			s.NoOptimize = path == "reference"
+			s.NoVectorize = path == "row path"
+			for _, c := range cases {
+				res, err := s.Exec(c.sql)
+				if err != nil {
+					t.Fatalf("%s (%s, budget %d): %v", c.sql, path, budget, err)
+				}
+				if len(res.Rows) != c.want {
+					t.Errorf("%s (%s, budget %d) = %d rows, want %d", c.sql, path, budget, len(res.Rows), c.want)
+				}
+			}
+		}
+	}
+}
+
+// TestNegativeZeroIsOneKey: FLOAT 0.0 and -0.0 are equal under `=`, so
+// GROUP BY, DISTINCT and the set operations merge them exactly as the
+// self-join and WHERE match them. Every executor agrees, in memory and
+// spilled.
+func TestNegativeZeroIsOneKey(t *testing.T) {
+	db := Open()
+	defer db.Close()
+	db.MustExec(`CREATE TABLE T (ID INT NOT NULL PRIMARY KEY, F FLOAT)`)
+	s := db.Session("admin")
+	ins, err := s.Prepare(`INSERT INTO T VALUES (?, ?)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range []float64{0, math.Copysign(0, -1)} {
+		if _, err := ins.Exec(i, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		sql  string
+		want int
+	}{
+		{`SELECT a.ID FROM T a, T b WHERE a.F = b.F`, 4},
+		{`SELECT ID FROM T WHERE F = 0.0`, 2},
+		{`SELECT F, COUNT(*) FROM T GROUP BY F`, 1},
+		{`SELECT DISTINCT F FROM T`, 1},
+		{`SELECT F FROM T WHERE ID = 0 UNION SELECT F FROM T WHERE ID = 1`, 1},
+		{`SELECT F FROM T WHERE ID = 0 INTERSECT SELECT F FROM T WHERE ID = 1`, 1},
+		{`SELECT F FROM T WHERE ID = 0 EXCEPT SELECT F FROM T WHERE ID = 1`, 0},
 	}
 	for _, budget := range []int{0, 1} {
 		for _, path := range []string{"reference", "row path", "batched"} {

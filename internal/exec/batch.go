@@ -46,9 +46,9 @@ package exec
 
 import (
 	"context"
+	"encoding/binary"
 	"slices"
 	"sort"
-	"strconv"
 	"sync/atomic"
 
 	"bdbms/internal/storage"
@@ -117,22 +117,16 @@ func (v *bvec) valueAt(i int32) value.Value {
 	}
 }
 
-// appendGroupKey renders row i's group-key part exactly like the boxed
-// appendGroupKey, without boxing the common kinds.
-func (v *bvec) appendGroupKey(dst []byte, i int32) []byte {
-	var num [32]byte
-	switch {
-	case v.null(i):
-		return append(dst, keyNull)
-	case v.kind == storage.ColInt:
-		return appendKeyPart(dst, strconv.AppendInt(num[:0], v.ints[i], 10))
-	case v.kind == storage.ColFloat:
-		return appendKeyPart(dst, strconv.AppendFloat(num[:0], v.flts[i], 'g', -1, 64))
-	case v.kind == storage.ColText:
-		return appendKeyPart(dst, v.str(i))
-	default:
-		return appendGroupKey(dst, v.vals[i])
+// appendHashKey appends row i's hash key, the bytes appendHashKey appends for
+// v.valueAt(i). Boxing a row costs more than the map probe its key feeds, so a
+// TEXT or SEQUENCE row, the usual group key, is keyed from the vector.
+func (v *bvec) appendHashKey(dst []byte, i int32) []byte {
+	if v.kind != storage.ColText || v.null(i) {
+		return appendHashKey(dst, v.valueAt(i))
 	}
+	s := v.str(i)
+	dst = binary.AppendUvarint(dst, uint64(len(s)+2)) // a string's KeyLen
+	return value.AppendStringKey(dst, v.typ, s)
 }
 
 // batch is one chunk, or the rows gathered from several, plus the selection

@@ -19,7 +19,6 @@ package exec
 import (
 	"encoding/binary"
 	"fmt"
-	"strconv"
 
 	"bdbms/internal/annotation"
 	"bdbms/internal/sqlparse"
@@ -549,46 +548,28 @@ func (g *groupAggIter) mergeBuckets(dst, src *groupBucket) error {
 	return nil
 }
 
-// Group keys. Each GROUP BY column adds one part: a NULL marker, or a marker
-// and the length-prefixed Value.String() rendering. The reference executor's
-// groupRows, groupKeyBytes and bvec.appendGroupKey build the same bytes, so
-// the three paths form identical groups. The rendering keeps numeric merging
-// (FLOAT 1.0 and INT 1 both render "1"); the marker keeps NULL apart from
-// the text 'NULL', and the length keeps ('x\x00y', 'z') apart from
-// ('x', 'y\x00z').
-const (
-	keyNull byte = iota
-	keyPart
-)
-
-func appendKeyPart[S string | []byte](dst []byte, s S) []byte {
-	dst = append(dst, keyPart)
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// appendGroupKey appends v's group-key part.
-func appendGroupKey(dst []byte, v value.Value) []byte {
-	var num [32]byte
-	switch v.Type() {
-	case value.Null:
-		return append(dst, keyNull)
-	case value.Int:
-		return appendKeyPart(dst, strconv.AppendInt(num[:0], v.Int(), 10))
-	case value.Float:
-		return appendKeyPart(dst, strconv.AppendFloat(num[:0], v.Float(), 'g', -1, 64))
-	case value.Text, value.Sequence:
-		return appendKeyPart(dst, v.Text())
-	default:
-		return appendKeyPart(dst, v.String())
+// Hash keys. Every hash operator — GROUP BY, DISTINCT, the set operations
+// and the hash join, on every executor — keys a row by appendHashKey over its
+// key values: each value is uvarint(KeyLen) then Value.EncodeKey. Two values
+// of one type share a key exactly when `=` holds between them (EncodeKey maps
+// -0.0 to 0.0), and NULL keys like NULL. EncodeKey's type tag keeps INT 1 and
+// FLOAT 1 apart and NULL apart from the text 'NULL'. The length prefix keeps
+// bytes inside a value — a NUL, TEXT's terminator, then a type tag — from
+// moving the boundary to the next value. The join normalizes each value to
+// its compare class first (appendJoinKey), so a join key is this key too.
+func appendHashKey(dst []byte, vals ...value.Value) []byte {
+	for _, v := range vals {
+		dst = binary.AppendUvarint(dst, uint64(v.KeyLen()))
+		dst = v.EncodeKey(dst)
 	}
+	return dst
 }
 
 // groupKeyBytes renders the row's group key into the reused key buffer.
 func (g *groupAggIter) groupKeyBytes(r *execRow) []byte {
 	g.keyBuf = g.keyBuf[:0]
 	for _, idx := range g.keyIdx {
-		g.keyBuf = appendGroupKey(g.keyBuf, r.val(idx))
+		g.keyBuf = appendHashKey(g.keyBuf, r.val(idx))
 	}
 	return g.keyBuf
 }
@@ -740,7 +721,7 @@ func (g *groupAggIter) consumeBatches() error {
 		for _, i := range b.sel {
 			g.keyBuf = g.keyBuf[:0]
 			for _, idx := range g.keyIdx {
-				g.keyBuf = b.vecs[idx-off].appendGroupKey(g.keyBuf, i)
+				g.keyBuf = b.vecs[idx-off].appendHashKey(g.keyBuf, i)
 			}
 			var mk []*annotation.Annotation // the row's outdated marks, by column
 			if marks != nil {

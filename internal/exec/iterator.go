@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"math"
 
@@ -254,14 +253,12 @@ type joinKeyCol struct {
 	class compareClass
 }
 
-// appendJoinKey appends the hash-key encoding of v to dst. The encoding is
-// normalized per comparison class so that two values for which Compare
-// returns 0 (e.g. INT 1 and FLOAT 1.0, TEXT and SEQUENCE with equal bytes)
-// produce identical keys — hash equality must agree exactly with the
-// semantics of the `=` operator the join replaces. Each part is
-// length-prefixed so composite keys cannot collide across boundaries; the
-// prefix comes from the type, so the key encodes straight into dst and a
-// warm buffer allocates nothing. ok is false for NULL, which never joins.
+// appendJoinKey appends v's join key to dst: v normalized to its comparison
+// class, then keyed by appendHashKey like every other hash operator. The
+// normalization makes values `=` calls equal across types share a key — INT 1
+// and FLOAT 1.0 (numericJoinKey), TEXT and SEQUENCE with equal bytes — so
+// hash equality agrees exactly with the `=` the join replaces. A warm buffer
+// allocates nothing. ok is false for NULL, which never joins.
 func appendJoinKey(dst []byte, v value.Value, class compareClass) ([]byte, bool) {
 	if v.IsNull() {
 		return dst, false
@@ -272,8 +269,7 @@ func appendJoinKey(dst []byte, v value.Value, class compareClass) ([]byte, bool)
 	case classString:
 		v = value.NewText(v.Text())
 	}
-	dst = binary.AppendUvarint(dst, uint64(v.KeyLen()))
-	return v.EncodeKey(dst), true
+	return appendHashKey(dst, v), true
 }
 
 // numericJoinKey maps a number to the one form every number equal to it

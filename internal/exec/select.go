@@ -405,7 +405,7 @@ func (s *Session) groupRows(st *sqlparse.SelectStmt, bindings []binding, rows []
 	for _, r := range rows {
 		keyBuf = keyBuf[:0]
 		for _, idx := range keyIdx {
-			keyBuf = appendGroupKey(keyBuf, r.values[idx])
+			keyBuf = appendHashKey(keyBuf, r.values[idx])
 		}
 		key := string(keyBuf)
 		g, ok := groups[key]
@@ -567,30 +567,12 @@ func (s *Session) project(st *sqlparse.SelectStmt, plan *selectPlan, params valu
 
 // --- set operations, distinct, order -----------------------------------------------------
 
-// appendRowKey appends a distinctness key for the row to buf and returns the
-// extended buffer. Callers reuse one buffer across rows so keying a row costs
-// a single string allocation (the map key) instead of a string per cell plus
-// a join. Each value is its type tag (INT 1 and FLOAT 1 stay distinct), then
-// its length-prefixed rendering, so no byte inside a value — NUL included —
-// can move the boundary between two columns.
-func appendRowKey(buf []byte, r ARow) []byte {
-	for _, v := range r.Values {
-		buf = append(buf, v.Type().String()...)
-		buf = appendKeyPart(buf, v.String())
-	}
-	return buf
-}
-
-func rowKey(r ARow) string {
-	return string(appendRowKey(nil, r))
-}
-
 func dedupeRows(rows []ARow) []ARow {
 	seen := make(map[string]int, len(rows))
 	var out []ARow
 	var buf []byte
 	for _, r := range rows {
-		buf = appendRowKey(buf[:0], r)
+		buf = appendHashKey(buf[:0], r.Values...)
 		key := string(buf)
 		if idx, ok := seen[key]; ok {
 			// Duplicate elimination unions the annotations of the combined
@@ -615,7 +597,7 @@ func applySetOp(op sqlparse.SetOp, left, right []ARow) ([]ARow, error) {
 	rightByKey := make(map[string][]ARow, len(right))
 	var buf []byte
 	for _, r := range right {
-		buf = appendRowKey(buf[:0], r)
+		buf = appendHashKey(buf[:0], r.Values...)
 		key := string(buf)
 		rightByKey[key] = append(rightByKey[key], r)
 	}
@@ -624,7 +606,8 @@ func applySetOp(op sqlparse.SetOp, left, right []ARow) ([]ARow, error) {
 		var out []ARow
 		seen := map[string]bool{}
 		for _, l := range left {
-			key := rowKey(l)
+			buf = appendHashKey(buf[:0], l.Values...)
+			key := string(buf)
 			if seen[key] {
 				continue
 			}
@@ -650,7 +633,8 @@ func applySetOp(op sqlparse.SetOp, left, right []ARow) ([]ARow, error) {
 		var out []ARow
 		seen := map[string]bool{}
 		for _, l := range left {
-			key := rowKey(l)
+			buf = appendHashKey(buf[:0], l.Values...)
+			key := string(buf)
 			if _, inRight := rightByKey[key]; inRight || seen[key] {
 				continue
 			}

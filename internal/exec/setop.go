@@ -88,7 +88,7 @@ func (d *distinctIter) consume() error {
 		if !ok {
 			return nil
 		}
-		d.keyBuf = appendRowKey(d.keyBuf[:0], row)
+		d.keyBuf = appendHashKey(d.keyBuf[:0], row.Values...)
 		b, flushed := d.grouper.lookup(d.keyBuf)
 		switch {
 		case b != nil:
@@ -195,7 +195,7 @@ func (s *setOpIter) buildRight() error {
 		if s.rightCols < 0 {
 			s.rightCols = len(row.Values)
 		}
-		s.keyBuf = appendRowKey(s.keyBuf[:0], row)
+		s.keyBuf = appendHashKey(s.keyBuf[:0], row.Values...)
 		key := string(s.keyBuf)
 		if existing, ok := s.rightRows[key]; ok {
 			if s.intersect && existing != nil {
@@ -227,7 +227,7 @@ func (s *setOpIter) Next() (ARow, bool, error) {
 		if s.rightCols >= 0 && len(row.Values) != s.rightCols {
 			return ARow{}, false, fmt.Errorf("%w: set operands have different column counts", ErrUnsupported)
 		}
-		s.keyBuf = appendRowKey(s.keyBuf[:0], row)
+		s.keyBuf = appendHashKey(s.keyBuf[:0], row.Values...)
 		key := string(s.keyBuf)
 		if s.seen[key] {
 			continue

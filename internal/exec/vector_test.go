@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"bdbms/internal/dependency"
@@ -283,26 +284,23 @@ func TestBatchedAggregateCarriesOutdatedMarks(t *testing.T) {
 	}
 }
 
-// TestGroupKeyParts pins the group-key encoding the three executors share:
-// the boxed and the vector form agree, NULL differs from the text 'NULL', a
-// NUL byte cannot move the boundary between two parts, and INT 1 and
-// FLOAT 1.0 render alike.
-func TestGroupKeyParts(t *testing.T) {
-	key := func(vs ...value.Value) string {
-		var b []byte
-		for _, v := range vs {
-			b = appendGroupKey(b, v)
-		}
-		return string(b)
-	}
+// TestHashKeyParts pins the key every hash operator shares (appendHashKey):
+// NULL differs from the text 'NULL', a NUL byte cannot move the boundary
+// between two parts, FLOAT 0.0 and -0.0 share a key, and a batch vector keys
+// a row like the boxed value the row path reads.
+func TestHashKeyParts(t *testing.T) {
+	key := func(vs ...value.Value) string { return string(appendHashKey(nil, vs...)) }
 	if key(value.NewNull()) == key(value.NewText("NULL")) {
 		t.Error("NULL and 'NULL' share a key")
 	}
-	if key(value.NewText("x\x00y"), value.NewText("z")) == key(value.NewText("x"), value.NewText("y\x00z")) {
-		t.Error("('x\\x00y', 'z') and ('x', 'y\\x00z') share a key")
+	// A NUL and a TEXT tag inside a value look like EncodeKey's terminator
+	// and the next value's tag: only the length prefix keeps them apart.
+	split := "\x00" + string(byte(value.Text))
+	if key(value.NewText("x"+split+"y"), value.NewText("z")) == key(value.NewText("x"), value.NewText("y"+split+"z")) {
+		t.Errorf(`(%q, "z") and ("x", %q) share a key`, "x"+split+"y", "y"+split+"z")
 	}
-	if key(value.NewInt(1)) != key(value.NewFloat(1.0)) {
-		t.Error("INT 1 and FLOAT 1.0 no longer share a key")
+	if key(value.NewFloat(0)) != key(value.NewFloat(math.Copysign(0, -1))) {
+		t.Error("0.0 and -0.0 do not share a key")
 	}
 	vecs := []bvec{
 		{kind: storage.ColInt, typ: value.Int, ints: []int64{-7, 0}, valid: []byte{1, 0}},
@@ -310,14 +308,16 @@ func TestGroupKeyParts(t *testing.T) {
 		{kind: storage.ColText, typ: value.Sequence, strs: []string{"ACGT", "NULL"}},
 		{kind: storage.ColText, typ: value.Text, dict: []string{"", "a\x00b"}, codes: []byte{1, 0}},
 	}
+	boxed := []value.Row{
+		{value.NewInt(-7), value.NewFloat(2.5), value.NewSequence("ACGT"), value.NewText("a\x00b")},
+		{value.NewNull(), value.NewFloat(1e300), value.NewSequence("NULL"), value.NewText("")},
+	}
 	for i := int32(0); i < 2; i++ {
 		var got []byte
-		var row []value.Value
 		for c := range vecs {
-			got = vecs[c].appendGroupKey(got, i)
-			row = append(row, vecs[c].valueAt(i))
+			got = vecs[c].appendHashKey(got, i)
 		}
-		if want := key(row...); string(got) != want {
+		if want := key(boxed[i]...); string(got) != want {
 			t.Errorf("row %d: vector key %q, boxed key %q", i, got, want)
 		}
 	}

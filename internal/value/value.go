@@ -511,6 +511,9 @@ func DecodeRow(buf []byte) (Row, error) {
 // B+-tree key: comparing encoded keys bytewise matches Compare for values of
 // the same type. Ints are offset so negative values sort before positive.
 func (v Value) EncodeKey(dst []byte) []byte {
+	if v.typ.stringy() {
+		return AppendStringKey(dst, v.typ, v.s)
+	}
 	dst = append(dst, byte(v.typ))
 	switch v.typ {
 	case Null:
@@ -534,9 +537,6 @@ func (v Value) EncodeKey(dst []byte) []byte {
 		var buf [8]byte
 		binary.BigEndian.PutUint64(buf[:], bits)
 		dst = append(dst, buf[:]...)
-	case Text, Sequence:
-		dst = append(dst, v.s...)
-		dst = append(dst, 0)
 	case Bool:
 		if v.b {
 			dst = append(dst, 1)
@@ -549,6 +549,15 @@ func (v Value) EncodeKey(dst []byte) []byte {
 		dst = append(dst, buf[:]...)
 	}
 	return dst
+}
+
+// AppendStringKey appends the EncodeKey bytes of s as a value of the TEXT or
+// SEQUENCE type t — the tag, the bytes, a 0 — for a caller holding the string
+// without a boxed Value.
+func AppendStringKey(dst []byte, t Type, s string) []byte {
+	dst = append(dst, byte(t))
+	dst = append(dst, s...)
+	return append(dst, 0)
 }
 
 // KeyLen is len(v.EncodeKey(nil)), computed from the type without encoding.
